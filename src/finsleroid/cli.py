@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -69,13 +70,18 @@ def _emit(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: List[str], rows: List[List[float]],
+def _csv(header: List[str], table: np.ndarray,
          comments: Optional[List[str]] = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Comment lines, the header and one line per row of the 2-D table.
+
+    The whole text is one %-format pass over a template that repeats a
+    "%.17g,...\n" row, which writes the same bytes as _fmt for every float
+    and builds no per-row strings.
+    """
+    table = np.asarray(table, dtype=float)
+    head = "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (head.replace("%", "%%") + row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
@@ -107,7 +113,7 @@ def cmd_eval(args) -> int:
     sp = _build_space(args.dim, args.r, vec)
     f = scalar_forms(p, sp, vec)
     record = {
-        "K": f.K,
+        "K": fmf(p, sp, vec),
         "H_dual": cospace.fhf(p, sp, cospace.to_costate(p, sp, vec)),
         "Phi": f.Phi,
         "B": f.B,
@@ -143,30 +149,24 @@ def cmd_geodesic(args) -> int:
     sp = _build_space(args.dim, args.r, R1)
     bd = geodesic.connect(p, quasieuclid.sigma(p, sp, R1),
                           quasieuclid.sigma(p, sp, R2), space=sp)
-    n = max(2, args.samples)
-    rows = []
-    for s in np.linspace(0.0, bd.delta_s, n):
-        t, _ = geodesic.qe_geodesic_at(bd, float(s))
-        R = quasieuclid.mu(p, sp, t)
-        rows.append([float(s), *R.tolist(), fmf(p, sp, R)])
+    s = np.linspace(0.0, bd.delta_s, max(2, args.samples))
+    t, _ = geodesic.qe_geodesic_at(bd, s)
+    R = quasieuclid.mu(p, sp, t)
+    # K is evaluated at the written R, not taken from the norm law, so the
+    # law stays a check of the output
+    table = np.column_stack([s, R, fmf(p, sp, R)])
     header = ["s"] + [f"R_{i + 1}" for i in range(sp.dim)] + ["K"]
     comments = [f"a={_fmt(bd.a)}", f"b={_fmt(bd.b)}",
                 f"delta_s={_fmt(bd.delta_s)}", f"alpha={_fmt(bd.alpha)}"]
-    _emit(args.out, _csv(header, rows, comments))
+    _emit(args.out, _csv(header, table, comments))
     return EXIT_OK
-
-
-def _profile_rows(p: Param, n: int) -> List[List[float]]:
-    fs = np.linspace(0.0, math.pi, n)
-    prof = shape.indicatrix_profile(p, n)
-    return [[float(f), float(q), float(z)] for f, (q, z) in zip(fs, prof)]
 
 
 def cmd_indicatrix(args) -> int:
     p = make_param(args.g)
     n = max(8, args.samples)
-    _emit(args.out, _csv(["f", "q", "Z"], _profile_rows(p, n),
-                         [f"g={_fmt(args.g)}"]))
+    table = np.column_stack([np.linspace(0.0, math.pi, n), shape.indicatrix_profile(p, n)])
+    _emit(args.out, _csv(["f", "q", "Z"], table, [f"g={_fmt(args.g)}"]))
     return EXIT_OK
 
 
@@ -185,21 +185,19 @@ def cmd_figures(args) -> int:
             path = outdir / f"{name}.svg"
             path.write_text(_svg([("body", prof), ("circle", circle)]))
         else:
-            rows = [[float(f), float(q), float(z), float(cq), float(cz)]
-                    for f, (q, z), (cq, cz) in zip(fs, prof, circle)]
             path = outdir / f"{name}.csv"
-            path.write_text(_csv(["f", "q", "Z", "circle_q", "circle_Z"], rows,
-                                 [f"g={_fmt(g)}"]))
+            path.write_text(_csv(["f", "q", "Z", "circle_q", "circle_Z"],
+                                 np.column_stack([fs, prof, circle]), [f"g={_fmt(g)}"]))
         written.append(path)
     gs = np.linspace(-1.9, 1.9, 191)
     reports = [shape.shape_report(make_param(float(g))) for g in gs]
     path = outdir / "equator_radius_curve.csv"
     path.write_text(_csv(["g", "q_star"],
-                         [[float(g), r.q_star] for g, r in zip(gs, reports)]))
+                         np.column_stack([gs, [r.q_star for r in reports]])))
     written.append(path)
     path = outdir / "width_height_curve.csv"
     path.write_text(_csv(["g", "Z_2star"],
-                         [[float(g), r.Z_2star] for g, r in zip(gs, reports)]))
+                         np.column_stack([gs, [r.Z_2star for r in reports]])))
     written.append(path)
     sys.stdout.write("".join(f"{p}\n" for p in written))
     return EXIT_OK
@@ -269,19 +267,22 @@ def _check_battery(rng, inject_fault: bool) -> List[Tuple[str, float, float]]:
 
     def metric_hessian():
         worst = 0.0
-        eps = 1e-5
         for p, R in samples[:8]:
+            # a step relative to |R|: a fixed one is dominated by rounding
+            # for |R| ~ 3
+            eps = 1e-4 * sp3.norm(R)
             gm = tensors.metric(p, sp3, R)
-            H = np.empty((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    def k2(di, dj):
-                        x = R.copy()
+            # X[k, i, j] = R + di e_i + dj e_j for the k-th sign pair (di, dj)
+            X = np.empty((4, 3, 3, 3))
+            for k, (di, dj) in enumerate(((eps, eps), (eps, -eps), (-eps, eps), (-eps, -eps))):
+                for i in range(3):
+                    for j in range(3):
+                        x = X[k, i, j]
+                        x[:] = R
                         x[i] += di
                         x[j] += dj
-                        return 0.5 * fmf(p, sp3, x) ** 2
-                    H[i, j] = (k2(eps, eps) - k2(eps, -eps)
-                               - k2(-eps, eps) + k2(-eps, -eps)) / (4 * eps * eps)
+            k2 = 0.5 * fmf(p, sp3, X) ** 2
+            H = (k2[0] - k2[1] - k2[2] + k2[3]) / (4 * eps * eps)
             worst = max(worst, np.max(np.abs(gm - H)) / np.max(np.abs(gm)))
         return worst
     run("metric_hessian", 1e-5, metric_hessian)
@@ -464,9 +465,34 @@ def _apply_config(args) -> None:
             setattr(args, attr, val)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ValueError, so main returns EXIT_BAD_INPUT
+    instead of argparse exiting the process."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+# argparse takes a value that starts with "-" and is not a plain negative
+# number, such as "-1,0.2", for an option
+_LIST_FLAGS = ("--vec", "--vec2", "--r")
+_NUMBER_LIST = re.compile(r"-\.?\d")
+
+
+def _join_number_lists(argv: Sequence[str]) -> List[str]:
+    """Rewrite "--vec -1,0.2" as "--vec=-1,0.2" for every number-list flag."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and _NUMBER_LIST.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="finsleroid",
-                                 description="Finsleroid geometry toolkit")
+    ap = _Parser(prog="finsleroid", description="Finsleroid geometry toolkit")
     subs = ap.add_subparsers(dest="command", required=True)
     handlers = {}
 
@@ -500,8 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_number_lists(argv))
         _apply_config(args)
         if args.seed is None:
             args.seed = 0

@@ -4,7 +4,8 @@ metric function.
 The geometry lives on an N-dimensional vector space split into an
 (N-1)-dimensional spatial part and a distinguished axial direction.
 Vectors are plain 1-D numpy arrays with the axial component stored last:
-``R = (R^1, ..., R^{N-1}, Z)``.
+``R = (R^1, ..., R^{N-1}, Z)``. ``fmf`` also takes vectors stacked along
+leading axes, an array of shape ``(..., N)``, and evaluates every row.
 
 The anisotropy is controlled by a single parameter ``g`` in (-2, 2).
 At g = 0 everything collapses to the Euclidean geometry of the input
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -150,16 +151,22 @@ class Space:
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self.dot(x, x), 0.0))
 
-    def spatial_norm(self, R: np.ndarray) -> float:
-        """q = sqrt(r_ab R^a R^b) of the spatial part."""
-        Rs = R[:-1]
-        return math.sqrt(max(float(Rs @ self.r_spatial @ Rs), 0.0))
+    def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
+        """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
+        of R: a float for one vector, an array of shape R.shape[:-1] for a
+        stack of them."""
+        Rs = R[..., :-1]
+        # abs: rounding can leave the form of a near-null vector at -eps
+        q = np.sqrt(abs((Rs @ self.r_spatial * Rs).sum(axis=-1)))
+        return float(q) if q.ndim == 0 else q
 
     def check_vector(self, R: np.ndarray) -> np.ndarray:
+        """R as a float array of shape (..., N): one vector, or vectors
+        stacked along leading axes. Every entry must be finite."""
         R = np.asarray(R, dtype=float)
-        if R.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {R.shape}")
-        if not np.all(np.isfinite(R)):
+        if R.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected vectors of length {self.dim}, got shape {R.shape}")
+        if np.count_nonzero(np.isfinite(R)) < R.size:
             raise ValueError("vector has non-finite components")
         return R
 
@@ -195,8 +202,10 @@ class ScalarForms:
 
 
 def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
-    """Evaluate all characteristic scalars at a nonzero vector."""
+    """Evaluate all characteristic scalars at one nonzero vector."""
     R = sp.check_vector(R)
+    if R.ndim != 1:
+        raise ValueError(f"scalar forms take one vector, got shape {R.shape}")
     q = sp.spatial_norm(R)
     Z = float(R[-1])
     if q == 0.0 and Z == 0.0:
@@ -222,6 +231,23 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     return ScalarForms(q=q, w=w, B=B, Q=Q, E=E, A=A, L=L, Phi=Phi, J=J, K=K)
 
 
-def fmf(p: Param, sp: Space, R: np.ndarray) -> float:
-    """Finsleroid metric function K(g; R), the anisotropic norm of R."""
-    return scalar_forms(p, sp, R).K
+def fmf(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
+    """Finsleroid metric function K(g; R), the anisotropic norm of R.
+
+    R is one vector of shape (N,), which gives a float, or vectors stacked
+    along leading axes, shape (..., N), which gives an array of shape
+    R.shape[:-1]. The whole stack is checked: a non-finite entry or a wrong
+    last axis raises ValueError, a row at the origin DegenerateVector.
+    The formula is that of scalar_forms, K = sqrt(B) exp(G Phi / 2) with
+    Phi = atan2(A, h q).
+    """
+    R = sp.check_vector(R)
+    q = sp.spatial_norm(R)
+    Z = R[..., -1]
+    if np.count_nonzero((q == 0.0) & (Z == 0.0)):
+        raise DegenerateVector("metric function undefined at the origin")
+    g = p.g
+    # on the axis atan2(Z, +0) = +-pi/2, the axis branch of scalar_forms
+    K = (np.sqrt(Z * Z + g * q * Z + q * q)
+         * np.exp(0.5 * p.G * np.arctan2(Z + 0.5 * g * q, p.h * q)))
+    return float(K) if R.ndim == 1 else K

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,26 +115,30 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
     return GeodesicBoundary(p, sp, t1, t2, a, b, delta_s, S_end, alpha)
 
 
-def _nu_at(bd: GeodesicBoundary, s: float) -> float:
-    root = math.sqrt(max(bd.a**2 - bd.b**2, 0.0))
-    return math.atan2(root * s, bd.a**2 + bd.b * s)
-
-
-def qe_geodesic_at(bd: GeodesicBoundary, s: float) -> Tuple[np.ndarray, float]:
+def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
+                   ) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
     """Point t(s) on the geodesic and the intermediate swept angle nu(s).
 
     nu runs from 0 at s = 0 to alpha at s = delta_s, and the norm law
     (t(s) . t(s)) = a^2 + 2 b s + s^2 holds along the curve.
+
+    s is one arc length, which gives t of shape (N,) and a float nu, or an
+    array of them, which gives t of shape s.shape + (N,) and nu of shape
+    s.shape.
     """
+    s = np.asarray(s, dtype=float)
     a, b, h = bd.a, bd.b, bd.param.h
-    S = math.sqrt(a * a + 2 * b * s + s * s)
+    S = np.sqrt(a * a + 2 * b * s + s * s)
     if bd.radial:
-        return bd.t1 * (S / a), 0.0
-    nu = _nu_at(bd, s)
-    sha = math.sin(h * bd.alpha)
-    t = ((S / a) * math.sin(h * (bd.alpha - nu)) / sha * bd.t1
-         + (S / bd.S_end) * math.sin(h * nu) / sha * bd.t2)
-    return t, nu
+        t = (S / a)[..., None] * bd.t1
+        nu = np.zeros(s.shape)
+    else:
+        root = math.sqrt(max(a * a - b * b, 0.0))
+        nu = np.arctan2(root * s, a * a + b * s)
+        sha = math.sin(h * bd.alpha)
+        t = (((S / a) * np.sin(h * (bd.alpha - nu)) / sha)[..., None] * bd.t1
+             + ((S / bd.S_end) * np.sin(h * nu) / sha)[..., None] * bd.t2)
+    return t, (float(nu) if s.ndim == 0 else nu)
 
 
 def qe_velocity(bd: GeodesicBoundary, s: float) -> np.ndarray:

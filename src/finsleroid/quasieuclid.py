@@ -6,14 +6,14 @@ coefficients, conformal flatness, induced sphere geometry).
 
 Image-space points are plain arrays t with the axial slot last. Their
 Euclidean norm is S(t) = sqrt(r_pq t^p t^q); sigma satisfies
-S(sigma(R)) = K(R).
+S(sigma(R)) = K(R). mu also takes points stacked along leading axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,8 +45,9 @@ def snorm(sp: Space, t: np.ndarray) -> float:
     return sp.norm(t)
 
 
-def mnorm(sp: Space, t: np.ndarray) -> float:
-    """m(t), the spatial norm of an image-space point."""
+def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
+    """m(t), the spatial norm of an image-space point; broadcasts over the
+    leading axes of t like Space.spatial_norm."""
     return sp.spatial_norm(t)
 
 
@@ -69,17 +70,22 @@ def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 
 def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
-    """Inverse map. mu(sigma(R)) = R identically."""
+    """Inverse map. mu(sigma(R)) = R identically.
+
+    t is one image point of shape (N,) or points stacked along leading
+    axes, shape (..., N); the result has the shape of t. The whole stack
+    is checked: a non-finite entry or a wrong last axis raises ValueError,
+    a row at the origin DegenerateVector.
+    """
     t = sp.check_vector(t)
     m = mnorm(sp, t)
-    tN = float(t[-1])
-    if m == 0.0 and tN == 0.0:
+    tN = t[..., -1]
+    if np.count_nonzero((m == 0.0) & (tN == 0.0)):
         raise DegenerateVector("inverse map undefined at the origin")
-    phi = math.atan2(tN, m)
-    k = math.exp(0.5 * p.G * phi)
-    R = np.empty(sp.dim)
-    R[:-1] = t[:-1] / (p.h * k)
-    R[-1] = (tN - 0.5 * p.G * m) / k
+    k = np.exp(0.5 * p.G * np.arctan2(tN, m))
+    R = np.empty(t.shape)
+    R[..., :-1] = t[..., :-1] / (p.h * k)[..., None]
+    R[..., -1] = (tN - 0.5 * p.G * m) / k
     return R
 
 

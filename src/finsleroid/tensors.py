@@ -191,9 +191,9 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     """S_pqrs = C_tqr C_p^t_s - C_tqs C_p^t_r and the proportionality
     scalar of its representation S* (h_pr h_qs - h_ps h_qr) / K^2.
 
-    For N = 2 the angular pair product vanishes identically and the fit is
-    degenerate; S* is then taken from the trace identity (equal to -g^2/4
-    either way).
+    For N = 2 the angular tensor has rank one, so the pair product
+    vanishes identically and the fit is empty; S* is then taken from the
+    trace identity (equal to -g^2/4 either way).
     """
     if p.g == 0.0:
         scalar_forms(p, sp, R)  # reject the origin
@@ -203,13 +203,11 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     S = (np.einsum("tqr,pts->pqrs", ct.full, ct.mixed)
          - np.einsum("tqs,ptr->pqrs", ct.full, ct.mixed))
     f = scalar_forms(p, sp, R)
-    h_ang = angular(p, sp, R)
-    M = (np.einsum("pr,qs->pqrs", h_ang, h_ang)
-         - np.einsum("ps,qr->pqrs", h_ang, h_ang)) / f.K**2
-    denom = float(np.sum(M * M))
-    if denom > 1e-30:
-        s_star = float(np.sum(S * M)) / denom
-    else:
-        # N = 2: h has rank one, S vanishes; use the contraction scalar
+    if sp.dim == 2:
         s_star = -float(ct.covector @ ct.vector) * f.K**2 / sp.dim**2
+    else:
+        h_ang = angular(p, sp, R)
+        M = (np.einsum("pr,qs->pqrs", h_ang, h_ang)
+             - np.einsum("ps,qr->pqrs", h_ang, h_ang)) / f.K**2
+        s_star = float(np.sum(S * M)) / float(np.sum(M * M))
     return CurvatureS(tensor=S, s_star=s_star)

@@ -236,3 +236,48 @@ def test_check_tol_override(capsys):
     # an absurdly tight tolerance forces a failure
     code, out, _ = run(capsys, "check", "--tol", "metric_hessian=1e-30")
     assert code == 1
+
+
+def test_geodesic_k_column_is_fmf_of_written_rows(capsys):
+    import finsleroid as fd
+    code, out, _ = run(capsys, "geodesic", "--g", "-0.7", "--vec", "1,0.2,0.4",
+                       "--vec2", "0.3,-0.5,1.1", "--r", "2,0.3,0.3,0.7",
+                       "--samples", "40")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    p = fd.make_param(-0.7)
+    sp = fd.Space(3, np.array([[2.0, 0.3], [0.3, 0.7]]))
+    for row in rows:
+        assert row[-1] == pytest.approx(fd.fmf(p, sp, row[1:-1]), rel=1e-15)
+
+
+def test_negative_first_component_parses(capsys):
+    args = ("geodesic", "--g", "0.4", "--vec2", "0.3,1.1")
+    code, out, _ = run(capsys, *args, "--vec", "-1,0.2")
+    assert code == 0
+    assert (code, out) == run(capsys, *args, "--vec=-1,0.2")[:2]
+
+
+def test_usage_error_returns_bad_input(capsys):
+    code, _, err = run(capsys, "eval", "--g")
+    assert code == 2
+    assert "expected one argument" in err
+
+
+def test_csv_table_bytes_match_fmt():
+    from finsleroid.cli import _csv, _fmt
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.0, 1e300],
+        rng.normal(size=99990) * 10.0 ** rng.integers(-300, 300, size=99990)])
+    table = vals.reshape(-1, 3)
+    expect = "# c\n# 100%\nx,y,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
+    assert _csv(["x", "y", "z"], table, ["c", "100%"]) == expect
+
+
+@pytest.mark.parametrize("seed", ["6", "26", "29", "277"])
+def test_check_hessian_step_scales_with_vector(capsys, seed):
+    # these seeds draw |R| ~ 3, where a fixed step of 1e-5 is dominated by
+    # rounding and metric_hessian failed its tolerance of 1e-5
+    code, out, _ = run(capsys, "check", "--seed", seed)
+    assert code == 0

@@ -182,3 +182,32 @@ def test_phi_matches_branch_split(rng):
         f = scalar_forms(p, sp, R)
         assert f.Phi == pytest.approx(_phi_branch_form(p, f.q, float(R[-1])),
                                       abs=1e-12)
+
+
+# ------------------------------------------------------------ broadcasting
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_fmf_broadcasts_over_leading_axes(rng, identity):
+    p = make_param(0.7)
+    sp = rand_space(3, rng, identity=identity)
+    for shape in ((6,), (2, 4)):
+        X = rng.normal(size=shape + (3,))
+        K = fmf(p, sp, X)
+        assert K.shape == shape
+        for idx in np.ndindex(*shape):
+            assert K[idx] == pytest.approx(fmf(p, sp, X[idx]), rel=1e-15)
+    assert type(fmf(p, sp, X[0, 0])) is float
+
+
+def test_fmf_batch_checks_every_row():
+    p = make_param(0.4)
+    sp = Space.euclidean(3)
+    X = np.ones((4, 3))
+    X[2] = 0.0
+    with pytest.raises(DegenerateVector):
+        fmf(p, sp, X)
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        fmf(p, sp, X)
+    with pytest.raises(ValueError):
+        fmf(p, sp, np.ones((4, 2)))

@@ -358,3 +358,18 @@ def test_difference_gradients_collinear(rng):
     p = make_param(0.4)
     with pytest.raises(CollinearVectors):
         difference_gradients(p, np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+
+
+def test_qe_geodesic_at_broadcasts_over_s(rng):
+    p, sp, bd = draw_pair(rng)
+    radial = connect(p, bd.t1, 2.5 * bd.t1, space=sp)
+    assert radial.radial
+    for b in (bd, radial):
+        s = np.linspace(0.0, b.delta_s, 12).reshape(3, 4)
+        t, nu = qe_geodesic_at(b, s)
+        assert t.shape == (3, 4, sp.dim) and nu.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            t_row, nu_row = qe_geodesic_at(b, float(s[idx]))
+            assert isinstance(nu_row, float)
+            assert np.allclose(t[idx], t_row, rtol=1e-15, atol=0.0)
+            assert nu[idx] == pytest.approx(nu_row, rel=1e-15, abs=0.0)

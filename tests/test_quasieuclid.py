@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (AxisSingular, BadFrame, ChartOutOfRange, Space,
-                        conformal_check, conformal_factor, fmf, make_param,
-                        metric, mu, mu_jacobian, n_metric, qe_christoffel,
+from finsleroid import (AxisSingular, BadFrame, ChartOutOfRange,
+                        DegenerateVector, Space, conformal_check,
+                        conformal_factor, fmf, make_param, metric, mu,
+                        mu_jacobian, n_metric, qe_christoffel,
                         qe_curvature, qe_frames, sigma, sigma_jacobian, snorm,
                         sphere_curvature, scalar_forms, unit_l)
 from finsleroid.cospace import fhf, to_costate
@@ -405,3 +406,29 @@ def test_sphere_matches_indicatrix_curvature(rng):
         s_star = curvature_S(p, sp, R).s_star
         kappa = sphere_curvature(p, 1.0, np.array([0.2, 0.1, -0.3]))
         assert abs((1 + s_star) - kappa) <= 1e-9
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_mu_broadcasts_over_leading_axes(rng, identity):
+    p = make_param(-1.1)
+    sp = rand_space(3, rng, identity=identity)
+    for shape in ((6,), (2, 4)):
+        T = rng.normal(size=shape + (3,))
+        R = mu(p, sp, T)
+        assert R.shape == T.shape
+        for idx in np.ndindex(*shape):
+            assert np.allclose(R[idx], mu(p, sp, T[idx]), rtol=1e-15, atol=0.0)
+
+
+def test_mu_batch_checks_every_row():
+    p = make_param(0.4)
+    sp = Space.euclidean(3)
+    T = np.ones((2, 3, 3))
+    T[1, 2] = 0.0
+    with pytest.raises(DegenerateVector):
+        mu(p, sp, T)
+    T[1, 2, 0] = np.inf
+    with pytest.raises(ValueError):
+        mu(p, sp, T)
+    with pytest.raises(ValueError):
+        mu(p, sp, np.ones((2, 4)))

@@ -311,3 +311,13 @@ def test_curvature_n2_fit_uses_contraction(rng):
     cv = curvature_S(p, sp, R)
     assert np.max(np.abs(cv.tensor)) < 1e-12
     assert cv.s_star == pytest.approx(-p.g**2 / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("g", [-1.5, 0.4, 1.9])
+def test_curvature_n2_constant_on_random_vectors(rng, g):
+    # rounding noise in the rank-one angular products must not be fitted
+    p = make_param(g)
+    sp = Space.euclidean(2)
+    for _ in range(300):
+        R = rand_vec(p, sp, rng)
+        assert abs(1.0 + curvature_S(p, sp, R).s_star - p.h**2) <= 1e-12
