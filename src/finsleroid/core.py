@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DegenerateVector, OutOfRange
 
 __all__ = [
+    "COLLINEAR_TOL",
+    "Gram",
     "Param",
     "Space",
     "ScalarForms",
@@ -70,6 +72,39 @@ def make_param(g: float) -> Param:
         g_up_plus=-0.5 * g + h,
         g_up_minus=-0.5 * g - h,
     )
+
+
+# The one collinearity threshold of the pair code, on u / sqrt(a11 a22), the
+# sine of the pair's angle. The residual of Space.gram carries a few eps |y|
+# of rounding, so a pair at or below 1e-14 spans no plane at working precision.
+COLLINEAR_TOL = 1e-14
+
+
+class Gram(NamedTuple):
+    """Pair geometry of nonzero x, y from Space.gram: the products a11, a22,
+    a12, the residual perp = y - (a12/a11) x, the Gram root u = |x| |perp|,
+    the angle atan2(u, a12) in [0, pi] and u / sqrt(a11 a22) <= COLLINEAR_TOL.
+    Taking u from the residual, not from a11 a22 - a12^2, keeps u and the
+    angle accurate near 0 and pi (Kahan 2006). d1 = (a11 y - a12 x) / u and
+    d2 = (a22 x - a12 y) / u: (x.d1) = (d2.y) = 0, (d1.y) = (x.d2) = u."""
+
+    x: np.ndarray
+    y: np.ndarray
+    perp: np.ndarray
+    a11: float
+    a22: float
+    a12: float
+    u: float
+    angle: float
+    collinear: bool
+
+    @property
+    def d1(self) -> np.ndarray:
+        return (self.a11 / self.u) * self.perp
+
+    @property
+    def d2(self) -> np.ndarray:
+        return (self.u / self.a11) * self.x - (self.a12 / self.u) * self.perp
 
 
 class Space:
@@ -151,6 +186,19 @@ class Space:
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self.dot(x, x), 0.0))
 
+    def gram(self, x: np.ndarray, y: np.ndarray) -> Gram:
+        """The pair kernel: every angle and Gram root of two vectors in the
+        package comes from here. Raises DegenerateVector on a zero vector."""
+        x, y, r = np.asarray(x, dtype=float), np.asarray(y, dtype=float), self.r_full
+        rx = r @ x
+        a11, a12, a22 = rx @ x, rx @ y, y @ r @ y
+        if a11 == 0.0 or a22 == 0.0:
+            raise DegenerateVector("pair geometry needs two nonzero vectors")
+        perp = y - (a12 / a11) * x
+        u = math.sqrt(a11 * max(perp @ r @ perp, 0.0))
+        return Gram(x, y, perp, a11, a22, a12, u, math.atan2(u, a12),
+                    u <= COLLINEAR_TOL * math.sqrt(a11 * a22))
+
     def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
         """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
         of R: a float for one vector, an array of shape R.shape[:-1] for a
@@ -172,6 +220,19 @@ class Space:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Space(dim={self.dim})"
+
+
+def space_for(t: np.ndarray, space: Optional[Space]) -> Space:
+    """space, or the Euclidean space of t's dimension when it is None."""
+    return space if space is not None else Space.euclidean(len(np.asarray(t)))
+
+
+def checked_pair(t1: np.ndarray, t2: np.ndarray,
+                 space: Optional[Space]) -> Tuple[Space, Gram]:
+    """space_for(t1, space) and the Space.gram data of t1, t2 after
+    check_vector; Gram.x and Gram.y hold the checked arrays."""
+    sp = space_for(t1, space)
+    return sp, sp.gram(sp.check_vector(t1), sp.check_vector(t2))
 
 
 @dataclass(frozen=True)

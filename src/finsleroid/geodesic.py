@@ -10,8 +10,8 @@ the formulas stay valid when a^2 + b s changes sign along the curve.
 Validity: the closed two-point form represents the connecting geodesic
 for swept angles alpha < pi. At alpha = pi the curve degenerates through
 the origin, and past it no smooth connecting geodesic exists, so both
-cases raise AntipodalSingular (as does the Euclidean-antipodal
-configuration sin(h alpha) = 0 itself).
+cases raise AntipodalSingular (as does a Euclidean-antipodal pair of
+endpoints itself).
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space
-from .errors import AntipodalSingular, CollinearVectors, DegenerateVector, NotUnitSpeed
+from .core import Param, Space, checked_pair, space_for
+from .errors import AntipodalSingular, CollinearVectors, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
+from .twovector import covector_pair
 
 __all__ = [
     "GeodesicBoundary",
@@ -37,29 +38,11 @@ __all__ = [
     "difference_gradients",
 ]
 
-_CLAMP_TOL = 1e-12
-_RADIAL_TOL = 1e-12
-# arccos near -1 has square-root sensitivity, so angles within ~1e-7 of the
-# sweep limit pi are already dominated by rounding of the input cosine
+# Swept angles within this of pi are refused: the curve passes the origin at
+# sqrt(a^2 - b^2) ~ (pi - alpha) a |t2| / delta_s, where the norm law
+# a^2 + 2 b s + s^2, rounded by eps a^2, is already off by several percent
+# at pi - alpha = 1e-7.
 _ANTIPODAL_TOL = 1e-7
-
-
-def _space_for(t: np.ndarray, space: Optional[Space]) -> Space:
-    if space is not None:
-        return space
-    return Space.euclidean(len(np.asarray(t)))
-
-
-def _clamped_arccos(x: float) -> float:
-    if x > 1.0:
-        if x > 1.0 + _CLAMP_TOL:
-            raise ValueError(f"cosine argument {x} outside [-1, 1]")
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - _CLAMP_TOL:
-            raise ValueError(f"cosine argument {x} outside [-1, 1]")
-        x = -1.0
-    return math.acos(x)
 
 
 @dataclass(frozen=True)
@@ -70,8 +53,8 @@ class GeodesicBoundary:
     b        integration constant, (t1 . v1)
     delta_s  arc length between the endpoints
     S_end    |t2|
-    alpha    swept angle, arccos of the normalized product divided by h
-    radial   True when t2 lies on the ray of t1 (alpha = 0 short circuit)
+    alpha    swept angle: the Space.gram angle of t1 and t2, divided by h
+    radial   True when t2 lies on the ray of t1 (Gram.collinear, alpha = 0)
     """
 
     param: Param
@@ -90,29 +73,30 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
             space: Optional[Space] = None) -> GeodesicBoundary:
     """Solve the two-point problem: angle, arc length, and the constants
     of the quadratic norm law."""
-    sp = _space_for(t1, space)
-    t1 = sp.check_vector(np.asarray(t1, dtype=float))
-    t2 = sp.check_vector(np.asarray(t2, dtype=float))
-    a = sp.norm(t1)
-    S_end = sp.norm(t2)
-    if a == 0.0 or S_end == 0.0:
-        raise DegenerateVector("geodesic endpoints must be nonzero")
-    cos_e = sp.dot(t1, t2) / (a * S_end)
-    alpha = _clamped_arccos(cos_e) / p.h
-    if alpha <= _RADIAL_TOL:
+    sp, pair = checked_pair(t1, t2, space)
+    t1, t2 = pair.x, pair.y
+    a, S_end = math.sqrt(pair.a11), math.sqrt(pair.a22)
+    alpha = pair.angle / p.h
+    if alpha >= math.pi - _ANTIPODAL_TOL:
+        # h <= 1, so this also refuses a Euclidean-antipodal pair
+        raise AntipodalSingular(
+            f"swept angle {alpha:.6f} >= pi: no smooth connecting geodesic")
+    if pair.collinear:
         # same-ray case: linear interpolation of norms along the ray
         delta_s = abs(S_end - a)
         b = a if delta_s == 0.0 else a * math.copysign(1.0, S_end - a)
         return GeodesicBoundary(p, sp, t1, t2, a, b, delta_s, S_end, 0.0, radial=True)
-    if math.sin(p.h * alpha) <= _ANTIPODAL_TOL:
-        raise AntipodalSingular(
-            "endpoints are Euclidean-antipodal: sin(h alpha) = 0")
-    if alpha >= math.pi - _ANTIPODAL_TOL:
-        raise AntipodalSingular(
-            f"swept angle {alpha:.6f} >= pi: no smooth connecting geodesic")
-    delta_s = math.sqrt(max(a * a + S_end * S_end - 2 * a * S_end * math.cos(alpha), 0.0))
-    b = a * (S_end * math.cos(alpha) - a) / delta_s
+    # cosine theorem and b = a (S_end cos(alpha) - a) / delta_s, written
+    # with 1 - cos(alpha) = 2 sin^2(alpha/2) so neither cancels
+    half = math.sin(0.5 * alpha)
+    delta_s = math.hypot(a - S_end, 2.0 * math.sqrt(a * S_end) * half)
+    b = a * ((S_end - a) - 2.0 * S_end * half * half) / delta_s
     return GeodesicBoundary(p, sp, t1, t2, a, b, delta_s, S_end, alpha)
+
+
+def _root(bd: GeodesicBoundary) -> float:
+    """sqrt(a^2 - b^2) = a |t2| sin(alpha) / delta_s, which does not cancel."""
+    return bd.a * bd.S_end * math.sin(bd.alpha) / bd.delta_s
 
 
 def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
@@ -133,8 +117,7 @@ def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
         t = (S / a)[..., None] * bd.t1
         nu = np.zeros(s.shape)
     else:
-        root = math.sqrt(max(a * a - b * b, 0.0))
-        nu = np.arctan2(root * s, a * a + b * s)
+        nu = np.arctan2(_root(bd) * s, a * a + b * s)
         sha = math.sin(h * bd.alpha)
         t = (((S / a) * np.sin(h * (bd.alpha - nu)) / sha)[..., None] * bd.t1
              + ((S / bd.S_end) * np.sin(h * nu) / sha)[..., None] * bd.t2)
@@ -147,7 +130,7 @@ def qe_velocity(bd: GeodesicBoundary, s: float) -> np.ndarray:
     S = math.sqrt(a * a + 2 * b * s + s * s)
     if bd.radial:
         return bd.t1 * (b + s) / (a * S)
-    root = math.sqrt(max(a * a - b * b, 0.0))
+    root = _root(bd)
     t, nu = qe_geodesic_at(bd, s)
     sha = math.sin(h * bd.alpha)
     return ((b + s) / S**2 * t
@@ -165,31 +148,28 @@ def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
                         unit_speed_tol: float = 1e-8) -> np.ndarray:
     """Initial-value solution t(s) = m(s) t1 + n(s) v1 with
 
-        m(s) = (S(s)/a) [cos(h nu) - (b / (h sqrt(a^2 - b^2))) sin(h nu)]
-        n(s) = a S(s) sin(h nu) / (h sqrt(a^2 - b^2))
+        m(s) = (S(s)/a) [cos(h nu) - (b / u) sin(h nu)]
+        n(s) = a S(s) sin(h nu) / u
 
-    where a = |t1|, b = (t1 . v1), and nu(s) is the swept angle. Requires
-    unit speed n_pq(t1) v1^p v1^q = 1.
+    where a = |t1|, b = (t1 . v1), u is the Gram root of (t1, v1), and
+    nu(s) is the swept angle. Requires unit speed n_pq(t1) v1^p v1^q = 1,
+    under which u = h sqrt(a^2 - b^2).
     """
-    sp = _space_for(t1, space)
+    sp = space_for(t1, space)
     t1 = sp.check_vector(np.asarray(t1, dtype=float))
     v1 = sp.check_vector(np.asarray(v1, dtype=float))
-    nm = n_metric(p, sp, t1)
-    speed = float(v1 @ nm.low @ v1)
+    speed = float(v1 @ n_metric(p, sp, t1).low @ v1)
     if abs(speed - 1.0) > unit_speed_tol:
         raise NotUnitSpeed(f"n(v1, v1) = {speed}, expected 1")
-    a = sp.norm(t1)
-    b = sp.dot(t1, v1)
-    root2 = a * a - b * b
-    if root2 <= (a * a) * 1e-24:
+    pair = sp.gram(t1, v1)
+    if pair.collinear:
         # radial launch
         return t1 + s * v1
-    root = math.sqrt(root2)
+    a, b, u, h = math.sqrt(pair.a11), pair.a12, pair.u, p.h
     S = math.sqrt(a * a + 2 * b * s + s * s)
-    nu = math.atan2(root * s, a * a + b * s)
-    h = p.h
-    m_c = (S / a) * (math.cos(h * nu) - b / (h * root) * math.sin(h * nu))
-    n_c = a * S * math.sin(h * nu) / (root * h)
+    nu = math.atan2(u * s, h * (a * a + b * s))
+    m_c = (S / a) * (math.cos(h * nu) - b / u * math.sin(h * nu))
+    n_c = a * S * math.sin(h * nu) / u
     return m_c * t1 + n_c * v1
 
 
@@ -209,25 +189,14 @@ def difference_gradients(p: Param, t1: np.ndarray, t2: np.ndarray,
     plus the auxiliary orthogonal-complement vectors.
 
     Returns {"b1", "b2", "d1", "d2", "u"} where u is the Gram root
-    sqrt((t1.t1)(t2.t2) - (t1.t2)^2). Identities: (t1 . d1) = 0,
-    (d1 . d2) = -(t1 . t2), (d1 . t2) = u; at g = 0, b1 = t1 - t2.
+    sqrt((t1.t1)(t2.t2) - (t1.t2)^2), and b1 = t1 - T1, b2 = t2 - T2 with
+    (T1, T2) = covector_pair(t1, t2).
+    Identities: (t1 . d1) = 0, (d1 . d2) = -(t1 . t2), (d1 . t2) = u;
+    at g = 0, b1 = t1 - t2.
     """
-    sp = _space_for(t1, space)
-    t1 = sp.check_vector(np.asarray(t1, dtype=float))
-    t2 = sp.check_vector(np.asarray(t2, dtype=float))
-    a11 = sp.dot(t1, t1)
-    a22 = sp.dot(t2, t2)
-    a12 = sp.dot(t1, t2)
-    gram = a11 * a22 - a12 * a12
-    if gram <= (a11 * a22) * 1e-24:
+    sp, pair = checked_pair(t1, t2, space)
+    if pair.collinear:
         raise CollinearVectors("difference gradients need independent vectors")
-    u = math.sqrt(gram)
-    d1 = (a11 * t2 - a12 * t1) / u
-    d2 = (a22 * t1 - a12 * t2) / u
-    h = p.h
-    alpha = _clamped_arccos(a12 / math.sqrt(a11 * a22)) / h
-    n1, n2 = math.sqrt(a11), math.sqrt(a22)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    b1 = t1 - (t1 / n1) * n2 * ca - (n2 / (h * n1)) * sa * d1
-    b2 = t2 - (t2 / n2) * n1 * ca - (n1 / (h * n2)) * sa * d2
-    return {"b1": b1, "b2": b2, "d1": d1, "d2": d2, "u": u}
+    T1, T2 = covector_pair(p, pair.x, pair.y, space=sp)
+    return {"b1": pair.x - T1, "b2": pair.y - T2, "d1": pair.d1, "d2": pair.d2,
+            "u": pair.u}

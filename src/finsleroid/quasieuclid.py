@@ -59,14 +59,20 @@ def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
     return t / S
 
 
+def sigma_over_j(p: Param, R: np.ndarray, A: float) -> np.ndarray:
+    """sigma(R) / J = (h R^a, A), from the axial combination A of R: norm
+    sqrt(B), and the angle of two of them is that of their sigma images."""
+    t = np.empty(len(R))
+    t[:-1] = np.multiply(R[:-1], p.h)
+    t[-1] = A
+    return t
+
+
 def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Forward map: t^a = R^a h J, t^N = A J. Positively homogeneous,
     and S(sigma(R)) = K(R)."""
     f = scalar_forms(p, sp, R)
-    t = np.empty(sp.dim)
-    t[:-1] = R[:-1] * p.h * f.J
-    t[-1] = f.A * f.J
-    return t
+    return sigma_over_j(p, R, f.A) * f.J
 
 
 def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:

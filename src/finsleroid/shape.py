@@ -44,8 +44,6 @@ class ShapeReport:
     q_2star         maximal spatial radius (the true half width)
     Z_2star         height at which the width is attained (= -g q_2star)
     width           2 q_2star
-    equator_radius  alias of q_2star (radius of the widest section)
-    equator_height  alias of Z_2star
     """
 
     q_star: float
@@ -55,8 +53,6 @@ class ShapeReport:
     q_2star: float
     Z_2star: float
     width: float
-    equator_radius: float
-    equator_height: float
 
 
 def shape_report(p: Param) -> ShapeReport:
@@ -81,8 +77,6 @@ def shape_report(p: Param) -> ShapeReport:
         q_2star=q_2star,
         Z_2star=Z_2star,
         width=2.0 * q_2star,
-        equator_radius=q_2star,
-        equator_height=Z_2star,
     )
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "CurvatureS",
 ]
 
-_AXIS_EPS = 0.0  # exact test: the formulas hold for every q > 0
-
 
 def grad_covector(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Covector R_p = (1/2) d K^2 / d R^p. Satisfies R_p R^p = K^2."""

@@ -4,11 +4,10 @@ G_pq(g; R, S) with the scalar-product gradients.
 
 Both tensors are mixed second derivatives of the corresponding two-vector
 scalar product and collapse to the one-vector metric tensors in the
-coincidence limit. Near-coincident pairs (relative Gram root below
-COINCIDENCE_TOL) are routed to the one-vector tensor instead of
-evaluating 0/0 forms. The threshold sits at 1e-7: the subtractive Gram
-forms carry relative noise of order sqrt(machine eps) ~ 1.5e-8 at exact
-coincidence, so a tighter cut would trigger nondeterministically.
+coincidence limit. Every angle, Gram root and orthogonal complement here
+comes from Space.gram, on the image-space points or, for G_pq, on the
+images (h R^a, A). n2 routes a pair that is collinear by the kernel's test
+to the one-vector tensor; g2 routes at the wider COINCIDENCE_TOL.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Param, Space, scalar_forms
+from .core import Param, Space, checked_pair, scalar_forms
 from .errors import (CollinearVectors, DegenerateW, NegativeRadicand,
                      SingularXi)
-from .geodesic import _clamped_arccos, _space_for
-from .quasieuclid import n_metric
+from .quasieuclid import n_metric, sigma_over_j
 from .tensors import grad_covector, metric
 
 __all__ = [
@@ -37,6 +35,12 @@ __all__ = [
     "scalar_grad",
 ]
 
+# Relative Gram root of the images (h R^a, A) at or below which g2 returns
+# the one-vector metric and scalar_grad refuses the pair. At g = 0.4,
+# R = (0.3, 0.5, 1), S = R + eps (0.6, -0.8, 0), the distance of
+# n2(sigma(R), sigma(S)) to n_metric over eps stays 0.020 from eps = 1e-3 to
+# 1e-11, while that of g2 to metric reads 0.25 down to 1e-6, 0.24 at 1e-7,
+# 4.2 at 1e-8 and 390 at 1e-9: g2's M-vector forms cancel, not the root.
 COINCIDENCE_TOL = 1e-7
 
 
@@ -51,38 +55,27 @@ class TwoVectorTensor:
     u: float
 
 
-def _pair(sp: Space, t1: np.ndarray, t2: np.ndarray):
-    a11 = sp.dot(t1, t1)
-    a22 = sp.dot(t2, t2)
-    a12 = sp.dot(t1, t2)
-    return a11, a22, a12, a11 * a22 - a12 * a12
-
-
 def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
        space: Optional[Space] = None) -> TwoVectorTensor:
     """Two-vector tensor n_pq(g; t1, t2), the mixed Hessian of the
-    image-space scalar product |t1||t2| cos(alpha)."""
-    sp = _space_for(t1, space)
-    t1 = sp.check_vector(np.asarray(t1, dtype=float))
-    t2 = sp.check_vector(np.asarray(t2, dtype=float))
-    a11, a22, a12, gram = _pair(sp, t1, t2)
-    if gram <= a11 * a22 * COINCIDENCE_TOL**2:
-        nm = n_metric(p, sp, t1)
-        return TwoVectorTensor(components=nm.low, A1=1.0 - 1.0 / p.h**2,
-                               A2=0.0, u=0.0)
-    u = math.sqrt(gram)
+    image-space scalar product |t1||t2| cos(alpha). A collinear pair
+    returns the one-vector tensor n_metric(t1) with u = 0."""
+    sp, pair = checked_pair(t1, t2, space)
+    t1, t2 = pair.x, pair.y
+    if pair.collinear:
+        return TwoVectorTensor(components=n_metric(p, sp, t1).low,
+                               A1=1.0 - 1.0 / p.h**2, A2=0.0, u=0.0)
+    a11, a22, a12, u = pair.a11, pair.a22, pair.a12, pair.u
     h = p.h
-    alpha = _clamped_arccos(a12 / math.sqrt(a11 * a22)) / h
+    alpha = pair.angle / h
     sa, ca = math.sin(alpha), math.cos(alpha)
     A1 = ca - a12 * sa / (h * u)
     A2 = ca / h - a12 * sa / u
-    d1 = (a11 * t2 - a12 * t1) / u
-    d2 = (a22 * t1 - a12 * t2) / u
     r = sp.r_full
     n1n2 = math.sqrt(a11) * math.sqrt(a22)
     comp = (a11 * a22 / (h * n1n2) * (sa / u) * r
             + A1 * np.outer(r @ t1, r @ t2) / n1n2
-            - A2 * np.outer(r @ d1, r @ d2) / (h * n1n2))
+            - A2 * np.outer(r @ pair.d1, r @ pair.d2) / (h * n1n2))
     return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=u)
 
 
@@ -99,16 +92,13 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
 
     Raises NegativeRadicand outside the validity region of the radicals.
     """
-    sp = _space_for(t1, space)
-    t1 = sp.check_vector(np.asarray(t1, dtype=float))
-    t2 = sp.check_vector(np.asarray(t2, dtype=float))
-    a11, a22, a12, gram = _pair(sp, t1, t2)
-    if gram <= a11 * a22 * COINCIDENCE_TOL**2:
+    sp, pair = checked_pair(t1, t2, space)
+    if pair.collinear:
         raise CollinearVectors("frame needs independent vectors")
-    u = math.sqrt(gram)
+    a11, a22, a12, u = pair.a11, pair.a22, pair.a12, pair.u
     h = p.h
     base = sp.base_frame if base_frame is None else np.asarray(base_frame, float)
-    alpha = _clamped_arccos(a12 / math.sqrt(a11 * a22)) / h
+    alpha = pair.angle / h
     sa, ca = math.sin(alpha), math.cos(alpha)
     if sa / u < 0.0:
         raise NegativeRadicand("sin(alpha)/u negative")
@@ -122,10 +112,8 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
     br1 = h * A1 / (z + math.sqrt(rad1))
     br2 = A2 / (z + math.sqrt(rad2))
     r = sp.r_full
-    d1 = (a11 * t2 - a12 * t1) / u
-    d2 = (a22 * t1 - a12 * t2) / u
-    f = (z * base + br1 * np.outer(base @ t2, r @ t1)
-         - br2 * np.outer(base @ d1, r @ d2))
+    f = (z * base + br1 * np.outer(base @ pair.y, r @ pair.x)
+         - br2 * np.outer(base @ pair.d1, r @ pair.d2))
     return f / math.sqrt(h * math.sqrt(a11) * math.sqrt(a22))
 
 
@@ -134,43 +122,32 @@ def covector_pair(p: Param, t1: np.ndarray, t2: np.ndarray,
     """Covariant conversion (T1, T2) of the pair, returned raised to
     vectors: lowering T1 with r gives n_pq(t1, t2) t2^q, and lowering T2
     gives t1^p n_pq(t1, t2)."""
-    sp = _space_for(t1, space)
-    t1 = sp.check_vector(np.asarray(t1, dtype=float))
-    t2 = sp.check_vector(np.asarray(t2, dtype=float))
-    a11, a22, a12, gram = _pair(sp, t1, t2)
-    if gram <= a11 * a22 * 1e-28:
+    sp, pair = checked_pair(t1, t2, space)
+    if pair.collinear:
         raise CollinearVectors("covector pair needs independent vectors")
-    u = math.sqrt(gram)
-    h = p.h
-    alpha = _clamped_arccos(a12 / math.sqrt(a11 * a22)) / h
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    d1 = (a11 * t2 - a12 * t1) / u
-    d2 = (a22 * t1 - a12 * t2) / u
-    n1, n2_ = math.sqrt(a11), math.sqrt(a22)
-    T1 = (n2_ / n1) * ca * t1 + (n2_ / (h * n1)) * sa * d1
-    T2 = (n1 / n2_) * ca * t2 + (n1 / (h * n2_)) * sa * d2
-    return T1, T2
+    alpha = pair.angle / p.h
+    return _turn(p, pair, math.sin(alpha), math.cos(alpha))
 
 
 def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
                          alpha: float,
                          space: Optional[Space] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Recover (t1, t2) from (T1, T2) at the known pair angle alpha."""
-    sp = _space_for(T1, space)
-    T1 = sp.check_vector(np.asarray(T1, dtype=float))
-    T2 = sp.check_vector(np.asarray(T2, dtype=float))
-    b11, b22, b12, gram = _pair(sp, T1, T2)
-    if b11 == 0.0 or b22 == 0.0 or gram <= b11 * b22 * 1e-28:
+    sp, pair = checked_pair(T1, T2, space)
+    if pair.collinear:
         raise SingularXi("inversion coefficient vanishes for collinear covectors")
-    uT = math.sqrt(gram)
-    h = p.h
     sa, ca = math.sin(alpha), math.cos(alpha)
-    cc = ca * ca + sa * sa / h**2
-    D1 = (b11 * T2 - b12 * T1) / uT
-    D2 = (b22 * T1 - b12 * T2) / uT
-    t1 = (math.sqrt(b22) / math.sqrt(b11)) * (ca * T1 + sa * D1 / h) / cc
-    t2 = (math.sqrt(b11) / math.sqrt(b22)) * (ca * T2 + sa * D2 / h) / cc
-    return t1, t2
+    cc = ca * ca + sa * sa / p.h**2
+    t1, t2 = _turn(p, pair, sa, ca)
+    return t1 / cc, t2 / cc
+
+
+def _turn(p: Param, pair, sa: float, ca: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(|y|/|x|) (ca x + sa d1 / h), (|x|/|y|) (ca y + sa d2 / h): the covector
+    pair at (sa, ca) = (sin, cos)(alpha); on (T1, T2), over cc, its inverse."""
+    ratio = math.sqrt(pair.a22) / math.sqrt(pair.a11)
+    return (ratio * (ca * pair.x + (sa / p.h) * pair.d1),
+            (ca * pair.y + (sa / p.h) * pair.d2) / ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +155,19 @@ def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _rs_pieces(p: Param, sp: Space, R: np.ndarray, S: np.ndarray):
+    """(fR, fS, r_ab R^a S^b, P, W2), with the product P and squared Gram
+    root W2 of the images (h R^a, A) from Space.gram; (fS, fR, ...) serves (S, R)."""
     fR = scalar_forms(p, sp, R)
     fS = scalar_forms(p, sp, S)
     spatial = float(R[:-1] @ sp.r_spatial @ S[:-1])
-    P = fR.A * fS.A + p.h**2 * spatial
-    # stable Gram form of the two-vector root
-    W2 = fR.B * fS.B - P * P
-    return fR, fS, spatial, P, W2
+    pair = sp.gram(sigma_over_j(p, R, fR.A), sigma_over_j(p, S, fS.A))
+    return fR, fS, spatial, pair.a12, pair.u * pair.u
+
+
+def _rs_trig(p: Param, pieces) -> Tuple[float, float]:
+    """(sin, cos) of alpha = atan2(W, P) / h, the Space.gram angle over h."""
+    alpha = math.atan2(math.sqrt(pieces[4]), pieces[3]) / p.h
+    return math.sin(alpha), math.cos(alpha)
 
 
 def _m_vector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
@@ -200,17 +183,19 @@ def _m_vector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
     return out
 
 
-def _s_covector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
-    fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
+def _s_covector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
+                pieces) -> np.ndarray:
+    fR, fS, spatial, P, W2 = pieces
     W = math.sqrt(W2)
     M = _m_vector(p, sp, R, S, fR, fS, spatial)
     return M * fR.K / (W * fR.B)
 
 
-def _s_matrix(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _s_matrix(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
+              pieces) -> np.ndarray:
     """s_pq(g; R, S) = K(S) d s_p(R, S) / d S^q, fully analytic."""
     g, h = p.g, p.h
-    fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
+    fR, fS, spatial, P, W2 = pieces
     W = math.sqrt(W2)
     rR = sp.r_spatial @ R[:-1]
     rS = sp.r_spatial @ S[:-1]
@@ -248,18 +233,17 @@ def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
     """
     R = sp.check_vector(np.asarray(R, dtype=float))
     S = sp.check_vector(np.asarray(S, dtype=float))
-    fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
+    fR, fS, _, _, W2 = pieces = _rs_pieces(p, sp, R, S)
     if W2 <= fR.B * fS.B * COINCIDENCE_TOL**2:
         # near-coincident pair: the limit is the one-vector tensor
         return metric(p, sp, R)
     h = p.h
-    alpha = _clamped_arccos(P / math.sqrt(fR.B * fS.B)) / h
-    sa, ca = math.sin(alpha), math.cos(alpha)
+    sa, ca = _rs_trig(p, pieces)
     Rlow = grad_covector(p, sp, R)
     Slow = grad_covector(p, sp, S)
-    s_RS = _s_covector(p, sp, R, S)
-    s_SR = _s_covector(p, sp, S, R)
-    spq = _s_matrix(p, sp, R, S)
+    s_RS = _s_covector(p, sp, R, S, pieces)
+    s_SR = _s_covector(p, sp, S, R, (fS, fR) + pieces[2:])
+    spq = _s_matrix(p, sp, R, S, pieces)
     return ((np.outer(Rlow, Slow) / (fR.K * fS.K) - h * h * np.outer(s_RS, s_SR)) * ca
             + h * (np.outer(Rlow, s_SR) / fR.K + np.outer(s_RS, Slow) / fS.K + spq) * sa)
 
@@ -270,15 +254,15 @@ def scalar_grad(p: Param, sp: Space, R: np.ndarray,
     S^q. As S -> R the R-gradient tends to the covector R_p."""
     R = sp.check_vector(np.asarray(R, dtype=float))
     S = sp.check_vector(np.asarray(S, dtype=float))
-    fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
+    fR, fS, _, _, W2 = pieces = _rs_pieces(p, sp, R, S)
     if W2 <= fR.B * fS.B * COINCIDENCE_TOL**2:
         raise DegenerateW("two-vector root vanished; gradients undefined")
     h = p.h
-    alpha = _clamped_arccos(P / math.sqrt(fR.B * fS.B)) / h
-    sa, ca = math.sin(alpha), math.cos(alpha)
+    sa, ca = _rs_trig(p, pieces)
     product = fR.K * fS.K * ca
     Rlow = grad_covector(p, sp, R)
     Slow = grad_covector(p, sp, S)
-    dR = Rlow * product / fR.K**2 + h * fS.K * _s_covector(p, sp, R, S) * sa
-    dS = Slow * product / fS.K**2 + h * fR.K * _s_covector(p, sp, S, R) * sa
+    dR = Rlow * product / fR.K**2 + h * fS.K * _s_covector(p, sp, R, S, pieces) * sa
+    dS = (Slow * product / fS.K**2
+          + h * fR.K * _s_covector(p, sp, S, R, (fS, fR) + pieces[2:]) * sa)
     return dR, dS

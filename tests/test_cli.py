@@ -114,6 +114,16 @@ def test_geodesic_header_alpha_matches_angle_cmd(capsys):
     assert parse_record(out)["alpha"] == pytest.approx(alpha_hdr, abs=1e-12)
 
 
+def test_geodesic_near_coincident_endpoints(capsys):
+    # endpoints 1e-7 apart: a geodesic, not a Euclidean-antipodal refusal
+    code, out, _ = run(capsys, "geodesic", "--g", "0.4", "--vec=1,0,1",
+                       "--vec2=1,0.0000001,1", "--samples", "5")
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert np.allclose(rows[0, 1:4], [1.0, 0.0, 1.0], rtol=0, atol=1e-15)
+    assert np.allclose(rows[-1, 1:4], [1.0, 1e-7, 1.0], rtol=0, atol=1e-15)
+
+
 def test_geodesic_euclidean_straight(capsys):
     code, out, _ = run(capsys, "geodesic", "--g", "0", "--vec", "1,0",
                        "--vec2", "0,1", "--samples", "11")

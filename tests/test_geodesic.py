@@ -7,8 +7,8 @@ from finsleroid import (AntipodalSingular, CollinearVectors, NotUnitSpeed,
                         Space, cartan, connect, difference_gradients,
                         endpoint_velocities, finsleroid_geodesic, fmf,
                         make_param, n_metric, qe_christoffel,
-                        qe_geodesic_at, qe_geodesic_initial, qe_velocity,
-                        sigma)
+                        qe_angle, qe_geodesic_at, qe_geodesic_initial,
+                        qe_velocity, sigma)
 from conftest import rand_space, rand_vec
 
 
@@ -79,6 +79,30 @@ def test_connect_invariants(rng):
         # prescribed product rule
         assert sp.dot(bd.t1, bd.t2) == pytest.approx(
             bd.a * bd.S_end * math.cos(p.h * bd.alpha), rel=1e-11, abs=1e-12)
+
+
+def test_small_angles_exact():
+    # the angle keeps its relative accuracy as the pair closes up
+    p = make_param(0.4)
+    t1 = np.array([1.0, 0.0, 0.0])
+    for k in range(4, 11):
+        phi = 10.0 ** -k
+        t2 = np.array([math.cos(phi), math.sin(phi), 0.0])
+        assert qe_angle(p, t1, t2) == pytest.approx(phi / p.h, rel=1e-14, abs=0)
+        bd = connect(p, t1, t2)
+        assert not bd.radial
+        assert bd.alpha == pytest.approx(phi / p.h, rel=1e-14, abs=0)
+
+
+def test_near_radial_mid_arc_angle():
+    # t2 = 2 t1 + eps d: at mid-arc nu / alpha tends to 2/3 as eps -> 0
+    p = make_param(0.4)
+    t1 = np.array([0.8, -0.3, 1.1])
+    d = np.array([0.2, 0.9, -0.4])
+    for k in range(6, 11):
+        bd = connect(p, t1, 2.0 * t1 + 10.0 ** -k * d)
+        _, nu = qe_geodesic_at(bd, 0.5 * bd.delta_s)
+        assert abs(nu / bd.alpha - 2.0 / 3.0) <= 1e-6
 
 
 def test_antipodal_raises():

@@ -52,7 +52,7 @@ def test_report_branch_sign_rule():
         r = shape_report(make_param(g))
         assert (r.Z_2star >= 0) == (g <= 0)
         assert r.Z_2star == pytest.approx(-g * r.q_2star, abs=1e-15)
-        assert r.width == 2 * r.q_2star == 2 * r.equator_radius
+        assert r.width == 2 * r.q_2star
 
 
 def test_report_matches_two_branch_form():

@@ -49,7 +49,9 @@ def test_n2_mixed_hessian(rng):
         p, sp, t1, t2 = draw_pair(rng, dims=(2, 3))
         tv = n2(p, t1, t2, space=sp)
         n = sp.dim
-        eps = 1e-5
+        # rounding of the four products grows as 1/eps^2 and nears the
+        # 1e-5 bound at a step of 1e-5; truncation at 1e-4 is far below it
+        eps = 1e-4
         H = np.empty((n, n))
         for i in range(n):
             for j in range(n):
@@ -101,6 +103,16 @@ def test_n2_coincidence_limit_linear(rng):
     assert errs[0] > errs[1] > errs[2]
     assert 7 <= errs[0] / errs[1] <= 14
     assert 7 <= errs[1] / errs[2] <= 14
+    # linear down to eps = 1e-11, on the sigma images of a pair
+    R = np.array([0.3, 0.5, 1.0])
+    d = np.array([0.6, -0.8, 0.0])
+    p = make_param(0.4)
+    t1 = sigma(p, sp, R)
+    nm = n_metric(p, sp, t1).low
+    slopes = [float(np.max(np.abs(n2(p, t1, sigma(p, sp, R + eps * d), space=sp).components
+                                  - nm))) / eps
+              for eps in 10.0 ** -np.arange(3, 12)]
+    assert max(slopes) <= 1.1 * min(slopes)
 
 
 def test_n2_derivative_limit_law(rng):
@@ -385,7 +397,9 @@ def test_g2_mixed_hessian(rng):
         p, sp, R, S = draw_rs(rng, dims=(2, 3))
         G = g2(p, sp, R, S)
         n = sp.dim
-        eps = 1e-5
+        # rounding of the four products grows as 1/eps^2 and nears the
+        # 1e-5 bound at a step of 1e-5; truncation at 1e-4 is far below it
+        eps = 1e-4
         H = np.empty((n, n))
         for i in range(n):
             for j in range(n):
@@ -410,6 +424,14 @@ def test_g2_coincidence(rng):
     assert errs[0] > errs[1] > errs[2]
     assert 7 <= errs[0] / errs[1] <= 14
     assert 7 <= errs[1] / errs[2] <= 14
+    # linear down to eps = 1e-6, above COINCIDENCE_TOL
+    p = make_param(0.4)
+    R = np.array([0.3, 0.5, 1.0])
+    d = np.array([0.6, -0.8, 0.0])
+    gm = metric(p, sp, R)
+    slopes = [float(np.max(np.abs(g2(p, sp, R, R + eps * d) - gm))) / eps
+              for eps in (1e-3, 1e-4, 1e-5, 1e-6)]
+    assert max(slopes) <= 1.1 * min(slopes)
 
 
 def test_scalar_grad_fd(rng):
