@@ -9,9 +9,9 @@ from .core import Param, ScalarForms, Space, fmf, make_param, scalar_forms
 from .cospace import co_metric, co_scalar_forms, fhf, from_costate, to_costate
 from .errors import (AntipodalSingular, AxisSingular, BadDirection, BadFrame,
                      ChartOutOfRange, CollinearVectors, DegenerateVector,
-                     DegenerateW, EquatorSingular, FinsleroidError,
-                     NegativeRadicand, NoConvergence, NotUnitSpeed, OutOfRange,
-                     SingularXi, VertexSingular)
+                     DegenerateW, FinsleroidError, NegativeRadicand,
+                     NoConvergence, NotUnitSpeed, OutOfRange, SingularXi,
+                     VertexSingular)
 from .geodesic import (GeodesicBoundary, connect, difference_gradients,
                        endpoint_velocities, finsleroid_geodesic,
                        qe_geodesic_at, qe_geodesic_initial, qe_velocity)

@@ -86,13 +86,24 @@ def equator_angle(p: Param, sp: Space, R: np.ndarray) -> float:
     return math.atan2(p.h * abs(float(R[-1])), f.L) / p.h
 
 
+# Bound on the final |angle - pi/2| of perpendicular_companion when tol is
+# tighter. The kernel angle over h carries a few eps/h of rounding, so a run
+# that stops on a collapsed bracket still ends far inside 1e-10, the accuracy
+# the tests and the benchmark ask for; an end beyond it means no root.
+_COMPANION_TOL = 1e-10
+
+
 def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
                             seed: Optional[np.ndarray] = None,
                             tol: float = 1e-12) -> np.ndarray:
     """A vector at angle pi/2 from R (so the scalar product vanishes).
 
-    Built by Gram-Schmidt against R in the background metric, then a 1-D
-    bisection rotation in the span until the image angle hits pi/2.
+    Built by Gram-Schmidt against R in the background metric, then rotated
+    by theta in [0, pi] within the span until the image angle is pi/2 to
+    tol. The root is bracketed and found by regula falsi with the Pegasus
+    weights, with a midpoint step whenever the secant step leaves the
+    bracket. Raises NoConvergence when the angle ends more than
+    max(tol, 1e-10) from pi/2.
     """
     R = sp.check_vector(np.asarray(R, dtype=float))
     if seed is None:
@@ -104,25 +115,37 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
         raise CollinearVectors("seed is parallel to R")
     e = R / math.sqrt(pair.a11)
     w = pair.perp * (math.sqrt(pair.a11) / pair.u)
-    image_R = sigma_over_j(p, R, scalar_forms(p, sp, R).A)
+    A = scalar_forms(p, sp, R).A
+    image_R = sigma_over_j(p, R, A)
 
-    def ang(theta: float) -> float:
-        v = math.cos(theta) * e + math.sin(theta) * w
-        image_v = sigma_over_j(p, v, scalar_forms(p, sp, v).A)
+    def ang(image_v: np.ndarray) -> float:
         return sp.gram(image_R, image_v).angle / p.h - 0.5 * math.pi
 
-    lo, hi = 0.0, math.pi  # ang(0) = -pi/2 < 0; ang(pi) = pi/h - pi/2 > 0
+    # ang at theta = 0 is -pi/2. At theta = pi, v = -e, whose image needs no
+    # new scalar forms (A(-R) = A - 2 Z), and ang > 0: the angle of R and -R
+    # is at least 2.
+    lo, hi = 0.0, math.pi
+    f_lo, f_hi = -0.5 * math.pi, ang(sigma_over_j(p, -R, A - 2.0 * R[-1]))
+    kept = 0  # +1 (-1) after a step that kept lo (hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = ang(mid)
-        if abs(fm) < tol or hi - lo < 1e-16:
+        theta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+        v = math.cos(theta) * e + math.sin(theta) * w
+        f = ang(sigma_over_j(p, v, scalar_forms(p, sp, v).A))
+        if abs(f) < tol or hi - lo < 1e-16:
             break
-        if fm < 0:
-            lo = mid
+        if f < 0:
+            if kept < 0:  # hi kept twice in a row: scale its value (Pegasus)
+                f_hi *= f_lo / (f_lo + f)
+            lo, f_lo, kept = theta, f, -1
         else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return math.cos(theta) * e + math.sin(theta) * w
+            if kept > 0:
+                f_lo *= f_hi / (f_hi + f)
+            hi, f_hi, kept = theta, f, 1
+    if abs(f) > max(tol, _COMPANION_TOL):
+        raise NoConvergence(f"perpendicular companion ends {abs(f):.2e} from pi/2")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -181,62 +204,80 @@ def parallelogram_diff(p: Param, t1: np.ndarray, t3: np.ndarray,
     return d + k * svec
 
 
+def _cosine_laws(p: Param, sp: Space, edges: np.ndarray, t3: np.ndarray):
+    """Residuals of the two cosine laws at the sum candidate t3 of the edges
+    (t1, t2) = edges, and their Jacobian jac[i, j] = d r_i / d (x, y)_j along
+    t3 = x t1 + y t2 (None when t3 is collinear with t1 or t2, where the
+    angles have a kink).
+
+    r_i = n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(angle(t_i, t3) / h),
+    with d n3 / d t3 = r t3 / n3 and d angle(t_i, t3) / d t3 = -r d2 / n3^2
+    from the Gram data of (t_i, t3).
+    """
+    pairs = (sp.gram(edges[0], t3), sp.gram(edges[1], t3))
+    collinear = pairs[0].collinear or pairs[1].collinear
+    n3_sq = pairs[0].a22
+    n3 = math.sqrt(n3_sq)
+    res = np.empty(2)
+    grads = np.empty((2, len(t3)))
+    for i, (pair, other) in enumerate(zip(pairs, (pairs[1].a11, pairs[0].a11))):
+        diff = other - pair.a11
+        two_n = 2.0 * math.sqrt(pair.a11)
+        angle = pair.angle / p.h
+        res[i] = n3 - diff / n3 - two_n * math.cos(angle)
+        if not collinear:
+            grads[i] = ((1.0 + diff / n3_sq) / n3) * t3 - (
+                two_n * math.sin(angle) / (p.h * n3_sq)) * pair.d2
+    return res, None if collinear else grads @ sp.r_full @ edges.T
+
+
 def parallelogram_residuals(p: Param, t1: np.ndarray, t2: np.ndarray,
                             t3: np.ndarray,
                             space: Optional[Space] = None) -> np.ndarray:
     """Residuals of the two defining cosine-law equations for the sum
     candidate t3. Both vanish at the exact anisotropic sum."""
-    sp = space_for(t1, space)
-    pair1 = sp.gram(t1, t3)
-    pair2 = sp.gram(t2, t3)
-    a11, a22 = pair1.a11, pair2.a11
-    n3 = math.sqrt(pair1.a22)
-    r1 = (n3 - (a22 - a11) / n3
-          - 2.0 * math.sqrt(a11) * math.cos(pair1.angle / p.h))
-    r2 = (n3 - (a11 - a22) / n3
-          - 2.0 * math.sqrt(a22) * math.cos(pair2.angle / p.h))
-    return np.array([r1, r2])
+    edges = np.array([t1, t2], dtype=float)
+    return _cosine_laws(p, space_for(t1, space), edges, t3)[0]
 
 
 def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
                         space: Optional[Space] = None,
                         tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     """Exact anisotropic sum t3 = x t1 + y t2 by damped Newton on the
-    residual system, seeded at (x, y) = (1, 1)."""
+    residual system, seeded at (x, y) = (1, 1), with the analytic Jacobian
+    of the cosine laws."""
     sp, pair = checked_pair(t1, t2, space)
     if pair.collinear:
         raise CollinearVectors("parallelogram needs independent vectors")
-    t1, t2 = pair.x, pair.y
+    edges = np.array([pair.x, pair.y])
 
-    def res(xy: np.ndarray) -> np.ndarray:
-        return parallelogram_residuals(p, t1, t2, xy[0] * t1 + xy[1] * t2, space=sp)
+    def laws(xy: np.ndarray):
+        r, jac = _cosine_laws(p, sp, edges, xy @ edges)
+        return r, jac, abs(r).max()
 
     xy = np.array([1.0, 1.0])
-    r = res(xy)
+    r, jac, size = laws(xy)
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return xy[0] * t1 + xy[1] * t2
-        eps = 1e-7
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dxy = np.zeros(2)
-            dxy[j] = eps
-            jac[:, j] = (res(xy + dxy) - res(xy - dxy)) / (2 * eps)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular Newton system") from exc
+        if size < tol:
+            return xy @ edges
+        if jac is None:
+            raise NoConvergence("Newton iterate collinear with an edge")
+        (j11, j12), (j21, j22) = jac
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            raise NoConvergence("singular Newton system")
+        step = np.array([j22 * r[0] - j12 * r[1], j11 * r[1] - j21 * r[0]]) / det
         lam = 1.0
         while lam > 1e-6:
             trial = xy - lam * step
-            rt = res(trial)
-            if np.max(np.abs(rt)) < np.max(np.abs(r)):
-                xy, r = trial, rt
+            rt, jt, st = laws(trial)
+            if st < size:
+                xy, r, jac, size = trial, rt, jt, st
                 break
             lam *= 0.5
         else:
             xy = xy - step
-            r = res(xy)
-    if np.max(np.abs(r)) < 1e-10:
-        return xy[0] * t1 + xy[1] * t2
-    raise NoConvergence(f"parallelogram solver stalled at residual {np.max(np.abs(r)):.2e}")
+            r, jac, size = laws(xy)
+    if size < 1e-10:
+        return xy @ edges
+    raise NoConvergence(f"parallelogram solver stalled at residual {size:.2e}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -133,9 +133,12 @@ class Space:
         self.r_spatial = r_spatial
         self.r_spatial.setflags(write=False)
 
-    @classmethod
-    def euclidean(cls, dim: int) -> "Space":
-        return cls(dim, np.eye(dim - 1))
+    @staticmethod
+    def euclidean(dim: int) -> "Space":
+        """The Euclidean space of dimension dim: one shared instance per
+        int(dim). Sharing is safe, since its matrices are write-protected
+        and its cached properties are deterministic."""
+        return _euclidean(int(dim))
 
     @cached_property
     def r_full(self) -> np.ndarray:
@@ -220,6 +223,11 @@ class Space:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Space(dim={self.dim})"
+
+
+@lru_cache(maxsize=None)
+def _euclidean(dim: int) -> Space:
+    return Space(dim, np.eye(dim - 1))
 
 
 def space_for(t: np.ndarray, space: Optional[Space]) -> Space:

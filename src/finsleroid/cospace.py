@@ -15,8 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Param, Space, scalar_forms
+from .core import Param, Space
 from .errors import AxisSingular, DegenerateVector
+from .tensors import grad_covector
 
 __all__ = ["fhf", "co_scalar_forms", "to_costate", "from_costate", "co_metric"]
 
@@ -53,12 +54,9 @@ def fhf(p: Param, sp: Space, Rhat: np.ndarray) -> float:
 
 
 def to_costate(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
-    """Gradient map R_p = (1/2) d K^2 / d R^p (vector -> covector)."""
-    f = scalar_forms(p, sp, R)
-    out = np.empty(sp.dim)
-    out[:-1] = (sp.r_spatial @ R[:-1]) * f.K**2 / f.B
-    out[-1] = (R[-1] + p.g * f.q) * f.K**2 / f.B
-    return out
+    """Gradient map R_p = (1/2) d K^2 / d R^p (vector -> covector): the
+    covector tensors.grad_covector."""
+    return grad_covector(p, sp, R)
 
 
 def from_costate(p: Param, sp: Space, Rhat: np.ndarray) -> np.ndarray:

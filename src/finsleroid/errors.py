@@ -22,17 +22,6 @@ class AxisSingular(FinsleroidError):
     """Evaluation on the symmetry axis (q = 0) where a 1/q term appears."""
 
 
-class EquatorSingular(FinsleroidError):
-    """Evaluation on the equatorial plane (Z = 0) where a form scaled by
-    the axial component is required.
-
-    The shipped Cartan component forms are rewritten free of such factors
-    and extend continuously to Z = 0, so the library itself never raises
-    this; it is part of the public contract for callers implementing
-    w-scaled variants.
-    """
-
-
 class VertexSingular(FinsleroidError):
     """Profile slope undefined: Z + g*q = 0 (vertical tangent)."""
 

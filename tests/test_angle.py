@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (CollinearVectors, Space, axis_angle, connect,
-                        equator_angle, fins_angle, fmf, make_param,
+import finsleroid.angle as angle_mod
+from finsleroid import (CollinearVectors, NoConvergence, Space, axis_angle,
+                        connect, equator_angle, fins_angle, fmf, make_param,
                         parallelogram_diff, parallelogram_exact,
                         parallelogram_residuals, parallelogram_sum,
                         perpendicular_companion, qe_angle, sigma)
@@ -241,3 +242,89 @@ def test_large_k_warns():
     p = make_param(1.5)  # k = 1/h - 1 ~ 0.51
     with pytest.warns(UserWarning):
         parallelogram_sum(p, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("g", [-1.9, -0.4, 0.4, 1.9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("identity", [True, False])
+def test_cosine_laws_jacobian(rng, g, n, identity):
+    # the analytic Jacobian of the Newton solver against a central
+    # difference of parallelogram_residuals along t3 = x t1 + y t2
+    p = make_param(g)
+    sp = rand_space(n, rng, identity=identity)
+    eps = 1e-6
+    for _ in range(10):
+        t1, t2, t3 = (rand_vec(p, sp, rng) for _ in range(3))
+        res, jac = angle_mod._cosine_laws(p, sp, np.array([t1, t2]), t3)
+        assert np.array_equal(res, parallelogram_residuals(p, t1, t2, t3, space=sp))
+        fd = np.column_stack([
+            (parallelogram_residuals(p, t1, t2, t3 + eps * t, space=sp)
+             - parallelogram_residuals(p, t1, t2, t3 - eps * t, space=sp)) / (2 * eps)
+            for t in (t1, t2)])
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def pair_in_range(rng, p, sp):
+    """Image-space pair whose angle lies in [0.3, 0.8 pi], where the
+    parallelogram has a sum."""
+    while True:
+        t1, t2 = rand_vec(p, sp, rng), rand_vec(p, sp, rng)
+        if 0.3 <= qe_angle(p, t1, t2, space=sp) <= 0.8 * math.pi:
+            return t1, t2
+
+
+@pytest.mark.parametrize("g", [-1.9, 1.9])
+def test_exact_converges_at_large_g(rng, g):
+    p = make_param(g)
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng)
+        for _ in range(20):
+            t1, t2 = pair_in_range(rng, p, sp)
+            t3 = parallelogram_exact(p, t1, t2, space=sp)
+            assert np.max(np.abs(parallelogram_residuals(p, t1, t2, t3, space=sp))) <= 1e-10
+
+
+def test_solver_evaluation_counts(rng, monkeypatch):
+    # the companion evaluates scalar_forms once for R and once per angle;
+    # the sum evaluates the cosine laws once per Newton or line-search step
+    calls = {"scalar_forms": 0, "_cosine_laws": 0}
+
+    def counted(name):
+        fn = getattr(angle_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(angle_mod, name, wrapper)
+
+    counted("scalar_forms")
+    counted("_cosine_laws")
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        p = make_param(float(rng.uniform(-1.9, 1.9)))
+        sp = rand_space(n, rng, identity=bool(rng.integers(2)))
+        R = rand_vec(p, sp, rng)
+        calls["scalar_forms"] = 0
+        Rp = perpendicular_companion(p, sp, R)
+        assert calls["scalar_forms"] - 1 <= 12
+        assert fins_angle(p, sp, R, Rp).alpha == pytest.approx(math.pi / 2, abs=1e-10)
+        t1, t2 = pair_in_range(rng, p, sp)
+        calls["_cosine_laws"] = 0
+        parallelogram_exact(p, t1, t2, space=sp)
+        assert calls["_cosine_laws"] <= 8
+
+
+def test_companion_raises_without_root(monkeypatch):
+    # images of the rotated vectors stuck on R's image keep the angle at 0
+    # inside the bracket: there is no root, and no vector may be returned
+    p = make_param(0.4)
+    image = angle_mod.sigma_over_j
+    images = []
+
+    def stuck(p, v, A):
+        images.append(image(p, v, A))
+        return images[0] if len(images) > 2 else images[-1]
+
+    monkeypatch.setattr(angle_mod, "sigma_over_j", stuck)
+    with pytest.raises(NoConvergence):
+        perpendicular_companion(p, Space.euclidean(3), np.array([0.3, 0.5, 1.0]))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (DegenerateVector, OutOfRange, Space, fmf, make_param,
-                        scalar_forms)
+from finsleroid import (DegenerateVector, OutOfRange, Space, connect, fmf,
+                        make_param, scalar_forms)
 from conftest import rand_space, rand_vec
 
 
@@ -211,3 +211,30 @@ def test_fmf_batch_checks_every_row():
         fmf(p, sp, X)
     with pytest.raises(ValueError):
         fmf(p, sp, np.ones((4, 2)))
+
+
+def test_euclidean_space_is_shared():
+    sp = Space.euclidean(3)
+    assert Space.euclidean(np.int64(3)) is sp
+    assert Space.euclidean(4) is not sp
+    with pytest.raises(ValueError):
+        sp.r_spatial[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        sp.r_full[0, 0] = 2.0
+
+
+def test_default_space_built_once(monkeypatch):
+    p = make_param(0.4)
+    t1, t2 = np.array([1.0, 0.2, 0.5]), np.array([0.3, 1.1, 0.4])
+    connect(p, t1, t2)
+    built = []
+    init = Space.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Space, "__init__", counted)
+    for _ in range(3):
+        connect(p, t1, t2)
+    assert built == []
