@@ -10,8 +10,7 @@ from .cospace import co_metric, co_scalar_forms, fhf, from_costate, to_costate
 from .errors import (AntipodalSingular, AxisSingular, BadDirection, BadFrame,
                      ChartOutOfRange, CollinearVectors, DegenerateVector,
                      DegenerateW, FinsleroidError, NegativeRadicand,
-                     NoConvergence, NotUnitSpeed, OutOfRange, SingularXi,
-                     VertexSingular)
+                     NotUnitSpeed, OutOfRange, SingularXi, VertexSingular)
 from .geodesic import (GeodesicBoundary, connect, difference_gradients,
                        endpoint_velocities, finsleroid_geodesic,
                        qe_geodesic_at, qe_geodesic_initial, qe_velocity)

@@ -1,10 +1,11 @@
 """Angle, scalar product, perpendicularity, two-point length, and the
-first-order parallelogram law with its exact numeric companion.
+parallelogram law: its first-order form and the exact sum.
 
 The angle between two vectors is 1/h times the Euclidean angle of their
 images under the norm-preserving map; it is normalized so the classical
 cosine theorem holds verbatim with anisotropic lengths. It ranges over
-[0, pi/h].
+[0, pi/h]. The exact sum and the perpendicular companion are Euclidean
+constructions in the image plane of the pair, in closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Param, Space, checked_pair, scalar_forms, space_for
-from .errors import CollinearVectors, DegenerateVector, NoConvergence
-from .quasieuclid import sigma_over_j
+from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
+from .quasieuclid import mu, sigma_over_j
 
 __all__ = [
     "AnglePair",
@@ -86,66 +87,33 @@ def equator_angle(p: Param, sp: Space, R: np.ndarray) -> float:
     return math.atan2(p.h * abs(float(R[-1])), f.L) / p.h
 
 
-# Bound on the final |angle - pi/2| of perpendicular_companion when tol is
-# tighter. The kernel angle over h carries a few eps/h of rounding, so a run
-# that stops on a collapsed bracket still ends far inside 1e-10, the accuracy
-# the tests and the benchmark ask for; an end beyond it means no root.
-_COMPANION_TOL = 1e-10
-
-
 def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
-                            seed: Optional[np.ndarray] = None,
-                            tol: float = 1e-12) -> np.ndarray:
-    """A vector at angle pi/2 from R (so the scalar product vanishes).
+                            seed: Optional[np.ndarray] = None) -> np.ndarray:
+    """A vector at angle pi/2 from R (so the scalar product vanishes), with
+    the same norm K as R.
 
-    Built by Gram-Schmidt against R in the background metric, then rotated
-    by theta in [0, pi] within the span until the image angle is pi/2 to
-    tol. The root is bracketed and found by regula falsi with the Pegasus
-    weights, with a midpoint step whenever the secant step leaves the
-    bracket. Raises NoConvergence when the angle ends more than
-    max(tol, 1e-10) from pi/2.
+    The image t = sigma(R) is turned by h pi/2 toward the image of seed in
+    their plane: w = cos(h pi/2) t + sin(h pi/2) d1, with d1 from the
+    Space.gram data of (t, sigma(seed)), so that |d1| = |t|. The result is
+    mu(w): its image angle to t is h pi/2 by construction, and K = |w| =
+    |t| = K(R). It lies in the image plane of (sigma(R), sigma(seed)), not
+    in the plane span{R, seed}. seed defaults to the unit vector along R's
+    smallest component. A seed whose image is collinear with sigma(R), such
+    as a positive multiple of R, raises CollinearVectors; a seed of -R is
+    accepted when g != 0.
     """
-    R = sp.check_vector(np.asarray(R, dtype=float))
+    R = sp.check_vector(R)
     if seed is None:
         seed = np.zeros(sp.dim)
         seed[int(np.argmin(np.abs(R)))] = 1.0
-    seed = sp.check_vector(np.asarray(seed, dtype=float))
-    pair = sp.gram(R, seed)
+    seed = sp.check_vector(seed)
+    f = scalar_forms(p, sp, R)
+    t = sigma_over_j(p, R, f.A) * f.J
+    pair = sp.gram(t, sigma_over_j(p, seed, scalar_forms(p, sp, seed).A))
     if pair.collinear:
-        raise CollinearVectors("seed is parallel to R")
-    e = R / math.sqrt(pair.a11)
-    w = pair.perp * (math.sqrt(pair.a11) / pair.u)
-    A = scalar_forms(p, sp, R).A
-    image_R = sigma_over_j(p, R, A)
-
-    def ang(image_v: np.ndarray) -> float:
-        return sp.gram(image_R, image_v).angle / p.h - 0.5 * math.pi
-
-    # ang at theta = 0 is -pi/2. At theta = pi, v = -e, whose image needs no
-    # new scalar forms (A(-R) = A - 2 Z), and ang > 0: the angle of R and -R
-    # is at least 2.
-    lo, hi = 0.0, math.pi
-    f_lo, f_hi = -0.5 * math.pi, ang(sigma_over_j(p, -R, A - 2.0 * R[-1]))
-    kept = 0  # +1 (-1) after a step that kept lo (hi)
-    for _ in range(200):
-        theta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < theta < hi:
-            theta = 0.5 * (lo + hi)
-        v = math.cos(theta) * e + math.sin(theta) * w
-        f = ang(sigma_over_j(p, v, scalar_forms(p, sp, v).A))
-        if abs(f) < tol or hi - lo < 1e-16:
-            break
-        if f < 0:
-            if kept < 0:  # hi kept twice in a row: scale its value (Pegasus)
-                f_hi *= f_lo / (f_lo + f)
-            lo, f_lo, kept = theta, f, -1
-        else:
-            if kept > 0:
-                f_lo *= f_hi / (f_hi + f)
-            hi, f_hi, kept = theta, f, 1
-    if abs(f) > max(tol, _COMPANION_TOL):
-        raise NoConvergence(f"perpendicular companion ends {abs(f):.2e} from pi/2")
-    return v
+        raise CollinearVectors("seed's image is parallel to sigma(R)")
+    turn = 0.5 * math.pi * p.h
+    return mu(p, sp, math.cos(turn) * t + math.sin(turn) * pair.d1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,80 +172,41 @@ def parallelogram_diff(p: Param, t1: np.ndarray, t3: np.ndarray,
     return d + k * svec
 
 
-def _cosine_laws(p: Param, sp: Space, edges: np.ndarray, t3: np.ndarray):
-    """Residuals of the two cosine laws at the sum candidate t3 of the edges
-    (t1, t2) = edges, and their Jacobian jac[i, j] = d r_i / d (x, y)_j along
-    t3 = x t1 + y t2 (None when t3 is collinear with t1 or t2, where the
-    angles have a kink).
-
-    r_i = n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(angle(t_i, t3) / h),
-    with d n3 / d t3 = r t3 / n3 and d angle(t_i, t3) / d t3 = -r d2 / n3^2
-    from the Gram data of (t_i, t3).
-    """
-    pairs = (sp.gram(edges[0], t3), sp.gram(edges[1], t3))
-    collinear = pairs[0].collinear or pairs[1].collinear
-    n3_sq = pairs[0].a22
-    n3 = math.sqrt(n3_sq)
-    res = np.empty(2)
-    grads = np.empty((2, len(t3)))
-    for i, (pair, other) in enumerate(zip(pairs, (pairs[1].a11, pairs[0].a11))):
-        diff = other - pair.a11
-        two_n = 2.0 * math.sqrt(pair.a11)
-        angle = pair.angle / p.h
-        res[i] = n3 - diff / n3 - two_n * math.cos(angle)
-        if not collinear:
-            grads[i] = ((1.0 + diff / n3_sq) / n3) * t3 - (
-                two_n * math.sin(angle) / (p.h * n3_sq)) * pair.d2
-    return res, None if collinear else grads @ sp.r_full @ edges.T
-
-
 def parallelogram_residuals(p: Param, t1: np.ndarray, t2: np.ndarray,
                             t3: np.ndarray,
                             space: Optional[Space] = None) -> np.ndarray:
     """Residuals of the two defining cosine-law equations for the sum
-    candidate t3. Both vanish at the exact anisotropic sum."""
-    edges = np.array([t1, t2], dtype=float)
-    return _cosine_laws(p, space_for(t1, space), edges, t3)[0]
+    candidate t3, r_i = n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(angle(t_i,
+    t3) / h) from the Gram data of (t_i, t3). Both vanish at the exact
+    anisotropic sum."""
+    sp = space_for(t1, space)
+    pairs = (sp.gram(t1, t3), sp.gram(t2, t3))
+    n3 = math.sqrt(pairs[0].a22)
+    return np.array([n3 - (other.a11 - pair.a11) / n3
+                     - 2.0 * math.sqrt(pair.a11) * math.cos(pair.angle / p.h)
+                     for pair, other in zip(pairs, pairs[::-1])])
 
 
 def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
-                        space: Optional[Space] = None,
-                        tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
-    """Exact anisotropic sum t3 = x t1 + y t2 by damped Newton on the
-    residual system, seeded at (x, y) = (1, 1), with the analytic Jacobian
-    of the cosine laws."""
+                        space: Optional[Space] = None) -> np.ndarray:
+    """Exact anisotropic sum t3: both cosine laws hold, and t3 lies between
+    t1 and t2, so the angles (t1, t3) and (t3, t2) add up to (t1, t2).
+
+    The two cosine laws are the two triangles of a Euclidean parallelogram
+    with sides n1 = |t1|, n2 = |t2| and angle alpha, the pair angle. Its
+    diagonal has length n3 = hypot(x, y) and angle atan2(y, x) to the side
+    n1, where x = n1 + n2 cos(alpha) and y = n2 sin(alpha). So t3 has norm
+    n3 and image angle h atan2(y, x) from t1 toward t2 in their plane. For
+    alpha >= pi no parallelogram exists, and AntipodalSingular is raised.
+    """
     sp, pair = checked_pair(t1, t2, space)
     if pair.collinear:
         raise CollinearVectors("parallelogram needs independent vectors")
-    edges = np.array([pair.x, pair.y])
-
-    def laws(xy: np.ndarray):
-        r, jac = _cosine_laws(p, sp, edges, xy @ edges)
-        return r, jac, abs(r).max()
-
-    xy = np.array([1.0, 1.0])
-    r, jac, size = laws(xy)
-    for _ in range(max_iter):
-        if size < tol:
-            return xy @ edges
-        if jac is None:
-            raise NoConvergence("Newton iterate collinear with an edge")
-        (j11, j12), (j21, j22) = jac
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            raise NoConvergence("singular Newton system")
-        step = np.array([j22 * r[0] - j12 * r[1], j11 * r[1] - j21 * r[0]]) / det
-        lam = 1.0
-        while lam > 1e-6:
-            trial = xy - lam * step
-            rt, jt, st = laws(trial)
-            if st < size:
-                xy, r, jac, size = trial, rt, jt, st
-                break
-            lam *= 0.5
-        else:
-            xy = xy - step
-            r, jac, size = laws(xy)
-    if size < 1e-10:
-        return xy @ edges
-    raise NoConvergence(f"parallelogram solver stalled at residual {size:.2e}")
+    alpha = pair.angle / p.h
+    if alpha >= math.pi:
+        raise AntipodalSingular(f"pair angle {alpha:.6f} >= pi: no parallelogram")
+    n1, n2 = math.sqrt(pair.a11), math.sqrt(pair.a22)
+    x, y = n1 + n2 * math.cos(alpha), n2 * math.sin(alpha)
+    n3, beta = math.hypot(x, y), p.h * math.atan2(y, x)
+    return ((n3 * math.cos(beta) / n1) * pair.x
+            + (n3 * math.sin(beta) * n1 / pair.u) * pair.perp)

@@ -61,7 +61,3 @@ class SingularXi(FinsleroidError):
 
 class DegenerateW(FinsleroidError):
     """Two-vector Gram root vanishes (collinear arguments)."""
-
-
-class NoConvergence(FinsleroidError):
-    """Iterative solver failed to converge."""

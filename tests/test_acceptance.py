@@ -247,9 +247,9 @@ def test_criterion_09_angle_laws():
         Rp = fd.perpendicular_companion(p, sp, R, seed=seed)
         pr = fd.fins_angle(p, sp, R, Rp)
         K1, K2 = fd.fmf(p, sp, R), fd.fmf(p, sp, Rp)
-        assert abs(pr.ominus_sq - (K1**2 + K2**2)) <= 1e-10 * (K1**2 + K2**2)
+        assert abs(pr.ominus_sq - (K1**2 + K2**2)) <= 1e-12 * (K1**2 + K2**2)
     _report(9, "angle = Euclidean/h at 1e-14, additivity 1e-12, range pi/h, "
-               "Pythagoras 1e-10")
+               "Pythagoras 1e-12")
 
 
 def test_criterion_10_two_vector_tensors():
@@ -390,7 +390,7 @@ def test_criterion_13_parallelogram_order():
             approx = fd.parallelogram_sum(p, t1, t2, space=sp)
             exact = fd.parallelogram_exact(p, t1, t2, space=sp)
             assert np.max(np.abs(fd.parallelogram_residuals(
-                p, t1, t2, exact, space=sp))) <= 1e-10
+                p, t1, t2, exact, space=sp))) <= 1e-12
             errs.append(float(np.linalg.norm(approx - exact)))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
