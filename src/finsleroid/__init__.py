@@ -27,7 +27,7 @@ from .shape import (ShapeReport, indicatrix_point, indicatrix_profile,
 from .tensors import (CartanTensors, CurvatureS, angular, cartan,
                       curvature_S, grad_covector, metric, metric_det,
                       metric_inverse)
-from .twovector import (COINCIDENCE_TOL, TwoVectorTensor, covector_pair, g2,
+from .twovector import (TwoVectorTensor, covector_pair, g2,
                         invert_covector_pair, n2, n2_frame, scalar_grad)
 from .plane import (TrigTriple, gen_trig, indicatrix_length, landsberg_check,
                     rund_residual, trig_derivatives)

@@ -5,9 +5,10 @@ G_pq(g; R, S) with the scalar-product gradients.
 Both tensors are mixed second derivatives of the corresponding two-vector
 scalar product and collapse to the one-vector metric tensors in the
 coincidence limit. Every angle, Gram root and orthogonal complement here
-comes from Space.gram, on the image-space points or, for G_pq, on the
-images (h R^a, A). n2 routes a pair that is collinear by the kernel's test
-to the one-vector tensor; g2 routes at the wider COINCIDENCE_TOL.
+comes from Space.gram on the image-space points. G_pq and the
+scalar-product gradients are pullbacks of n_pq and of the covector pair
+of (sigma(R), sigma(S)) through the sigma Jacobians. n2 routes a pair that
+is collinear by the kernel's test to the one-vector tensor.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Param, Space, checked_pair, scalar_forms
+from .core import Param, Space, checked_pair
 from .errors import (CollinearVectors, DegenerateW, NegativeRadicand,
                      SingularXi)
-from .quasieuclid import n_metric, sigma_over_j
-from .tensors import grad_covector, metric
+from .quasieuclid import n_metric, sigma, sigma_jacobian
 
 __all__ = [
-    "COINCIDENCE_TOL",
     "TwoVectorTensor",
     "n2",
     "n2_frame",
@@ -34,14 +33,6 @@ __all__ = [
     "g2",
     "scalar_grad",
 ]
-
-# Relative Gram root of the images (h R^a, A) at or below which g2 returns
-# the one-vector metric and scalar_grad refuses the pair. At g = 0.4,
-# R = (0.3, 0.5, 1), S = R + eps (0.6, -0.8, 0), the distance of
-# n2(sigma(R), sigma(S)) to n_metric over eps stays 0.020 from eps = 1e-3 to
-# 1e-11, while that of g2 to metric reads 0.25 down to 1e-6, 0.24 at 1e-7,
-# 4.2 at 1e-8 and 390 at 1e-9: g2's M-vector forms cancel, not the root.
-COINCIDENCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -154,115 +145,33 @@ def _turn(p: Param, pair, sa: float, ca: float) -> Tuple[np.ndarray, np.ndarray]
 # anisotropic-picture two-vector tensor
 # ---------------------------------------------------------------------------
 
-def _rs_pieces(p: Param, sp: Space, R: np.ndarray, S: np.ndarray):
-    """(fR, fS, r_ab R^a S^b, P, W2), with the product P and squared Gram
-    root W2 of the images (h R^a, A) from Space.gram; (fS, fR, ...) serves (S, R)."""
-    fR = scalar_forms(p, sp, R)
-    fS = scalar_forms(p, sp, S)
-    spatial = float(R[:-1] @ sp.r_spatial @ S[:-1])
-    pair = sp.gram(sigma_over_j(p, R, fR.A), sigma_over_j(p, S, fS.A))
-    return fR, fS, spatial, pair.a12, pair.u * pair.u
-
-
-def _rs_trig(p: Param, pieces) -> Tuple[float, float]:
-    """(sin, cos) of alpha = atan2(W, P) / h, the Space.gram angle over h."""
-    alpha = math.atan2(math.sqrt(pieces[4]), pieces[3]) / p.h
-    return math.sin(alpha), math.cos(alpha)
-
-
-def _m_vector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
-              fR, fS, spatial: float) -> np.ndarray:
-    """M_p(g; R, S): simplified gradient components; M_p R^p = 0."""
-    g = p.g
-    rR = sp.r_spatial @ R[:-1]
-    rS = sp.r_spatial @ S[:-1]
-    out = np.empty(sp.dim)
-    out[-1] = fR.q**2 * fS.A - spatial * fR.A
-    out[:-1] = (-R[-1] * fS.A * rR + fR.B * rS
-                - spatial * (fR.q + 0.5 * g * R[-1]) * rR / fR.q)
-    return out
-
-
-def _s_covector(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
-                pieces) -> np.ndarray:
-    fR, fS, spatial, P, W2 = pieces
-    W = math.sqrt(W2)
-    M = _m_vector(p, sp, R, S, fR, fS, spatial)
-    return M * fR.K / (W * fR.B)
-
-
-def _s_matrix(p: Param, sp: Space, R: np.ndarray, S: np.ndarray,
-              pieces) -> np.ndarray:
-    """s_pq(g; R, S) = K(S) d s_p(R, S) / d S^q, fully analytic."""
-    g, h = p.g, p.h
-    fR, fS, spatial, P, W2 = pieces
-    W = math.sqrt(W2)
-    rR = sp.r_spatial @ R[:-1]
-    rS = sp.r_spatial @ S[:-1]
-    n = sp.dim
-    dAS = np.empty(n)
-    dAS[-1] = 1.0
-    dAS[:-1] = 0.5 * g * rS / fS.q
-    dBS = np.empty(n)
-    dBS[-1] = 2.0 * S[-1] + g * fS.q
-    dBS[:-1] = (g * S[-1] / fS.q + 2.0) * rS
-    dsp = np.empty(n)
-    dsp[-1] = 0.0
-    dsp[:-1] = rR
-    dP = fR.A * dAS + h * h * dsp
-    dW = (fR.B * dBS - 2.0 * P * dP) / (2.0 * W)
-    M = _m_vector(p, sp, R, S, fR, fS, spatial)
-    dM = np.empty((n, n))  # dM[p, q] = d M_p / d S^q
-    dM[-1, :] = fR.q**2 * dAS - fR.A * dsp
-    coef = (fR.q + 0.5 * g * R[-1]) / fR.q
-    for q in range(n):
-        dM[:-1, q] = -R[-1] * rR * dAS[q] - dsp[q] * coef * rR
-        if q < n - 1:
-            dM[:-1, q] += fR.B * sp.r_spatial[:, q]
-    ds = (fR.K / fR.B) * (dM / W - np.outer(M, dW) / W2)
-    return fS.K * ds
-
-
 def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Two-vector metric tensor G_pq(g; R, S), the mixed Hessian of the
     anisotropic scalar product K(R) K(S) cos(alpha(R, S)).
 
-    Near-coincident pairs (relative two-vector root below COINCIDENCE_TOL)
-    return the one-vector metric at R. Symmetry: G_pq(R, S) = G_qp(S, R);
-    the pullback of n2 through the sigma Jacobians reproduces it exactly.
+    That product is the image scalar product of (sigma(R), sigma(S)), so
+    G = sigma'(R) n2(sigma(R), sigma(S)) sigma'(S)^T. A pair whose images
+    are collinear gets n2's one-vector tensor, which pulls back to the
+    metric at R. Symmetry: G_pq(R, S) = G_qp(S, R). A vector on the axis
+    raises AxisSingular for g != 0, as sigma_jacobian does.
     """
-    R = sp.check_vector(np.asarray(R, dtype=float))
-    S = sp.check_vector(np.asarray(S, dtype=float))
-    fR, fS, _, _, W2 = pieces = _rs_pieces(p, sp, R, S)
-    if W2 <= fR.B * fS.B * COINCIDENCE_TOL**2:
-        # near-coincident pair: the limit is the one-vector tensor
-        return metric(p, sp, R)
-    h = p.h
-    sa, ca = _rs_trig(p, pieces)
-    Rlow = grad_covector(p, sp, R)
-    Slow = grad_covector(p, sp, S)
-    s_RS = _s_covector(p, sp, R, S, pieces)
-    s_SR = _s_covector(p, sp, S, R, (fS, fR) + pieces[2:])
-    spq = _s_matrix(p, sp, R, S, pieces)
-    return ((np.outer(Rlow, Slow) / (fR.K * fS.K) - h * h * np.outer(s_RS, s_SR)) * ca
-            + h * (np.outer(Rlow, s_SR) / fR.K + np.outer(s_RS, Slow) / fS.K + spq) * sa)
+    R, S = sp.check_vector(R), sp.check_vector(S)
+    jR, jS = sigma_jacobian(p, sp, R), sigma_jacobian(p, sp, S)
+    tv = n2(p, sigma(p, sp, R), sigma(p, sp, S), space=sp)
+    return jR @ tv.components @ jS.T
 
 
 def scalar_grad(p: Param, sp: Space, R: np.ndarray,
                 S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of the anisotropic scalar product with respect to R^p and
-    S^q. As S -> R the R-gradient tends to the covector R_p."""
-    R = sp.check_vector(np.asarray(R, dtype=float))
-    S = sp.check_vector(np.asarray(S, dtype=float))
-    fR, fS, _, _, W2 = pieces = _rs_pieces(p, sp, R, S)
-    if W2 <= fR.B * fS.B * COINCIDENCE_TOL**2:
-        raise DegenerateW("two-vector root vanished; gradients undefined")
-    h = p.h
-    sa, ca = _rs_trig(p, pieces)
-    product = fR.K * fS.K * ca
-    Rlow = grad_covector(p, sp, R)
-    Slow = grad_covector(p, sp, S)
-    dR = Rlow * product / fR.K**2 + h * fS.K * _s_covector(p, sp, R, S, pieces) * sa
-    dS = (Slow * product / fS.K**2
-          + h * fR.K * _s_covector(p, sp, S, R, (fS, fR) + pieces[2:]) * sa)
-    return dR, dS
+    S^q: the covector pair of (sigma(R), sigma(S)), lowered by r and pulled
+    back by the sigma Jacobians. As S -> R the R-gradient tends to the
+    covector R_p. A pair with collinear images raises DegenerateW."""
+    R, S = sp.check_vector(R), sp.check_vector(S)
+    jR, jS = sigma_jacobian(p, sp, R), sigma_jacobian(p, sp, S)
+    try:
+        T1, T2 = covector_pair(p, sigma(p, sp, R), sigma(p, sp, S), space=sp)
+    except CollinearVectors as exc:
+        raise DegenerateW("two-vector root vanished; gradients undefined") from exc
+    r = sp.r_full
+    return jR @ (r @ T1), jS @ (r @ T2)

@@ -272,8 +272,6 @@ def test_criterion_10_two_vector_tensors():
     assert 5 <= errs[0] / errs[1] <= 20 and 5 <= errs[1] / errs[2] <= 20
 
     # mixed Hessians at 1e-5, M-transversality, determinant law
-    from finsleroid.twovector import _m_vector, _rs_pieces
-
     def unit(n, i):
         x = np.zeros(n)
         x[i] = 1.0
@@ -302,9 +300,11 @@ def test_criterion_10_two_vector_tensors():
                 H[i, j] = (f(eps, eps) - f(eps, -eps) - f(-eps, eps)
                            + f(-eps, -eps)) / (4 * eps * eps)
         assert np.max(np.abs(G - H)) <= 1e-5 * np.max(np.abs(G))
-        fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
-        M = _m_vector(p, sp, R, S, fR, fS, spatial)
-        assert abs(M @ R) <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(R)
+        # M_p R^p = 0 exactly when R.dR = S.dS = the scalar product
+        dR, dS = fd.scalar_grad(p, sp, R, S)
+        scale = fd.fmf(p, sp, R) * fd.fmf(p, sp, S)
+        assert abs(R @ dR - pair.scalar_product) <= 1e-12 * scale
+        assert abs(S @ dS - pair.scalar_product) <= 1e-12 * scale
         checked += 1
     for n in (2, 3, 5):
         for _ in range(25):
@@ -321,7 +321,8 @@ def test_criterion_10_two_vector_tensors():
                       * p.h ** (-n) * np.linalg.det(sp.r_spatial))
             assert abs(np.linalg.det(tv.components) - expect) <= 1e-10 * abs(expect)
     _report(10, "coincidence limits linear in eps, mixed Hessians 1e-5, "
-                "M transversality 1e-12, pair determinant law 1e-10")
+                "M transversality (R.dR = S.dS = scalar product) 1e-12, "
+                "pair determinant law 1e-10")
 
 
 def test_criterion_11_shape(tmp_path):

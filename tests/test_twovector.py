@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finsleroid import (NegativeRadicand, Space,
-                        covector_pair, fins_angle, g2, grad_covector,
+                        covector_pair, fins_angle, fmf, g2, grad_covector,
                         invert_covector_pair, make_param, metric, n2,
                         n2_frame, n_metric, qe_angle, scalar_grad,
                         sigma, sigma_jacobian)
@@ -361,12 +361,15 @@ def draw_rs(rng, dims=(2, 3, 4), alpha_cap=2.2):
 
 
 def test_m_transversality(rng):
-    from finsleroid.twovector import _m_vector, _rs_pieces
+    # M_p R^p = 0 holds exactly when R.dR = S.dS = the scalar product,
+    # since R.R_low = K(R)^2
     for _ in range(100):
         p, sp, R, S = draw_rs(rng)
-        fR, fS, spatial, P, W2 = _rs_pieces(p, sp, R, S)
-        M = _m_vector(p, sp, R, S, fR, fS, spatial)
-        assert abs(M @ R) <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(R)
+        P = fins_angle(p, sp, R, S).scalar_product
+        dR, dS = scalar_grad(p, sp, R, S)
+        scale = fmf(p, sp, R) * fmf(p, sp, S)
+        assert abs(R @ dR - P) <= 1e-12 * scale
+        assert abs(S @ dS - P) <= 1e-12 * scale
 
 
 def test_g2_symmetry(rng):
@@ -374,11 +377,14 @@ def test_g2_symmetry(rng):
         p, sp, R, S = draw_rs(rng)
         G_RS = g2(p, sp, R, S)
         G_SR = g2(p, sp, S, R)
-        assert np.max(np.abs(G_RS - G_SR.T)) <= 1e-11 * np.max(np.abs(G_RS))
+        assert np.max(np.abs(G_RS - G_SR.T)) <= 1e-13 * np.max(np.abs(G_RS))
 
 
 def test_g2_pullback_law(rng):
-    # G = sigma'(R)^T n2(sigma R, sigma S) sigma'(S); exact identity
+    # G = sigma'(R)^T n2(sigma R, sigma S) sigma'(S). g2 is computed as
+    # this pullback, so the check is a tautology; the independent checks
+    # are the finite-difference mixed Hessians below and in the acceptance
+    # test.
     for _ in range(60):
         p, sp, R, S = draw_rs(rng)
         jr = sigma_jacobian(p, sp, R)
@@ -424,14 +430,15 @@ def test_g2_coincidence(rng):
     assert errs[0] > errs[1] > errs[2]
     assert 7 <= errs[0] / errs[1] <= 14
     assert 7 <= errs[1] / errs[2] <= 14
-    # linear down to eps = 1e-6, above COINCIDENCE_TOL
-    p = make_param(0.4)
+    # linear down to eps = 1e-11, with no switch to the metric on the way
     R = np.array([0.3, 0.5, 1.0])
     d = np.array([0.6, -0.8, 0.0])
-    gm = metric(p, sp, R)
-    slopes = [float(np.max(np.abs(g2(p, sp, R, R + eps * d) - gm))) / eps
-              for eps in (1e-3, 1e-4, 1e-5, 1e-6)]
-    assert max(slopes) <= 1.1 * min(slopes)
+    for g in (0.4, 1.9):
+        p = make_param(g)
+        gm = metric(p, sp, R)
+        slopes = [float(np.max(np.abs(g2(p, sp, R, R + eps * d) - gm))) / eps
+                  for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)]
+        assert max(slopes) <= 1.1 * min(slopes)
 
 
 def test_scalar_grad_fd(rng):
@@ -470,3 +477,42 @@ def test_scalar_grad_euler_limit(rng):
     # linear vanishing, extrapolates to zero well under 1e-6 of scale
     assert errs[2] <= 1.2e-3 * np.max(np.abs(Rlow))
     assert 7 <= errs[0] / errs[1] <= 14
+    # linear down to eps = 1e-10: the pair is answered, not refused
+    slopes = [float(np.max(np.abs(scalar_grad(p, sp, R, R + eps * w)[0] - Rlow))) / eps
+              for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)]
+    assert max(slopes) <= 1.1 * min(slopes)
+
+
+@pytest.mark.parametrize("g", [0.4, -1.5])
+def test_pair_on_axis_raises(g):
+    from finsleroid import AxisSingular
+    p = make_param(g)
+    sp = Space.euclidean(3)
+    axis = np.array([0.0, 0.0, 1.3])
+    off = np.array([0.5, -0.2, 0.8])
+    with pytest.raises(AxisSingular):
+        g2(p, sp, axis, off)
+    with pytest.raises(AxisSingular):
+        g2(p, sp, off, axis)
+    with pytest.raises(AxisSingular):
+        scalar_grad(p, sp, axis, off)
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_pair_euclidean_at_g0(rng, identity):
+    # at g = 0 sigma is the identity: G = r and the gradients are (r S, r R),
+    # on the axis too
+    p = make_param(0.0)
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng, identity=identity)
+        scale = np.max(np.abs(sp.r_full))
+        for k in range(20):
+            R, S = rng.normal(size=n), rng.normal(size=n)
+            if k % 4 == 0:
+                R[:-1] = 0.0
+            if k % 4 == 1:
+                S[:-1] = 0.0
+            assert np.max(np.abs(g2(p, sp, R, S) - sp.r_full)) <= 1e-14 * scale
+            dR, dS = scalar_grad(p, sp, R, S)
+            assert np.max(np.abs(dR - sp.r_full @ S)) <= 1e-14 * scale * np.max(np.abs(S))
+            assert np.max(np.abs(dS - sp.r_full @ R)) <= 1e-14 * scale * np.max(np.abs(R))
