@@ -297,7 +297,7 @@ def _check_battery(rng, inject_fault: bool) -> List[Tuple[str, float, float]]:
             worst = max(worst, abs(K2 * (ct.covector @ ct.vector)
                                    - 9 * p.g**2 / 4) / (9 * p.g**2 / 4))
         return worst
-    run("cartan_contraction", 1e-10, cartan_contraction)
+    run("cartan_contraction", 1e-12, cartan_contraction)
 
     def curvature_constant():
         worst = 0.0

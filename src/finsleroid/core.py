@@ -156,6 +156,10 @@ class Space:
         return inv
 
     @cached_property
+    def r_spatial_det(self) -> float:
+        return float(np.linalg.det(self.r_spatial))
+
+    @cached_property
     def r_full_inv(self) -> np.ndarray:
         inv = np.zeros((self.dim, self.dim))
         inv[:-1, :-1] = self.r_spatial_inv
@@ -206,7 +210,7 @@ class Space:
         """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
         of R: a float for one vector, an array of shape R.shape[:-1] for a
         stack of them."""
-        Rs = R[..., :-1]
+        Rs = np.asarray(R, dtype=float)[..., :-1]
         # abs: rounding can leave the form of a near-null vector at -eps
         q = np.sqrt(abs((Rs @ self.r_spatial * Rs).sum(axis=-1)))
         return float(q) if q.ndim == 0 else q
@@ -298,6 +302,13 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     else:
         w = Q = E = None
     return ScalarForms(q=q, w=w, B=B, Q=Q, E=E, A=A, L=L, Phi=Phi, J=J, K=K)
+
+
+def checked_forms(p: Param, sp: Space,
+                  R: np.ndarray) -> Tuple[np.ndarray, ScalarForms]:
+    """R as the float array that scalar_forms checks, and its scalar forms."""
+    R = np.asarray(R, dtype=float)
+    return R, scalar_forms(p, sp, R)
 
 
 def fmf(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:

@@ -77,6 +77,7 @@ def co_metric(p: Param, sp: Space, Rhat: np.ndarray) -> Tuple[np.ndarray, np.nda
     Substituting Rhat = to_costate(R) reproduces metric_inverse(R) and
     metric(R) exactly.
     """
+    Rhat = sp.check_vector(Rhat)
     qh, Bh, Ah, Lh, Phih, Jh, H = _co_forms(p, sp, Rhat)
     if qh == 0.0:
         if p.g == 0.0:

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Param, Space, scalar_forms
+from .core import Param, Space, checked_forms
 from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -51,12 +51,19 @@ def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
     return sp.spatial_norm(t)
 
 
-def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
-    """Unit radial vector L^p = t^p / S(t)."""
+def _radial(sp: Space, t: np.ndarray, what: str):
+    """S(t) and L = t / S(t) of the checked image point t; raises
+    DegenerateVector at the origin."""
+    t = sp.check_vector(t)
     S = snorm(sp, t)
     if S == 0.0:
-        raise DegenerateVector("unit vector undefined at the origin")
-    return t / S
+        raise DegenerateVector(f"{what} undefined at the origin")
+    return S, t / S
+
+
+def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
+    """Unit radial vector L^p = t^p / S(t)."""
+    return _radial(sp, t, "unit vector")[1]
 
 
 def sigma_over_j(p: Param, R: np.ndarray, A: float) -> np.ndarray:
@@ -71,7 +78,7 @@ def sigma_over_j(p: Param, R: np.ndarray, A: float) -> np.ndarray:
 def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Forward map: t^a = R^a h J, t^N = A J. Positively homogeneous,
     and S(sigma(R)) = K(R)."""
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
     return sigma_over_j(p, R, f.A) * f.J
 
 
@@ -100,7 +107,11 @@ def sigma_jacobian(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
     Requires q > 0 unless g = 0 (identity). det = h^(N-1) J^N.
     """
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
+    return _sigma_jacobian(p, sp, R, f)
+
+
+def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     if f.q == 0.0:
         if p.g == 0.0:
             return np.eye(sp.dim)
@@ -160,7 +171,7 @@ def n_metric(p: Param, sp: Space, t: np.ndarray) -> NMetric:
     Llow = sp.r_full @ L
     up = p.h**2 * sp.r_full_inv + 0.25 * p.g**2 * np.outer(L, L)
     low = sp.r_full / p.h**2 - 0.25 * p.G**2 * np.outer(Llow, Llow)
-    det = p.h ** (2 * (1 - sp.dim)) * float(np.linalg.det(sp.r_spatial))
+    det = p.h ** (2 * (1 - sp.dim)) * sp.r_spatial_det
     return NMetric(low=low, up=up, det=det)
 
 
@@ -170,10 +181,7 @@ def qe_christoffel(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     Identities: t^p N_p^r_q = 0, trace-free, nilpotent product.
     """
-    S = snorm(sp, t)
-    if S == 0.0:
-        raise DegenerateVector("Christoffel symbols undefined at the origin")
-    L = t / S
+    S, L = _radial(sp, t, "Christoffel symbols")
     Llow = sp.r_full @ L
     H = sp.r_full - np.outer(Llow, Llow)
     return -0.25 * p.G**2 * np.einsum("r,pq->prq", L, H) / S
@@ -184,10 +192,7 @@ def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     All contractions with the radial unit vector vanish.
     """
-    S = snorm(sp, t)
-    if S == 0.0:
-        raise DegenerateVector("curvature undefined at the origin")
-    L = t / S
+    S, L = _radial(sp, t, "curvature")
     Llow = sp.r_full @ L
     H = sp.r_full - np.outer(Llow, Llow)
     return -0.25 * p.G**2 * (np.einsum("pq,rs->prqs", H, H)
@@ -215,9 +220,7 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
     base_frame[P, q] must satisfy sum_P base[P, p] base[P, q] = r_pq;
     default is the Cholesky-derived frame of the space.
     """
-    S = snorm(sp, t)
-    if S == 0.0:
-        raise DegenerateVector("frames undefined at the origin")
+    S, L = _radial(sp, t, "frames")
     if base_frame is None:
         base = sp.base_frame
         base_inv = sp.base_frame_inv
@@ -229,7 +232,6 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
             raise BadFrame("frame is not orthonormal for the background metric")
         base_inv = np.linalg.inv(base).T
     h = p.h
-    L = t / S
     Llow = sp.r_full @ L
     L_P = base @ L            # frame components L^P
     L_P_low = base_inv @ Llow
@@ -242,18 +244,14 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
 
 def conformal_factor(p: Param, sp: Space, t: np.ndarray) -> float:
     """Conformal scale xi = (S^2/2)^((h-1)/2); equals 1 at S = sqrt(2)."""
-    S = snorm(sp, t)
-    if S == 0.0:
-        raise DegenerateVector("conformal factor undefined at the origin")
+    S = _radial(sp, t, "conformal factor")[0]
     return (0.5 * S * S) ** (0.5 * (p.h - 1.0))
 
 
 def conformal_check(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Transport n^rs through the radial rescaling map and return the
     result c^pq, which equals xi^2 r^pq (conformal flatness)."""
-    S2 = snorm(sp, t) ** 2
-    if S2 == 0.0:
-        raise DegenerateVector("conformal transport undefined at the origin")
+    S2 = _radial(sp, t, "conformal transport")[0] ** 2
     h = p.h
     xi = (0.5 * S2) ** (0.5 * (h - 1.0))
     a_prime = 0.5 * (h - 1.0) * (0.5 * S2) ** (0.5 * (h - 3.0))

@@ -4,9 +4,10 @@ angular tensor, Cartan tensor, and the algebraic curvature tensor.
 All tensors are dense numpy arrays with the axial slot stored last.
 Index conventions for mixed objects are spelled out per function.
 
-The Cartan components are implemented in a form cleared of all 1/w
-factors (w = q/Z), so they extend continuously onto the equatorial plane
-Z = 0; only q > 0 is required.
+Each public function evaluates the scalar forms of its vector once and
+hands them to private builders, which take the checked vector R and its
+forms f. The Cartan tensor is built from the algebraic form that the
+constant curvature of the indicatrix implies (see cartan).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Param, Space, scalar_forms
+from .core import Param, Space, checked_forms, scalar_forms
 from .errors import AxisSingular
 
 __all__ = [
@@ -31,13 +32,17 @@ __all__ = [
 ]
 
 
-def grad_covector(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
-    """Covector R_p = (1/2) d K^2 / d R^p. Satisfies R_p R^p = K^2."""
-    f = scalar_forms(p, sp, R)
+def _grad_covector(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     out = np.empty(sp.dim)
     out[:-1] = (sp.r_spatial @ R[:-1]) * f.K**2 / f.B
     out[-1] = (R[-1] + p.g * f.q) * f.K**2 / f.B
     return out
+
+
+def grad_covector(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
+    """Covector R_p = (1/2) d K^2 / d R^p. Satisfies R_p R^p = K^2."""
+    R, f = checked_forms(p, sp, R)
+    return _grad_covector(p, sp, R, f)
 
 
 def _require_off_axis(p: Param, f, what: str) -> None:
@@ -45,10 +50,7 @@ def _require_off_axis(p: Param, f, what: str) -> None:
         raise AxisSingular(f"{what} undefined on the axis (q = 0) for g != 0")
 
 
-def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
-    """Metric tensor g_pq = (1/2) d^2 K^2 / dR^p dR^q."""
-    f = scalar_forms(p, sp, R)
-    _require_off_axis(p, f, "metric")
+def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     if f.q == 0.0:  # g == 0, Euclidean
         return sp.r_full.copy()
     g, q, B, Z, K2 = p.g, f.q, f.B, float(R[-1]), f.K**2
@@ -60,9 +62,16 @@ def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     return out
 
 
+def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
+    """Metric tensor g_pq = (1/2) d^2 K^2 / dR^p dR^q."""
+    R, f = checked_forms(p, sp, R)
+    _require_off_axis(p, f, "metric")
+    return _metric(p, sp, R, f)
+
+
 def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Reciprocal tensor g^pq with g_pq g^qr = delta."""
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
     _require_off_axis(p, f, "metric inverse")
     if f.q == 0.0:
         return sp.r_full_inv.copy()
@@ -78,16 +87,18 @@ def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 def metric_det(p: Param, sp: Space, R: np.ndarray) -> float:
     """det(g_pq) in closed form: J^(2N) det(r_ab). Always positive."""
     f = scalar_forms(p, sp, R)
-    return f.J ** (2 * sp.dim) * float(np.linalg.det(sp.r_spatial))
+    return f.J ** (2 * sp.dim) * sp.r_spatial_det
+
+
+def _angular(p: Param, sp: Space, R: np.ndarray, f, Rlow: np.ndarray) -> np.ndarray:
+    return _metric(p, sp, R, f) - np.outer(Rlow, Rlow) / f.K**2
 
 
 def angular(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Angular tensor h_pq = g_pq - R_p R_q / K^2; annihilates R^q."""
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
     _require_off_axis(p, f, "angular tensor")
-    gm = metric(p, sp, R)
-    Rlow = grad_covector(p, sp, R)
-    return gm - np.outer(Rlow, Rlow) / f.K**2
+    return _angular(p, sp, R, f, _grad_covector(p, sp, R, f))
 
 
 @dataclass(frozen=True)
@@ -106,72 +117,50 @@ class CartanTensors:
     vector: np.ndarray
 
 
+def _cartan(p: Param, sp: Space, R: np.ndarray,
+            f) -> tuple[CartanTensors, np.ndarray]:
+    """The Cartan tensors at R off the axis or at g = 0, and the angular
+    tensor h_pq. With C_p = (N g / 2) v_p, C^p = (N g / 2) v^p and
+    v_p v^p = 1 / K^2, the form reads
+    C_pqr = (g / 2)(h_pq v_r + h_pr v_q + h_qr v_p - K^2 v_p v_q v_r);
+    raising q turns h_pq into h_p^q = delta_p^q - R_p R^q / K^2."""
+    n, g, q, B, Z, K2 = sp.dim, p.g, f.q, f.B, float(R[-1]), f.K**2
+    Rlow = _grad_covector(p, sp, R, f)
+    h = _angular(p, sp, R, f, Rlow)
+    if g == 0.0:
+        z3 = np.zeros((n, n, n))
+        return CartanTensors(z3, z3.copy(), np.zeros(n), np.zeros(n)), h
+    h_mixed = np.eye(n) - np.outer(Rlow, R) / K2
+    v_low = np.empty(n)
+    v_low[:-1] = -(sp.r_spatial @ R[:-1]) * Z / (q * B)
+    v_low[-1] = q / B
+    v_up = np.empty(n)
+    v_up[:-1] = -R[:-1] * (Z + g * q) / (q * K2)
+    v_up[-1] = q / K2
+    hv = h[:, :, None] * v_low
+    full = 0.5 * g * (hv + hv.transpose(0, 2, 1) + hv.transpose(2, 0, 1)
+                      - K2 * (v_low[:, None] * v_low)[:, :, None] * v_low)
+    mixed = 0.5 * g * (h_mixed[:, :, None] * v_low
+                       + (h[:, :, None] * v_up
+                          + v_low[:, None, None] * h_mixed).transpose(0, 2, 1)
+                       - K2 * (v_low[:, None] * v_up)[:, :, None] * v_low)
+    c = 0.5 * n * g
+    return CartanTensors(full=full, mixed=mixed, covector=c * v_low, vector=c * v_up), h
+
+
 def cartan(p: Param, sp: Space, R: np.ndarray) -> CartanTensors:
     """Cartan tensor C_pqr = (1/2) d g_pq / d R^r plus mixed and traced forms.
 
-    Valid for every q > 0 including the equatorial plane Z = 0 (the 1/w
-    factors of the raw component list cancel after clearing denominators).
+    Built from the algebraic form, with the angular tensor h_pq and the
+    closed forms of C_p and C^p, which carry no 1/w factors (w = q/Z):
+    C_pqr = (1/N)(h_pq C_r + h_pr C_q + h_qr C_p - C_p C_q C_r / C^2) and
+    C^2 = C_p C^p = N^2 g^2 / (4 K^2). Valid for every q > 0, the
+    equatorial plane Z = 0 included; zero at g = 0, AxisSingular on the
+    axis otherwise.
     """
-    f = scalar_forms(p, sp, R)
-    if f.q == 0.0:
-        if p.g == 0.0:
-            n = sp.dim
-            z3 = np.zeros((n, n, n))
-            return CartanTensors(z3, z3.copy(), np.zeros(n), np.zeros(n))
-        raise AxisSingular("Cartan tensor undefined on the axis (q = 0) for g != 0")
-    g, q, B, Z = p.g, f.q, f.B, float(R[-1])
-    K2 = f.K**2
-    n = sp.dim
-    rs = sp.r_spatial
-    Rs = R[:-1]
-    rR = rs @ Rs
-
-    full = np.empty((n, n, n))
-    sym3 = (np.einsum("ab,c->abc", rs, rR)
-            + np.einsum("ac,b->abc", rs, rR)
-            + np.einsum("bc,a->abc", rs, rR))
-    full[:-1, :-1, :-1] = (
-        -0.5 * g * K2 * Z * sym3 / (q * B**2)
-        + 0.5 * g * (Z * Z + 3 * g * q * Z + 3 * q * q) * K2 * Z / (q**3 * B**3)
-        * np.einsum("a,b,c->abc", rR, rR, rR)
-    )
-    c_abN = (0.5 * g * q * K2 * rs / B**2
-             + 0.5 * g * (Z * Z - g * q * Z - q * q) * np.outer(rR, rR) * K2 / (q * B**3))
-    full[:-1, :-1, -1] = c_abN
-    full[:-1, -1, :-1] = c_abN
-    full[-1, :-1, :-1] = c_abN
-    c_aNN = -g * q * rR * K2 * Z / B**3
-    full[:-1, -1, -1] = c_aNN
-    full[-1, :-1, -1] = c_aNN
-    full[-1, -1, :-1] = c_aNN
-    full[-1, -1, -1] = g * q**3 * K2 / B**3
-
-    mixed = np.empty((n, n, n))
-    mixed[-1, -1, -1] = g * q**3 / B**2
-    c_aNN_m = -g * q * rR * Z / B**2
-    mixed[:-1, -1, -1] = c_aNN_m
-    mixed[-1, -1, :-1] = c_aNN_m
-    mixed[-1, :-1, -1] = -g * q * (Z + g * q) * Rs / B**2
-    c_aNb = (0.5 * g * q * rs / B
-             + 0.5 * g * (Z * Z - g * q * Z - q * q) * np.outer(rR, rR) / (q * B**2))
-    mixed[:-1, -1, :-1] = c_aNb
-    c_Nab = (0.5 * g * q * np.eye(n - 1) / B
-             + 0.5 * g * (Z * Z + g * q * Z - q * q) * np.outer(Rs, rR) / (q * B**2))
-    mixed[-1, :-1, :-1] = c_Nab
-    mixed[:-1, :-1, -1] = c_Nab.T
-    t1 = (Z * np.einsum("ab,c->abc", np.eye(n - 1), rR)
-          + Z * np.einsum("cb,a->abc", np.eye(n - 1), rR)
-          + (Z + g * q) * np.einsum("ac,b->abc", rs, Rs))
-    t2 = (B * (Z + g * q) + 2 * q * q * Z) / q**3 * np.einsum("a,b,c->abc", rR, Rs, rR)
-    mixed[:-1, :-1, :-1] = -0.5 * g * t1 / (q * B) + 0.5 * g * t2 / B**2
-
-    covector = np.empty(n)
-    covector[-1] = 0.5 * n * g * q / B
-    covector[:-1] = -0.5 * n * g * rR * Z / (q * B)
-    vector = np.empty(n)
-    vector[-1] = 0.5 * n * g * q / K2
-    vector[:-1] = -0.5 * n * g * Rs * (Z + g * q) / (q * K2)
-    return CartanTensors(full=full, mixed=mixed, covector=covector, vector=vector)
+    R, f = checked_forms(p, sp, R)
+    _require_off_axis(p, f, "Cartan tensor")
+    return _cartan(p, sp, R, f)[0]
 
 
 @dataclass(frozen=True)
@@ -193,19 +182,16 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     vanishes identically and the fit is empty; S* is then taken from the
     trace identity (equal to -g^2/4 either way).
     """
-    if p.g == 0.0:
-        scalar_forms(p, sp, R)  # reject the origin
-        n = sp.dim
-        return CurvatureS(np.zeros((n, n, n, n)), 0.0)
-    ct = cartan(p, sp, R)
-    S = (np.einsum("tqr,pts->pqrs", ct.full, ct.mixed)
-         - np.einsum("tqs,ptr->pqrs", ct.full, ct.mixed))
-    f = scalar_forms(p, sp, R)
-    if sp.dim == 2:
-        s_star = -float(ct.covector @ ct.vector) * f.K**2 / sp.dim**2
+    R, f = checked_forms(p, sp, R)
+    _require_off_axis(p, f, "Cartan tensor")
+    ct, h = _cartan(p, sp, R, f)
+    T = np.einsum("tqr,pts->pqrs", ct.full, ct.mixed)  # S_pqrs = T_pqrs - T_pqsr
+    S = T - T.transpose(0, 1, 3, 2)
+    n, K2 = sp.dim, f.K**2
+    if n == 2:
+        s_star = -float(ct.covector @ ct.vector) * K2 / n**2
     else:
-        h_ang = angular(p, sp, R)
-        M = (np.einsum("pr,qs->pqrs", h_ang, h_ang)
-             - np.einsum("ps,qr->pqrs", h_ang, h_ang)) / f.K**2
-        s_star = float(np.sum(S * M)) / float(np.sum(M * M))
+        hh = h[:, None, :, None] * h[:, None, :]  # h_pr h_qs
+        M = (hh - hh.transpose(0, 1, 3, 2)) / K2
+        s_star = float(np.vdot(S, M)) / float(np.vdot(M, M))
     return CurvatureS(tensor=S, s_star=s_star)

@@ -19,10 +19,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Param, Space, checked_pair
+from .core import Param, Space, checked_forms, checked_pair
 from .errors import (CollinearVectors, DegenerateW, NegativeRadicand,
                      SingularXi)
-from .quasieuclid import n_metric, sigma, sigma_jacobian
+from .quasieuclid import _sigma_jacobian, n_metric, sigma_over_j
 
 __all__ = [
     "TwoVectorTensor",
@@ -145,6 +145,12 @@ def _turn(p: Param, pair, sa: float, ca: float) -> Tuple[np.ndarray, np.ndarray]
 # anisotropic-picture two-vector tensor
 # ---------------------------------------------------------------------------
 
+def _image(p: Param, sp: Space, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sigma(R) and sigma'(R) from one evaluation of the scalar forms of R."""
+    R, f = checked_forms(p, sp, R)
+    return sigma_over_j(p, R, f.A) * f.J, _sigma_jacobian(p, sp, R, f)
+
+
 def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Two-vector metric tensor G_pq(g; R, S), the mixed Hessian of the
     anisotropic scalar product K(R) K(S) cos(alpha(R, S)).
@@ -155,10 +161,8 @@ def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
     metric at R. Symmetry: G_pq(R, S) = G_qp(S, R). A vector on the axis
     raises AxisSingular for g != 0, as sigma_jacobian does.
     """
-    R, S = sp.check_vector(R), sp.check_vector(S)
-    jR, jS = sigma_jacobian(p, sp, R), sigma_jacobian(p, sp, S)
-    tv = n2(p, sigma(p, sp, R), sigma(p, sp, S), space=sp)
-    return jR @ tv.components @ jS.T
+    (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)
+    return jR @ n2(p, tR, tS, space=sp).components @ jS.T
 
 
 def scalar_grad(p: Param, sp: Space, R: np.ndarray,
@@ -167,10 +171,9 @@ def scalar_grad(p: Param, sp: Space, R: np.ndarray,
     S^q: the covector pair of (sigma(R), sigma(S)), lowered by r and pulled
     back by the sigma Jacobians. As S -> R the R-gradient tends to the
     covector R_p. A pair with collinear images raises DegenerateW."""
-    R, S = sp.check_vector(R), sp.check_vector(S)
-    jR, jS = sigma_jacobian(p, sp, R), sigma_jacobian(p, sp, S)
+    (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)
     try:
-        T1, T2 = covector_pair(p, sigma(p, sp, R), sigma(p, sp, S), space=sp)
+        T1, T2 = covector_pair(p, tR, tS, space=sp)
     except CollinearVectors as exc:
         raise DegenerateW("two-vector root vanished; gradients undefined") from exc
     r = sp.r_full

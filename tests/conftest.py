@@ -1,9 +1,12 @@
-"""Shared helpers: random geometry draws and finite-difference oracles."""
+"""Shared helpers: random geometry draws, finite-difference oracles and a
+counter of scalar_forms evaluations."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from finsleroid import Space
+from finsleroid import Space, core
 
 
 def rand_space(n, rng, identity=False):
@@ -71,6 +74,21 @@ def fd_jacobian(f, x, eps=1e-6):
             out = np.empty((n, len(col)))
         out[i] = col
     return out
+
+
+def count_scalar_forms(monkeypatch):
+    """Count the calls of core.scalar_forms made through every finsleroid
+    module that binds it; returns a one-item list holding the count."""
+    calls = [0]
+    fn = core.scalar_forms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finsleroid.") and getattr(module, "scalar_forms", None) is fn:
+            monkeypatch.setattr(module, "scalar_forms", counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import finsleroid as fd
 from finsleroid import (DegenerateVector, OutOfRange, Space, connect, fmf,
                         make_param, scalar_forms)
 from conftest import rand_space, rand_vec
@@ -238,3 +240,35 @@ def test_default_space_built_once(monkeypatch):
     for _ in range(3):
         connect(p, t1, t2)
     assert built == []
+
+
+ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
+              "metric_inverse", "metric_det", "angular", "cartan",
+              "curvature_S", "to_costate", "from_costate", "fhf",
+              "co_scalar_forms", "co_metric", "sigma", "sigma_jacobian", "mu",
+              "mu_jacobian", "n_metric", "qe_christoffel", "qe_curvature",
+              "qe_frames", "conformal_factor", "conformal_check",
+              "axis_angle", "equator_angle", "perpendicular_companion"]
+
+
+def _leaves(x):
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [np.asarray(x)]
+
+
+@pytest.mark.parametrize("name", ONE_VECTOR + ["snorm", "mnorm", "unit_l"])
+def test_one_vector_functions_take_lists(name):
+    # a plain list gives the result of the same vector as an array
+    fn = getattr(fd, name)
+    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    R = [0.3, 0.5, 1.0]
+    args = (sp,) if name in ("snorm", "mnorm", "unit_l") else (p, sp)
+    got, want = _leaves(fn(*args, R)), _leaves(fn(*args, np.array(R)))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

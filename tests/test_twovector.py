@@ -8,7 +8,7 @@ from finsleroid import (NegativeRadicand, Space,
                         invert_covector_pair, make_param, metric, n2,
                         n2_frame, n_metric, qe_angle, scalar_grad,
                         sigma, sigma_jacobian)
-from conftest import rand_space, rand_vec
+from conftest import count_scalar_forms, rand_space, rand_vec
 
 
 def draw_pair(rng, dims=(2, 3, 5), alpha_cap=2.4, min_sep=0.15):
@@ -393,6 +393,17 @@ def test_g2_pullback_law(rng):
         expect = jr @ comp @ js.T
         got = g2(p, sp, R, S)
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("fn", [g2, scalar_grad])
+def test_pair_pullback_evaluates_forms_once_per_vector(rng, monkeypatch, fn):
+    # sigma and its Jacobian share one evaluation of the forms per vector
+    calls = count_scalar_forms(monkeypatch)
+    for _ in range(20):
+        p, sp, R, S = draw_rs(rng)
+        calls[0] = 0
+        fn(p, sp, R, S)
+        assert calls[0] == 2
 
 
 def test_g2_mixed_hessian(rng):
