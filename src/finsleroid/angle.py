@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Param, Space, checked_pair, scalar_forms, space_for
+from .core import Param, Space, checked_forms, checked_pair, scalar_forms, space_for
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import mu, sigma_over_j
 
@@ -102,14 +102,13 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
     as a positive multiple of R, raises CollinearVectors; a seed of -R is
     accepted when g != 0.
     """
-    R = sp.check_vector(R)
+    R, f = checked_forms(p, sp, R)
     if seed is None:
         seed = np.zeros(sp.dim)
         seed[int(np.argmin(np.abs(R)))] = 1.0
-    seed = sp.check_vector(seed)
-    f = scalar_forms(p, sp, R)
+    seed, fs = checked_forms(p, sp, seed)
     t = sigma_over_j(p, R, f.A) * f.J
-    pair = sp.gram(t, sigma_over_j(p, seed, scalar_forms(p, sp, seed).A))
+    pair = sp.gram(t, sigma_over_j(p, seed, fs.A))
     if pair.collinear:
         raise CollinearVectors("seed's image is parallel to sigma(R)")
     turn = 0.5 * math.pi * p.h

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -96,7 +97,9 @@ def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
     styles = {"body": 'fill="none" stroke="black" stroke-width="0.01"',
               "circle": 'fill="none" stroke="gray" stroke-width="0.005"'}
     for name, poly in polylines:
-        coords = " ".join(f"{x:.6f},{-z:.6f}" for x, z in poly)
+        # one %-format pass, as in _csv; z * -1 keeps the sign of -z, -0.0 too
+        xz = tuple((poly * (1, -1)).ravel().tolist())
+        coords = " ".join(["%.6f,%.6f"] * len(poly)) % xz
         style = styles.get(name, styles["body"])
         parts.append(f'<polyline id="{name}" {style} points="{coords}"/>')
     parts.append("</svg>")
@@ -386,7 +389,7 @@ def _check_battery(rng, inject_fault: bool) -> List[Tuple[str, float, float]]:
             p = param_for(g)
             worst = max(worst, plane.rund_residual(p, fs))
             chk = plane.landsberg_check(p, fs)
-            worst = max(worst, chk["wronskian"], chk["convexity"])
+            worst = max(worst, chk["wronskian"], chk["sqrt_det"], chk["convexity"])
         return worst
     run("plane_identities", 1e-8, plane_identities)
 
@@ -491,7 +494,9 @@ def _join_number_lists(argv: Sequence[str]) -> List[str]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args does not change it."""
     ap = _Parser(prog="finsleroid", description="Finsleroid geometry toolkit")
     subs = ap.add_subparsers(dest="command", required=True)
     handlers = {}

@@ -16,14 +16,16 @@ with J(f) = exp(-G (f - pi/2) / 2). The exact derivative chain (in f) is
     (Cos*_g)' = (G cos f - (1 - G^2/4) sin f) / (h^2 J)
 
 and arc length along the curve advances as ds = df / h, so the profile
-satisfies d2R/ds2 - g dR/ds + R = 0 exactly.
+satisfies d2R/ds2 - g dR/ds + R = 0 exactly. gen_trig and
+trig_derivatives, the one place of these formulas, take a float f or an
+array of f.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -41,35 +43,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrigTriple:
-    cos_g: float
-    sin_g: float
-    cos_star: float
+    cos_g: Union[float, np.ndarray]
+    sin_g: Union[float, np.ndarray]
+    cos_star: Union[float, np.ndarray]
 
 
-def _j(p: Param, f: float) -> float:
-    return math.exp(-0.5 * p.G * (f - 0.5 * math.pi))
+def _j(p: Param, f):
+    return np.exp(-0.5 * p.G * (f - 0.5 * math.pi))
 
 
-def gen_trig(p: Param, f: float) -> TrigTriple:
-    """Generalized trigonometric values at parameter f in [0, pi]."""
+def gen_trig(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
+    """Generalized trigonometric values at parameter f in [0, pi]: floats
+    for a float f, arrays of f's shape for an array of f."""
     J = _j(p, f)
     G, h = p.G, p.h
+    s, c = np.sin(f), np.cos(f)
     return TrigTriple(
-        cos_g=(math.cos(f) - 0.5 * G * math.sin(f)) / J,
-        sin_g=math.sin(f) / (h * J),
-        cos_star=(math.cos(f) + 0.5 * G * math.sin(f)) / (h * h * J),
+        cos_g=(c - 0.5 * G * s) / J,
+        sin_g=s / (h * J),
+        cos_star=(c + 0.5 * G * s) / (h * h * J),
     )
 
 
-def trig_derivatives(p: Param, f: float) -> TrigTriple:
-    """Exact f-derivatives of the triple (same field order)."""
+def trig_derivatives(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
+    """Exact f-derivatives of the triple (same field order); f is a float
+    or an array, as for gen_trig."""
     J = _j(p, f)
     G, h = p.G, p.h
     t = gen_trig(p, f)
     return TrigTriple(
         cos_g=-t.sin_g / h,
         sin_g=h * t.cos_star,
-        cos_star=(G * math.cos(f) - (1.0 - 0.25 * G * G) * math.sin(f)) / (h * h * J),
+        cos_star=(G * np.cos(f) - (1.0 - 0.25 * G * G) * np.sin(f)) / (h * h * J),
     )
 
 
@@ -78,16 +83,18 @@ def indicatrix_length(p: Param) -> float:
     return 2.0 * math.pi / p.h
 
 
-def _curve(p: Param, f: float):
-    """R(f), dR/df, d2R/df2 on the unit level set (K = 1, r = identity)."""
-    J = _j(p, f)
-    G, h = p.G, p.h
-    s, c = math.sin(f), math.cos(f)
-    R = np.array([s / (h * J), (c - 0.5 * G * s) / J])
-    dR = np.array([(c + 0.5 * G * s) / (h * J), -s / (h * h * J)])
-    d2R = np.array([(G * c - (1.0 - 0.25 * G * G) * s) / (h * J),
-                    -(c + 0.5 * G * s) / (h * h * J)])
+def _curve(p: Param, f):
+    """R(f) = (Sin_g f, Cos_g f), dR/df, d2R/df2 on the unit level set
+    (K = 1, r = identity), each of shape f.shape + (2,)."""
+    t, d = gen_trig(p, f), trig_derivatives(p, f)
+    R = np.stack([t.sin_g, t.cos_g], axis=-1)
+    dR = np.stack([d.sin_g, d.cos_g], axis=-1)
+    d2R = np.stack([p.h * d.cos_star, -t.cos_star], axis=-1)
     return R, dR, d2R
+
+
+def _worst(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def rund_residual(p: Param, f_samples: Iterable[float],
@@ -97,18 +104,14 @@ def rund_residual(p: Param, f_samples: Iterable[float],
     other I is a negative control."""
     I = -p.g if cartan_scalar is None else float(cartan_scalar)
     h = p.h
-    worst = 0.0
-    for f in f_samples:
-        R, dR, d2R = _curve(p, float(f))
-        res = h * h * d2R + I * h * dR + R
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    R, dR, d2R = _curve(p, np.fromiter(f_samples, dtype=float))
+    return _worst(h * h * d2R + I * h * dR + R)
 
 
 def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
     """Arc-length factor identities along the plane indicatrix.
 
-    Returns the worst deviations of
+    Returns the worst deviations, as floats, of
       "wronskian":   R^2 dR^1/df - R^1 dR^2/df - K^2/(h J^2)   (K = 1)
       "sqrt_det":    sqrt(det g_pq) - J^2   (via the metric module)
       "convexity":   the curvature ratio minus 1/h^2 (constant)
@@ -119,16 +122,14 @@ def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
 
     sp = Space.euclidean(2)
     h = p.h
-    worst_w = worst_d = worst_c = 0.0
-    for f in f_samples:
-        f = float(f)
-        R, dR, d2R = _curve(p, f)
-        J = _j(p, f)
-        worst_w = max(worst_w, abs(R[1] * dR[0] - R[0] * dR[1] - 1.0 / (h * J * J)))
-        if 1e-9 < f < math.pi - 1e-9:  # metric needs q > 0
-            det = float(np.linalg.det(metric(p, sp, R)))
-            worst_d = max(worst_d, abs(math.sqrt(det) - J * J))
-        num = d2R[1] * dR[0] - dR[1] * d2R[0]
-        den = dR[1] * R[0] - R[1] * dR[0]
-        worst_c = max(worst_c, abs(num / den - 1.0 / (h * h)))
-    return {"wronskian": worst_w, "sqrt_det": worst_d, "convexity": worst_c}
+    fs = np.fromiter(f_samples, dtype=float)
+    R, dR, d2R = _curve(p, fs)
+    J2 = _j(p, fs) ** 2
+    wronskian = R[:, 1] * dR[:, 0] - R[:, 0] * dR[:, 1] - 1.0 / (h * J2)
+    num = d2R[:, 1] * dR[:, 0] - dR[:, 1] * d2R[:, 0]
+    den = dR[:, 1] * R[:, 0] - R[:, 1] * dR[:, 0]
+    inner = (fs > 1e-9) & (fs < math.pi - 1e-9)  # metric needs q > 0
+    sqrt_det = [math.sqrt(np.linalg.det(metric(p, sp, r))) - j2
+                for r, j2 in zip(R[inner], J2[inner])]
+    return {"wronskian": _worst(wronskian), "sqrt_det": _worst(np.array(sqrt_det)),
+            "convexity": _worst(num / den - 1.0 / (h * h))}

@@ -3,13 +3,12 @@ and its closed-form parameterization, and convexity data.
 
 The body is a surface of revolution about the axial direction; everything
 here works with the generatrix in the (q, Z) half plane. The profile is
-sampled through the polar-style parameter f in [0, pi]:
+sampled through the polar-style parameter f in [0, pi] as
 
-    q(f) = (sin f / h) * exp(G (f - pi/2) / 2)
-    Z(f) = (cos f - (G/2) sin f) * exp(G (f - pi/2) / 2)
+    (q, Z) = (Sin_g f, Cos_g f)
 
-which traces the unit level set K = 1 exactly from the north pole (f = 0)
-to the south pole (f = pi). The implicit equation K(q, Z) = 1 has no
+of plane.gen_trig, which traces the unit level set K = 1 exactly from
+the north pole (f = 0) to the south pole (f = pi). The implicit equation K(q, Z) = 1 has no
 closed-form resolution Z(q), so sampling goes through f; a bisection
 root finder is kept in the test suite as an independent cross-check.
 """
@@ -24,6 +23,7 @@ import numpy as np
 
 from .core import Param, Space, scalar_forms
 from .errors import BadDirection, VertexSingular
+from .plane import gen_trig
 
 __all__ = [
     "ShapeReport",
@@ -80,11 +80,6 @@ def shape_report(p: Param) -> ShapeReport:
     )
 
 
-def _profile_qz(p: Param, f: float) -> Tuple[float, float]:
-    e = math.exp(0.5 * p.G * (f - 0.5 * math.pi))
-    return math.sin(f) / p.h * e, (math.cos(f) - 0.5 * p.G * math.sin(f)) * e
-
-
 def indicatrix_point(p: Param, sp: Space, f: float, n: np.ndarray) -> np.ndarray:
     """Unit vector on the level set K = 1 at polar parameter f in [0, pi]
     along the unit spatial direction n (r_ab n^a n^b = 1)."""
@@ -96,10 +91,10 @@ def indicatrix_point(p: Param, sp: Space, f: float, n: np.ndarray) -> np.ndarray
         raise BadDirection(f"direction is not unit for the spatial metric: |n|^2 = {nn}")
     if not 0.0 <= f <= math.pi:
         raise ValueError(f"profile parameter must lie in [0, pi], got {f}")
-    q, Z = _profile_qz(p, f)
+    t = gen_trig(p, f)
     out = np.empty(sp.dim)
-    out[:-1] = n * q
-    out[-1] = Z
+    out[:-1] = n * t.sin_g
+    out[-1] = t.cos_g
     return out
 
 
@@ -109,11 +104,8 @@ def indicatrix_profile(p: Param, n_samples: int) -> np.ndarray:
     n_samples = int(n_samples)
     if n_samples < 8:
         raise ValueError("need at least 8 samples")
-    fs = np.linspace(0.0, math.pi, n_samples)
-    out = np.empty((n_samples, 2))
-    for i, f in enumerate(fs):
-        out[i] = _profile_qz(p, float(f))
-    return out
+    t = gen_trig(p, np.linspace(0.0, math.pi, n_samples))
+    return np.column_stack([t.sin_g, t.cos_g])
 
 
 def profile_slopes(p: Param, sp: Space, R: np.ndarray) -> Tuple[float, float]:

@@ -9,7 +9,7 @@ from finsleroid import (AntipodalSingular, CollinearVectors, Space,
                         make_param, parallelogram_diff, parallelogram_exact,
                         parallelogram_residuals, parallelogram_sum,
                         perpendicular_companion, qe_angle, sigma)
-from conftest import rand_space, rand_vec
+from conftest import count_scalar_forms, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5)):
@@ -296,32 +296,29 @@ def test_exact_converges_at_large_g(rng, g):
 
 
 def test_solver_evaluation_counts(rng, monkeypatch):
-    # the companion evaluates scalar_forms once for R and once for the seed;
-    # the sum evaluates no residual
-    calls = {"scalar_forms": 0, "parallelogram_residuals": 0}
+    # the companion evaluates scalar_forms once for R and once for the seed,
+    # counted in every module, core's checked_forms included; the sum
+    # evaluates no residual
+    calls = count_scalar_forms(monkeypatch)
+    residual_calls = [0]
+    residuals = angle_mod.parallelogram_residuals
 
-    def counted(name):
-        fn = getattr(angle_mod, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(angle_mod, name, wrapper)
-
-    counted("scalar_forms")
-    counted("parallelogram_residuals")
+    def counted_residuals(*args, **kwargs):
+        residual_calls[0] += 1
+        return residuals(*args, **kwargs)
+    monkeypatch.setattr(angle_mod, "parallelogram_residuals", counted_residuals)
     for _ in range(200):
         n = int(rng.integers(2, 6))
         p = make_param(float(rng.uniform(-1.9, 1.9)))
         sp = rand_space(n, rng, identity=bool(rng.integers(2)))
         R = rand_vec(p, sp, rng)
-        calls["scalar_forms"] = 0
+        calls[0] = 0
         Rp = perpendicular_companion(p, sp, R)
-        assert calls["scalar_forms"] == 2
+        assert calls[0] == 2
         assert fins_angle(p, sp, R, Rp).alpha == pytest.approx(math.pi / 2, abs=1e-12)
         t1, t2 = pair_in_range(rng, p, sp)
         parallelogram_exact(p, t1, t2, space=sp)
-        assert calls["parallelogram_residuals"] == 0
+        assert residual_calls[0] == 0
 
 
 def test_companion_seed_images():

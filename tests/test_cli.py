@@ -206,6 +206,23 @@ def test_figures_svg(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg and "circle" in svg
 
 
+def test_svg_points_match_per_point_format():
+    import re
+
+    import finsleroid as fd
+    from finsleroid.cli import _svg
+    rng = np.random.default_rng(9)
+    fs = np.linspace(0.0, math.pi, 361)
+    edge = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+                     [-4.9e-7, -1e-300], [-5e-324, -2.5e-7], [5e-7, -5e-7]])
+    polys = [("body", fd.indicatrix_profile(fd.make_param(-0.4), 361)),
+             ("circle", np.column_stack([np.sin(fs), np.cos(fs)])),
+             ("edge", np.vstack([edge, -rng.uniform(0, 5e-7, size=(50, 2))]))]
+    points = re.findall(r'points="([^"]*)"', _svg(polys))
+    assert points == [" ".join(f"{x:.6f},{-z:.6f}" for x, z in poly) for _, poly in polys]
+    assert "-0.000000,-0.000000" in points[2] and "0.000000,0.000000" in points[2]
+
+
 def test_figures_determinism(tmp_path, capsys):
     run(capsys, "figures", "--out", str(tmp_path / "a"), "--samples", "61")
     run(capsys, "figures", "--out", str(tmp_path / "b"), "--samples", "61")
@@ -266,6 +283,16 @@ def test_negative_first_component_parses(capsys):
     code, out, _ = run(capsys, *args, "--vec", "-1,0.2")
     assert code == 0
     assert (code, out) == run(capsys, *args, "--vec=-1,0.2")[:2]
+
+
+def test_parser_built_once_keeps_subcommand_defaults(tmp_path, capsys):
+    from finsleroid.cli import build_parser
+    assert build_parser() is build_parser()
+    assert run(capsys, "figures", "--out", str(tmp_path))[0] == 0
+    code, out, _ = run(capsys, "geodesic", "--g", "0.5", "--vec", "1,0.2",
+                       "--vec2", "0.3,1.1")
+    assert code == 0
+    assert parse_csv(out)[2].shape == (50, 4)
 
 
 def test_usage_error_returns_bad_input(capsys):

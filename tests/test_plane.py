@@ -55,6 +55,20 @@ def test_trig_derivative_identities_fd():
             assert d.sin_g == pytest.approx(p.h * t.cos_star, abs=1e-12)
 
 
+def test_trig_broadcasts_like_scalar_calls():
+    # one array pass gives the per-element scalar values
+    fs = np.linspace(0.0, math.pi, 361)
+    for g in (0.0, 0.4, -0.4, 1.9, -1.9):
+        p = make_param(g)
+        for fn in (gen_trig, trig_derivatives):
+            arr = fn(p, fs)
+            for field in ("cos_g", "sin_g", "cos_star"):
+                vals = getattr(arr, field)
+                assert vals.shape == fs.shape
+                one = np.array([getattr(fn(p, float(f)), field) for f in fs])
+                np.testing.assert_allclose(vals, one, rtol=1e-15, atol=0)
+
+
 def test_indicatrix_length_values():
     assert indicatrix_length(make_param(0.0)) == pytest.approx(2 * math.pi, abs=1e-15)
     g_half = math.sqrt(3.0)  # h = 1/2
@@ -112,6 +126,20 @@ def test_landsberg_identities():
         assert out["wronskian"] <= 1e-10
         assert out["sqrt_det"] <= 1e-10
         assert out["convexity"] <= 1e-10
+
+
+def test_plane_checks_return_floats():
+    # plain floats, from an array, a list or a generator of samples alike
+    p = make_param(-0.6)
+    out = landsberg_check(p, FS)
+    assert set(out) == {"wronskian", "sqrt_det", "convexity"}
+    assert all(type(v) is float for v in out.values())
+    assert landsberg_check(p, list(FS)) == out
+    assert landsberg_check(p, (float(f) for f in FS)) == out
+    res = rund_residual(p, FS)
+    assert type(res) is float
+    assert rund_residual(p, (float(f) for f in FS)) == res
+    assert rund_residual(p, []) == 0.0
 
 
 def test_convexity_ratio_value():

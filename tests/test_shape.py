@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (BadDirection, Space, VertexSingular, fmf,
+from finsleroid import (BadDirection, Space, VertexSingular, fmf, gen_trig,
                         indicatrix_point, indicatrix_profile, make_param,
                         profile_slopes, scalar_forms, shape_report)
 from conftest import rand_space
@@ -126,6 +126,20 @@ def test_profile_on_unit_level_and_convex():
         inner = prof[1:-1]
         d2 = -np.array([z * z + g * q * z + q * q for q, z in inner]) / inner[:, 0] ** 3
         assert np.all(d2 < 0)
+
+
+def test_profile_rows_are_gen_trig():
+    for g in (-1.9, -0.4, 0.0, 0.6):
+        p = make_param(g)
+        t = gen_trig(p, np.linspace(0.0, math.pi, 361))
+        prof = indicatrix_profile(p, 361)
+        assert np.array_equal(prof[:, 0], t.sin_g)
+        assert np.array_equal(prof[:, 1], t.cos_g)
+        n = np.array([1.0])
+        for f in (0.0, 0.7, math.pi):
+            tf = gen_trig(p, f)
+            assert np.array_equal(indicatrix_point(p, Space.euclidean(2), f, n),
+                                  [tf.sin_g, tf.cos_g])
 
 
 def test_profile_semicircle_at_g0():
