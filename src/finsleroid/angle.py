@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Param, Space, checked_forms, checked_pair, scalar_forms, space_for
+from .core import Param, Space, checked_forms, checked_pair, space_for
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import mu, sigma_over_j
 
@@ -53,8 +53,8 @@ def fins_angle(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray) -> AnglePair
     equals qe_angle of the sigma images. K1^2 + K2^2 - 2 K1 K2 cos(alpha) is
     formed as (K1 - K2)^2 + 4 K1 K2 sin^2(alpha/2), which does not cancel.
     """
-    f1 = scalar_forms(p, sp, R1)
-    f2 = scalar_forms(p, sp, R2)
+    R1, f1 = checked_forms(p, sp, R1)
+    R2, f2 = checked_forms(p, sp, R2)
     pair = sp.gram(sigma_over_j(p, R1, f1.A), sigma_over_j(p, R2, f2.A))
     alpha = pair.angle / p.h
     product = f1.K * f2.K * math.cos(alpha)
@@ -73,7 +73,7 @@ def axis_angle(p: Param, sp: Space, R: np.ndarray) -> float:
     """Angle between R and the positive axial direction:
     (1/h) atan2(h q, A), the angle of the image (h R^a, A) with the axis.
     Equals fins_angle(R, e_N).alpha."""
-    f = scalar_forms(p, sp, R)
+    f = checked_forms(p, sp, R)[1]
     return math.atan2(p.h * f.q, f.A) / p.h
 
 
@@ -81,7 +81,7 @@ def equator_angle(p: Param, sp: Space, R: np.ndarray) -> float:
     """Angle between R and its own equatorial direction: (1/h) atan2(h |Z|, L),
     from the product L and Gram root h |Z| of their images (h R^a, A).
     Needs q > 0 for the direction to exist."""
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
     if f.q == 0.0:
         raise DegenerateVector("equatorial direction undefined on the axis")
     return math.atan2(p.h * abs(float(R[-1])), f.L) / p.h

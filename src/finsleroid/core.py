@@ -4,8 +4,9 @@ metric function.
 The geometry lives on an N-dimensional vector space split into an
 (N-1)-dimensional spatial part and a distinguished axial direction.
 Vectors are plain 1-D numpy arrays with the axial component stored last:
-``R = (R^1, ..., R^{N-1}, Z)``. ``fmf`` also takes vectors stacked along
-leading axes, an array of shape ``(..., N)``, and evaluates every row.
+``R = (R^1, ..., R^{N-1}, Z)``. ``scalar_forms``, the one place of the
+forms and of K (``fmf`` is its K), also takes vectors stacked along leading
+axes, shape ``(..., N)``, and evaluates every row with one numpy formula.
 
 The anisotropy is controlled by a single parameter ``g`` in (-2, 2).
 At g = 0 everything collapses to the Euclidean geometry of the input
@@ -212,7 +213,7 @@ class Space:
         stack of them."""
         Rs = np.asarray(R, dtype=float)[..., :-1]
         # abs: rounding can leave the form of a near-null vector at -eps
-        q = np.sqrt(abs((Rs @ self.r_spatial * Rs).sum(axis=-1)))
+        q = np.sqrt(abs(np.vecdot(Rs @ self.r_spatial, Rs)))
         return float(q) if q.ndim == 0 else q
 
     def check_vector(self, R: np.ndarray) -> np.ndarray:
@@ -247,87 +248,67 @@ def checked_pair(t1: np.ndarray, t2: np.ndarray,
     return sp, sp.gram(sp.check_vector(t1), sp.check_vector(t2))
 
 
-@dataclass(frozen=True)
-class ScalarForms:
-    """Characteristic scalars of a vector.
+class ScalarForms(NamedTuple):
+    """Characteristic scalars of a vector, or of every row of a stack.
 
     q   spatial norm of R
     B   characteristic quadratic form Z^2 + g q Z + q^2 (always > 0)
     A   axial combination Z + g q / 2
     L   spatial combination q + g Z / 2
-    Phi angular argument in [-pi/2, pi/2]
+    Phi angular argument atan2(A, h q) in [-pi/2, pi/2]
     J   exponential factor exp(G Phi / 2)
     K   metric function value sqrt(B) J
-    w, Q, E are the Z-scaled variants q/Z, B/Z^2, 1 + g w / 2 and are
-    None on the equatorial plane Z = 0.
+
+    Each field is a float for one vector, shape (N,), and an array of
+    shape R.shape[:-1] for a stack (..., N).
     """
 
-    q: float
-    w: Optional[float]
-    B: float
-    Q: Optional[float]
-    E: Optional[float]
-    A: float
-    L: float
-    Phi: float
-    J: float
-    K: float
+    q: Union[float, np.ndarray]
+    B: Union[float, np.ndarray]
+    A: Union[float, np.ndarray]
+    L: Union[float, np.ndarray]
+    Phi: Union[float, np.ndarray]
+    J: Union[float, np.ndarray]
+    K: Union[float, np.ndarray]
 
 
 def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
-    """Evaluate all characteristic scalars at one nonzero vector."""
+    """All characteristic scalars of one nonzero vector (N,), or of every
+    row of a stack (..., N). The whole stack is checked: a non-finite entry
+    or a wrong last axis raises ValueError, a row at the origin
+    DegenerateVector."""
     R = sp.check_vector(R)
-    if R.ndim != 1:
-        raise ValueError(f"scalar forms take one vector, got shape {R.shape}")
+    one = R.ndim == 1
     q = sp.spatial_norm(R)
-    Z = float(R[-1])
-    if q == 0.0 and Z == 0.0:
+    Z = float(R[-1]) if one else R[..., -1]
+    if np.count_nonzero((q == 0.0) & (Z == 0.0)):
         raise DegenerateVector("scalar forms are undefined at the origin")
-    g, h, G = p.g, p.h, p.G
+    g = p.g
     B = Z * Z + g * q * Z + q * q
     A = Z + 0.5 * g * q
     L = q + 0.5 * g * Z
-    if q > 0.0:
-        # branch-free form: agrees with the +-pi/2 split and is continuous
-        # across Z = 0 at fixed q
-        Phi = math.atan2(A, h * q)
-    else:
-        Phi = math.copysign(0.5 * math.pi, Z)
-    J = math.exp(0.5 * G * Phi)
-    K = math.sqrt(B) * J
-    if Z != 0.0:
-        w = q / Z
-        Q = B / (Z * Z)
-        E = 1.0 + 0.5 * g * w
-    else:
-        w = Q = E = None
-    return ScalarForms(q=q, w=w, B=B, Q=Q, E=E, A=A, L=L, Phi=Phi, J=J, K=K)
+    # branch-free: agrees with the +-pi/2 split, is continuous across Z = 0
+    # at fixed q, and on the axis atan2(Z, +0) = +-pi/2
+    Phi = np.arctan2(A, p.h * q)
+    J = np.exp(0.5 * p.G * Phi)
+    K = np.sqrt(B) * J
+    if one:
+        Phi, J, K = float(Phi), float(J), float(K)
+    return ScalarForms(q, B, A, L, Phi, J, K)
 
 
 def checked_forms(p: Param, sp: Space,
                   R: np.ndarray) -> Tuple[np.ndarray, ScalarForms]:
-    """R as the float array that scalar_forms checks, and its scalar forms."""
+    """R as the float array that scalar_forms checks, and its scalar forms,
+    for the functions of one vector: a stack raises ValueError."""
     R = np.asarray(R, dtype=float)
+    if R.ndim != 1:
+        raise ValueError(f"expected one vector, got shape {R.shape}")
     return R, scalar_forms(p, sp, R)
 
 
 def fmf(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
-    """Finsleroid metric function K(g; R), the anisotropic norm of R.
-
-    R is one vector of shape (N,), which gives a float, or vectors stacked
-    along leading axes, shape (..., N), which gives an array of shape
-    R.shape[:-1]. The whole stack is checked: a non-finite entry or a wrong
-    last axis raises ValueError, a row at the origin DegenerateVector.
-    The formula is that of scalar_forms, K = sqrt(B) exp(G Phi / 2) with
-    Phi = atan2(A, h q).
-    """
-    R = sp.check_vector(R)
-    q = sp.spatial_norm(R)
-    Z = R[..., -1]
-    if np.count_nonzero((q == 0.0) & (Z == 0.0)):
-        raise DegenerateVector("metric function undefined at the origin")
-    g = p.g
-    # on the axis atan2(Z, +0) = +-pi/2, the axis branch of scalar_forms
-    K = (np.sqrt(Z * Z + g * q * Z + q * q)
-         * np.exp(0.5 * p.G * np.arctan2(Z + 0.5 * g * q, p.h * q)))
-    return float(K) if R.ndim == 1 else K
+    """Finsleroid metric function K(g; R), the anisotropic norm of R:
+    scalar_forms(p, sp, R).K, a float for one vector of shape (N,) and an
+    array of shape R.shape[:-1] for a stack (..., N)."""
+    return scalar_forms(p, sp, R).K

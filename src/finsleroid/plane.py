@@ -29,7 +29,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .core import Param
+from . import tensors
+from .core import Param, Space
 
 __all__ = [
     "TrigTriple",
@@ -113,13 +114,10 @@ def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
 
     Returns the worst deviations, as floats, of
       "wronskian":   R^2 dR^1/df - R^1 dR^2/df - K^2/(h J^2)   (K = 1)
-      "sqrt_det":    sqrt(det g_pq) - J^2   (via the metric module)
+      "sqrt_det":    sqrt(det g_pq) - J^2   (one metric call over the samples)
       "convexity":   the curvature ratio minus 1/h^2 (constant)
     All vanish identically; the arc-length element is df / h.
     """
-    from .core import Space
-    from .tensors import metric
-
     sp = Space.euclidean(2)
     h = p.h
     fs = np.fromiter(f_samples, dtype=float)
@@ -129,7 +127,6 @@ def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
     num = d2R[:, 1] * dR[:, 0] - dR[:, 1] * d2R[:, 0]
     den = dR[:, 1] * R[:, 0] - R[:, 1] * dR[:, 0]
     inner = (fs > 1e-9) & (fs < math.pi - 1e-9)  # metric needs q > 0
-    sqrt_det = [math.sqrt(np.linalg.det(metric(p, sp, r))) - j2
-                for r, j2 in zip(R[inner], J2[inner])]
-    return {"wronskian": _worst(wronskian), "sqrt_det": _worst(np.array(sqrt_det)),
+    sqrt_det = np.sqrt(np.linalg.det(tensors.metric(p, sp, R[inner]))) - J2[inner]
+    return {"wronskian": _worst(wronskian), "sqrt_det": _worst(sqrt_det),
             "convexity": _worst(num / den - 1.0 / (h * h))}

@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Param, Space, scalar_forms
+from .core import Param, Space, checked_forms
 from .errors import BadDirection, VertexSingular
 from .plane import gen_trig
 
@@ -119,7 +119,7 @@ def profile_slopes(p: Param, sp: Space, R: np.ndarray) -> Tuple[float, float]:
     slope tends to -1/g. The vertical-tangent locus Z + g q = 0 is
     rejected.
     """
-    f = scalar_forms(p, sp, R)
+    R, f = checked_forms(p, sp, R)
     q, Z = f.q, float(R[-1])
     denom = Z + p.g * q
     if denom == 0.0:

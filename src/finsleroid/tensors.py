@@ -46,25 +46,39 @@ def grad_covector(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 
 def _require_off_axis(p: Param, f, what: str) -> None:
-    if f.q == 0.0 and p.g != 0.0:
+    if p.g != 0.0 and np.count_nonzero(f.q == 0.0):
         raise AxisSingular(f"{what} undefined on the axis (q = 0) for g != 0")
 
 
+def _rows(x) -> np.ndarray:
+    """A per-row scalar (a float for one vector) with a trailing axis."""
+    return np.asarray(x)[..., None]
+
+
 def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
-    if f.q == 0.0:  # g == 0, Euclidean
-        return sp.r_full.copy()
-    g, q, B, Z, K2 = p.g, f.q, f.B, float(R[-1]), f.K**2
-    rR = sp.r_spatial @ R[:-1]
-    out = np.empty((sp.dim, sp.dim))
-    out[-1, -1] = ((Z + g * q) ** 2 + q * q) * K2 / B**2
-    out[-1, :-1] = out[:-1, -1] = g * q * rR * K2 / B**2
-    out[:-1, :-1] = (K2 / B) * sp.r_spatial - g * np.outer(rR, rR) * Z / q * K2 / B**2
+    """g_pq of shape R.shape + (N,) at the checked R off the axis; r_pq at g = 0."""
+    if p.g == 0.0:
+        return np.broadcast_to(sp.r_full, R.shape + R.shape[-1:]).copy()
+    # products, not **2: float ** 2 can differ from numpy's square by an ulp
+    g, q, B, K2 = p.g, f.q, f.B, f.K * f.K
+    Z = R[..., -1][()]  # a float, not a 0-d array, for one vector
+    k = K2 / (B * B)
+    Zgq = Z + g * q
+    rR = R[..., :-1] @ sp.r_spatial
+    out = np.empty(R.shape + R.shape[-1:])
+    out[..., -1, -1] = (Zgq * Zgq + q * q) * k
+    out[..., -1, :-1] = out[..., :-1, -1] = _rows(g * q * k) * rR
+    out[..., :-1, :-1] = (_rows(_rows(K2 / B)) * sp.r_spatial
+                          - (_rows(g * Z / q * k) * rR)[..., None] * rR[..., None, :])
     return out
 
 
 def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
-    """Metric tensor g_pq = (1/2) d^2 K^2 / dR^p dR^q."""
-    R, f = checked_forms(p, sp, R)
+    """Metric tensor g_pq = (1/2) d^2 K^2 / dR^p dR^q, of shape R.shape + (N,)
+    for one vector or a stack (..., N), as for scalar_forms. A row on the
+    axis raises AxisSingular for g != 0; at g = 0 the metric is r_pq."""
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
     _require_off_axis(p, f, "metric")
     return _metric(p, sp, R, f)
 
@@ -86,7 +100,7 @@ def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 def metric_det(p: Param, sp: Space, R: np.ndarray) -> float:
     """det(g_pq) in closed form: J^(2N) det(r_ab). Always positive."""
-    f = scalar_forms(p, sp, R)
+    f = checked_forms(p, sp, R)[1]
     return f.J ** (2 * sp.dim) * sp.r_spatial_det
 
 

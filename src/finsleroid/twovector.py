@@ -46,6 +46,20 @@ class TwoVectorTensor:
     u: float
 
 
+def _mixing(p: Param, pair) -> Tuple[float, float, float, float, float]:
+    """sin(alpha), cos(alpha), s = sin(alpha)/u and the mixing coefficients
+    A1, A2 of a pair that is not collinear, alpha = theta/h. With k = 1/h - 1
+    and sin(theta)/u = 1/sqrt(a11 a22), s = cos(k theta)/sqrt(a11 a22) +
+    cos(theta) sin(k theta)/u: exact at g = 0, and free of sin(theta), whose
+    relative accuracy decays as 1/(pi - theta) near the antipodal pair."""
+    theta, h = pair.angle, p.h
+    kt = 0.25 * p.g * p.g / ((1.0 + h) * h) * theta  # (1/h - 1) theta, no cancellation
+    sa, ca = math.sin(theta / h), math.cos(theta / h)
+    s = (math.cos(kt) / math.sqrt(pair.a11 * pair.a22)
+         + math.cos(theta) * math.sin(kt) / pair.u)
+    return sa, ca, s, ca - pair.a12 * s / h, ca / h - pair.a12 * s
+
+
 def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
        space: Optional[Space] = None) -> TwoVectorTensor:
     """Two-vector tensor n_pq(g; t1, t2), the mixed Hessian of the
@@ -56,18 +70,14 @@ def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
     if pair.collinear:
         return TwoVectorTensor(components=n_metric(p, sp, t1).low,
                                A1=1.0 - 1.0 / p.h**2, A2=0.0, u=0.0)
-    a11, a22, a12, u = pair.a11, pair.a22, pair.a12, pair.u
-    h = p.h
-    alpha = pair.angle / h
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    A1 = ca - a12 * sa / (h * u)
-    A2 = ca / h - a12 * sa / u
+    a11, a22, h = pair.a11, pair.a22, p.h
+    _, _, s, A1, A2 = _mixing(p, pair)
     r = sp.r_full
     n1n2 = math.sqrt(a11) * math.sqrt(a22)
-    comp = (a11 * a22 / (h * n1n2) * (sa / u) * r
+    comp = (a11 * a22 / (h * n1n2) * s * r
             + A1 * np.outer(r @ t1, r @ t2) / n1n2
             - A2 * np.outer(r @ pair.d1, r @ pair.d2) / (h * n1n2))
-    return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=u)
+    return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=pair.u)
 
 
 def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -89,13 +99,10 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
     a11, a22, a12, u = pair.a11, pair.a22, pair.a12, pair.u
     h = p.h
     base = sp.base_frame if base_frame is None else np.asarray(base_frame, float)
-    alpha = pair.angle / h
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    if sa / u < 0.0:
+    sa, ca, s, A1, A2 = _mixing(p, pair)
+    if s < 0.0:
         raise NegativeRadicand("sin(alpha)/u negative")
-    z = math.sqrt(a11 * a22 * sa / u)
-    A1 = ca - a12 * sa / (h * u)
-    A2 = ca / h - a12 * sa / u
+    z = math.sqrt(a11 * a22 * s)
     rad1 = h * a12 * ca + u * sa          # = z^2 + a12 h A1
     rad2 = a12 * ca / h + u * sa          # = z^2 + a12 A2
     if rad1 < 0.0 or rad2 < 0.0:

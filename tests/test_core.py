@@ -116,8 +116,12 @@ def test_quadratic_form_identities_bulk(rng):
         f = scalar_forms(p, sp, R)
         assert abs(f.A**2 + p.h**2 * f.q**2 - f.B) <= 1e-12 * f.B
         assert abs(f.L**2 + p.h**2 * R[-1] ** 2 - f.B) <= 1e-12 * f.B
-        if f.w is not None:
-            assert f.E**2 + p.h**2 * f.w**2 == pytest.approx(f.Q, rel=1e-12)
+        Z = float(R[-1])
+        if Z != 0.0:
+            # the Z-scaled forms w = q/Z, Q = B/Z^2 and E = 1 + g w / 2
+            w, Q = f.q / Z, f.B / (Z * Z)
+            E = 1.0 + 0.5 * p.g * w
+            assert E**2 + p.h**2 * w**2 == pytest.approx(Q, rel=1e-12)
         count += 1
 
 
@@ -201,6 +205,38 @@ def test_fmf_broadcasts_over_leading_axes(rng, identity):
     assert type(fmf(p, sp, X[0, 0])) is float
 
 
+def test_fmf_is_scalar_forms_k(rng):
+    # one formula of K: fmf is the K field of scalar_forms, bit for bit
+    for _ in range(2000):
+        n = int(rng.integers(2, 6))
+        p = make_param(float(rng.uniform(-1.9, 1.9)))
+        sp = rand_space(n, rng, identity=bool(rng.integers(2)))
+        R = rng.normal(size=n)
+        assert fmf(p, sp, R) == scalar_forms(p, sp, R).K
+
+
+def test_scalar_forms_of_one_vector_are_floats(rng):
+    # Python floats, not numpy scalars: the one-vector builders run on them
+    p = make_param(0.7)
+    sp = rand_space(3, rng)
+    for R in (rand_vec(p, sp, rng), [0.0, 0.0, -2.0], [0.5, 0.0, 0.0]):
+        f = scalar_forms(p, sp, R)
+        assert [type(v) for v in f] == [float] * len(f._fields)
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_scalar_forms_broadcast_over_leading_axes(rng, identity):
+    p = make_param(-1.3)
+    sp = rand_space(3, rng, identity=identity)
+    for shape in ((6,), (2, 4)):
+        X = rng.normal(size=shape + (3,))
+        X.reshape(-1, 3)[1, :-1] = 0.0  # an axis row
+        f = scalar_forms(p, sp, X)
+        assert all(field.shape == shape for field in f)
+        for idx in np.ndindex(*shape):
+            assert tuple(field[idx] for field in f) == scalar_forms(p, sp, X[idx])
+
+
 def test_fmf_batch_checks_every_row():
     p = make_param(0.4)
     sp = Space.euclidean(3)
@@ -242,6 +278,8 @@ def test_default_space_built_once(monkeypatch):
     assert built == []
 
 
+# the functions of ONE_VECTOR that also take vectors stacked along leading axes
+STACKED = {"scalar_forms", "fmf", "metric", "mu"}
 ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
               "metric_inverse", "metric_det", "angular", "cartan",
               "curvature_S", "to_costate", "from_costate", "fhf",
@@ -272,3 +310,22 @@ def test_one_vector_functions_take_lists(name):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ONE_VECTOR)
+def test_one_vector_functions_refuse_stacks(name):
+    # a (2, N) stack gives the rows' results from the functions of STACKED
+    # and ValueError from every other one
+    fn = getattr(fd, name)
+    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+    if name not in STACKED:
+        with pytest.raises(ValueError):
+            fn(p, sp, X)
+        return
+    got = _leaves(fn(p, sp, X))
+    for i, row in enumerate(X):
+        want = _leaves(fn(p, sp, row))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a[i], b)

@@ -113,7 +113,8 @@ def test_variable_maps(rng):
         V2 = f.K**2 / R[-1] ** 2
         W2 = co["H"] ** 2 / rhat[-1] ** 2
         Qhat = co["B"] / rhat[-1] ** 2
-        assert V2 * W2 == pytest.approx(f.Q * Qhat, rel=1e-12)
+        Q = f.B / (R[-1] * R[-1])  # the Z-scaled form B / Z^2
+        assert V2 * W2 == pytest.approx(Q * Qhat, rel=1e-12)
 
 
 def test_co_metric_euclidean(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finsleroid import tensors
 from finsleroid import (Space, fmf, gen_trig, indicatrix_length,
                         landsberg_check, make_param, metric, rund_residual,
                         trig_derivatives)
@@ -118,6 +119,19 @@ def test_rund_negative_control():
     # wrong sign of the scalar leaves a residual bounded away from zero
     p = make_param(0.4)
     assert rund_residual(p, FS, cartan_scalar=+p.g) > 0.01
+
+
+def test_landsberg_one_metric_call(monkeypatch):
+    # sqrt_det comes from one metric call over the stacked samples
+    shapes = []
+    fn = tensors.metric
+
+    def counted(p, sp, R):
+        shapes.append(np.shape(R))
+        return fn(p, sp, R)
+    monkeypatch.setattr(tensors, "metric", counted)
+    landsberg_check(make_param(0.4), FS)
+    assert shapes == [(len(FS), 2)]
 
 
 def test_landsberg_identities():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finsleroid import (AxisSingular, Space, angular, cartan, curvature_S,
+from finsleroid import (AxisSingular, DegenerateVector, Space, angular, cartan, curvature_S,
                         fmf, grad_covector, make_param, metric, metric_det,
                         metric_inverse, scalar_forms)
 from conftest import count_scalar_forms, fd_hessian, rand_space, rand_vec
@@ -13,6 +13,38 @@ def draw(rng, dims=(2, 3, 5), g_lo=-1.8, g_hi=1.8, min_q=0.25):
     sp = rand_space(n, rng)
     R = rand_vec(p, sp, rng, min_q=min_q)
     return p, sp, R
+
+
+# ------------------------------------------------------------ broadcasting
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_metric_broadcasts_over_leading_axes(rng, identity):
+    sp = rand_space(3, rng, identity=identity)
+    for g in (0.0, 0.7, -1.5):
+        p = make_param(g)
+        for shape in ((6,), (2, 4)):
+            X = rng.normal(size=shape + (3,))
+            m = metric(p, sp, X)
+            assert m.shape == shape + (3, 3)
+            for idx in np.ndindex(*shape):
+                assert np.array_equal(m[idx], metric(p, sp, X[idx]))
+
+
+def test_metric_stack_with_axis_rows(rng):
+    # an axis row raises for g != 0 and reads r_pq at g = 0, with no 0 * inf
+    sp = rand_space(3, rng)
+    X = np.array([[0.3, 0.5, 1.0], [0.0, 0.0, -2.0], [0.2, -0.1, 0.0]])
+    for g in (0.4, -1.9):
+        with pytest.raises(AxisSingular):
+            metric(make_param(g), sp, X)
+    m = metric(make_param(0.0), sp, X)
+    assert np.array_equal(m[1], sp.r_full)
+    X[1] = 0.0
+    with pytest.raises(DegenerateVector):
+        metric(make_param(0.4), sp, X)
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        metric(make_param(0.4), sp, X)
 
 
 # --------------------------------------------------------------- gradient

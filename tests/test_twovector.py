@@ -42,6 +42,14 @@ def test_n2_euclidean(rng):
     t2 = rand_vec(p, sp, rng)
     tv = n2(p, t1, t2, space=sp)
     assert np.allclose(tv.components, sp.r_full, atol=1e-12)
+    # near the antipodal pair, image angle pi - O(delta), n2 stays r_full
+    for n in (2, 3, 5):
+        for identity in (True, False):
+            sp = rand_space(n, rng, identity=identity)
+            t1, e = rand_vec(p, sp, rng), rng.normal(size=n)
+            for delta in 10.0 ** -np.arange(2, 9):
+                comp = n2(p, t1, -t1 + delta * e, space=sp).components
+                assert np.max(np.abs(comp - sp.r_full)) <= 1e-14 * np.max(np.abs(sp.r_full))
 
 
 def test_n2_mixed_hessian(rng):
