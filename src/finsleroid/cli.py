@@ -13,7 +13,6 @@ configuration produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -25,8 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import angle as angle_mod
-from . import cospace, geodesic, plane, quasieuclid, shape, tensors
-from .core import Param, Space, checked_forms, fmf, make_param
+from . import cospace, geodesic, identities, quasieuclid, shape, tensors
+from .core import Space, checked_forms, fmf, make_param
 from .errors import FinsleroidError, OutOfRange
 
 EXIT_OK = 0
@@ -193,207 +192,15 @@ def cmd_figures(args) -> int:
                                  np.column_stack([fs, prof, circle]), [f"g={_fmt(g)}"]))
         written.append(path)
     gs = np.linspace(-1.9, 1.9, 191)
-    reports = [shape.shape_report(make_param(float(g))) for g in gs]
+    report = shape.shape_report(make_param(gs))
     path = outdir / "equator_radius_curve.csv"
-    path.write_text(_csv(["g", "q_star"],
-                         np.column_stack([gs, [r.q_star for r in reports]])))
+    path.write_text(_csv(["g", "q_star"], np.column_stack([gs, report.q_star])))
     written.append(path)
     path = outdir / "width_height_curve.csv"
-    path.write_text(_csv(["g", "Z_2star"],
-                         np.column_stack([gs, [r.Z_2star for r in reports]])))
+    path.write_text(_csv(["g", "Z_2star"], np.column_stack([gs, report.Z_2star])))
     written.append(path)
     sys.stdout.write("".join(f"{p}\n" for p in written))
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# check battery
-# ---------------------------------------------------------------------------
-
-def _rand_vec(rng, sp: Space, min_q: float = 0.2) -> np.ndarray:
-    while True:
-        v = rng.normal(size=sp.dim)
-        if sp.spatial_norm(v) > min_q and sp.norm(v) > min_q:
-            return v
-
-
-def _check_battery(rng, inject_fault: bool) -> List[Tuple[str, float, float]]:
-    """Run every identity check; returns (name, residual, default_tol)."""
-    results = []
-
-    def run(name, tol, fn):
-        results.append((name, float(fn()), tol))
-
-    def param_for(g: float) -> Param:
-        p = make_param(g)
-        if inject_fault:
-            p = dataclasses.replace(p, h=p.h + 1e-3)
-        return p
-
-    sp3 = Space.euclidean(3)
-    samples = [(param_for(float(rng.uniform(-1.8, 1.8))), _rand_vec(rng, sp3))
-               for _ in range(40)]
-
-    def form_identities():
-        worst = 0.0
-        for p, R in samples:
-            f = checked_forms(p, sp3, R)[1]
-            worst = max(worst, abs(f.A**2 + p.h**2 * f.q**2 - f.B) / f.B,
-                        abs(f.L**2 + p.h**2 * R[-1]**2 - f.B) / f.B)
-        return worst
-    run("form_identities", 1e-12, form_identities)
-
-    def homogeneity():
-        worst = 0.0
-        lam = np.array([1.0, 0.5, 2.0, 10.0])
-        for p, R in samples[:20]:
-            K = fmf(p, sp3, lam[:, None] * R)  # one call over (R, 0.5 R, 2 R, 10 R)
-            worst = max(worst, float(np.max(np.abs(K[1:] - lam[1:] * K[0]) / (lam[1:] * K[0]))))
-        return worst
-    run("homogeneity", 1e-12, homogeneity)
-
-    def euler_identity():
-        worst = 0.0
-        for p, R in samples:
-            K2 = fmf(p, sp3, R) ** 2
-            worst = max(worst, abs(tensors.grad_covector(p, sp3, R) @ R - K2) / K2)
-        return worst
-    run("euler_identity", 1e-11, euler_identity)
-
-    def det_law():
-        worst = 0.0
-        for p, R in samples:
-            d = np.linalg.det(tensors.metric(p, sp3, R))
-            worst = max(worst, abs(d - tensors.metric_det(p, sp3, R)) / abs(d))
-        return worst
-    run("metric_det_law", 1e-10, det_law)
-
-    def metric_hessian():
-        worst = 0.0
-        for p, R in samples[:8]:
-            # a step relative to |R|: a fixed one is dominated by rounding
-            # for |R| ~ 3
-            eps = 1e-4 * sp3.norm(R)
-            gm = tensors.metric(p, sp3, R)
-            # X[k, i, j] = R + di e_i + dj e_j for the k-th sign pair (di, dj)
-            X = np.empty((4, 3, 3, 3))
-            for k, (di, dj) in enumerate(((eps, eps), (eps, -eps), (-eps, eps), (-eps, -eps))):
-                for i in range(3):
-                    for j in range(3):
-                        x = X[k, i, j]
-                        x[:] = R
-                        x[i] += di
-                        x[j] += dj
-            k2 = 0.5 * fmf(p, sp3, X) ** 2
-            H = (k2[0] - k2[1] - k2[2] + k2[3]) / (4 * eps * eps)
-            worst = max(worst, np.max(np.abs(gm - H)) / np.max(np.abs(gm)))
-        return worst
-    run("metric_hessian", 1e-5, metric_hessian)
-
-    def cartan_contraction():
-        worst = 0.0
-        for p, R in samples:
-            if abs(p.g) < 1e-3:
-                continue
-            ct = tensors.cartan(p, sp3, R)
-            K2 = fmf(p, sp3, R) ** 2
-            worst = max(worst, abs(K2 * (ct.covector @ ct.vector)
-                                   - 9 * p.g**2 / 4) / (9 * p.g**2 / 4))
-        return worst
-    run("cartan_contraction", 1e-12, cartan_contraction)
-
-    def curvature_constant():
-        worst = 0.0
-        for p, R in samples[:12]:
-            s_star = tensors.curvature_S(p, sp3, R).s_star
-            worst = max(worst, abs(1.0 + s_star - p.h**2))
-        return worst
-    run("curvature_constant", 1e-12, curvature_constant)
-
-    def duality():
-        worst = 0.0
-        for p, R in samples:
-            K = fmf(p, sp3, R)
-            worst = max(worst, abs(cospace.fhf(p, sp3, cospace.to_costate(p, sp3, R)) - K) / K)
-            worst = max(worst, abs(cospace.fhf(p, sp3, R)
-                                   - fmf(param_for(-p.g), sp3, R)) / K)
-        return worst
-    run("duality", 1e-9, duality)
-
-    def qe_roundtrip():
-        worst = 0.0
-        for p, R in samples:
-            t = quasieuclid.sigma(p, sp3, R)
-            worst = max(worst, float(np.max(np.abs(quasieuclid.mu(p, sp3, t) - R))),
-                        abs(quasieuclid.snorm(sp3, t) - fmf(p, sp3, R)))
-        return worst
-    run("qe_roundtrip", 1e-10, qe_roundtrip)
-
-    def metric_pullback():
-        worst = 0.0
-        for p, R in samples[:12]:
-            jac = quasieuclid.sigma_jacobian(p, sp3, R)
-            nm = quasieuclid.n_metric(p, sp3, quasieuclid.sigma(p, sp3, R))
-            gm = tensors.metric(p, sp3, R)
-            worst = max(worst, np.max(np.abs(jac @ nm.low @ jac.T - gm)) / np.max(np.abs(gm)))
-        return worst
-    run("metric_pullback", 1e-10, metric_pullback)
-
-    def geodesic_norm_law():
-        worst = 0.0
-        for p, R in samples[:10]:
-            R2 = _rand_vec(rng, sp3)
-            try:
-                bd = geodesic.connect(p, quasieuclid.sigma(p, sp3, R),
-                                      quasieuclid.sigma(p, sp3, R2), space=sp3)
-            except FinsleroidError:
-                continue
-            for s in np.linspace(0.1, 0.9, 5) * bd.delta_s:
-                t, _ = geodesic.qe_geodesic_at(bd, float(s))
-                S2 = bd.a**2 + 2 * bd.b * s + s * s
-                worst = max(worst, abs(sp3.dot(t, t) - S2) / S2)
-        return worst
-    run("geodesic_norm_law", 1e-10, geodesic_norm_law)
-
-    def angle_laws():
-        worst = 0.0
-        for p, R in samples[:10]:
-            R2 = _rand_vec(rng, sp3)
-            pair = angle_mod.fins_angle(p, sp3, R, R2)
-            t1 = quasieuclid.sigma(p, sp3, R)
-            t2 = quasieuclid.sigma(p, sp3, R2)
-            worst = max(worst, abs(pair.alpha - angle_mod.qe_angle(p, t1, t2, space=sp3)))
-            try:
-                bd = geodesic.connect(p, t1, t2, space=sp3)
-                worst = max(worst, abs(pair.ominus_sq - bd.delta_s**2))
-            except FinsleroidError:
-                pass
-        return worst
-    run("angle_laws", 1e-9, angle_laws)
-
-    def shape_mirror():
-        worst = 0.0
-        for g in (0.2, 0.4, 0.6):
-            prof_p = shape.indicatrix_profile(param_for(g), 64)
-            prof_m = shape.indicatrix_profile(param_for(-g), 64)
-            flipped = prof_m[::-1].copy()
-            flipped[:, 1] *= -1.0
-            worst = max(worst, float(np.max(np.abs(prof_p - flipped))))
-        return worst
-    run("shape_mirror", 1e-10, shape_mirror)
-
-    def plane_identities():
-        worst = 0.0
-        fs = np.linspace(0.05, math.pi - 0.05, 40)
-        for g in (0.0, 0.4, -0.6, 1.2):
-            p = param_for(g)
-            worst = max(worst, plane.rund_residual(p, fs))
-            chk = plane.landsberg_check(p, fs)
-            worst = max(worst, chk["wronskian"], chk["sqrt_det"], chk["convexity"])
-        return worst
-    run("plane_identities", 1e-8, plane_identities)
-
-    return results
 
 
 def cmd_check(args) -> int:
@@ -404,7 +211,7 @@ def cmd_check(args) -> int:
         if not val:
             raise ValueError(f"--tol expects KEY=VAL, got {item!r}")
         tol_over[key] = float(val)
-    results = _check_battery(rng, args.inject_fault)
+    results = identities.run_battery(rng, args.inject_fault)
     checks = []
     all_ok = True
     for name, residual, tol in results:

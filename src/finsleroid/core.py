@@ -8,7 +8,8 @@ Vectors are plain 1-D numpy arrays with the axial component stored last:
 forms and of K (``fmf`` is its K), also takes vectors stacked along leading
 axes, shape ``(..., N)``, and evaluates every row with one numpy formula.
 
-The anisotropy is controlled by a single parameter ``g`` in (-2, 2).
+The anisotropy is controlled by a single parameter ``g`` in (-2, 2), or by
+one ``g`` per row of a stack (``make_param`` of an array of g).
 At g = 0 everything collapses to the Euclidean geometry of the input
 metric; as |g| -> 2 the unit body stretches toward a cone.
 """
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateVector, OutOfRange
+from .errors import AxisSingular, DegenerateVector, OutOfRange
 
 __all__ = [
     "COLLINEAR_TOL",
@@ -43,36 +44,98 @@ class Param:
     h = sqrt(1 - g^2/4), G = g/h, and the two conjugate root pairs
     g_plus/g_minus (roots of the characteristic form in -Z/q) and
     g_up_plus/g_up_minus (their mirror under g -> -g).
+
+    Every field is a float for a float g. For an array of g every field is
+    an array of g's shape, one entry per row, and broadcasts with the rows
+    of a stack of vectors: R of shape (..., N) with g of shape R.shape[:-1]
+    evaluates row i at g[i].
     """
 
-    g: float
-    h: float
-    G: float
-    g_plus: float
-    g_minus: float
-    g_up_plus: float
-    g_up_minus: float
+    g: Union[float, np.ndarray]
+    h: Union[float, np.ndarray]
+    G: Union[float, np.ndarray]
+    g_plus: Union[float, np.ndarray]
+    g_minus: Union[float, np.ndarray]
+    g_up_plus: Union[float, np.ndarray]
+    g_up_minus: Union[float, np.ndarray]
 
     def mirrored(self) -> "Param":
         """The parameter set for -g."""
         return make_param(-self.g)
 
 
-def make_param(g: float) -> Param:
-    """Build a Param from the characteristic parameter g in (-2, 2)."""
-    g = float(g)
-    if not -2.0 < g < 2.0 or not math.isfinite(g):
+def make_param(g: Union[float, np.ndarray]) -> Param:
+    """Build a Param from the characteristic parameter g in (-2, 2): a float,
+    or an array of g for per-row parameters. Every entry must be finite with
+    |g| < 2."""
+    ga = np.array(g, dtype=float)
+    if np.count_nonzero(~(np.abs(ga) < 2.0)):  # NaN fails the test too
         raise OutOfRange(f"characteristic parameter must satisfy |g| < 2, got {g}")
-    h = math.sqrt(1.0 - 0.25 * g * g)
+    # the product of the two factors: 1 - g^2/4 cancels as |g| -> 2
+    h = np.sqrt((1.0 - 0.5 * ga) * (1.0 + 0.5 * ga))
+    if ga.ndim == 0:
+        ga, h = float(ga), float(h)
     return Param(
-        g=g,
+        g=ga,
         h=h,
-        G=g / h,
-        g_plus=0.5 * g + h,
-        g_minus=0.5 * g - h,
-        g_up_plus=-0.5 * g + h,
-        g_up_minus=-0.5 * g - h,
+        G=ga / h,
+        g_plus=0.5 * ga + h,
+        g_minus=0.5 * ga - h,
+        g_up_plus=-0.5 * ga + h,
+        g_up_minus=-0.5 * ga - h,
     )
+
+
+def any_row(mask) -> bool:
+    """Whether a row mask holds on some row. The mask of one vector at a
+    float g is a bool, read as it is: np.count_nonzero would first make it
+    an array."""
+    return mask if isinstance(mask, bool) else bool(np.count_nonzero(mask))
+
+
+def require_off_axis(p: Param, f: "ScalarForms", what: str) -> None:
+    """Raise AxisSingular when a row with g != 0 lies on the axis (q = 0)."""
+    if any_row((f.q == 0.0) & (p.g != 0.0)):
+        raise AxisSingular(f"{what} undefined on the axis (q = 0) for g != 0")
+
+
+def g_zero_rows(p: Param, q):
+    """The g = 0 shortcut of a tensor builder, row by row: (z, q). z is a
+    bool when every row or none has g = 0 (a float g included), else the
+    boolean mask of those rows. q is the spatial norm for the builder's 1/q
+    terms: with a mask its axis rows, which have g = 0 once the axis check
+    has passed, read 1 and stay finite until write_rows sets them."""
+    z = p.g == 0.0
+    if isinstance(z, bool):
+        return z, q
+    n = np.count_nonzero(z)
+    if 0 < n < z.size:
+        return z, np.where(q == 0.0, 1.0, q)
+    return bool(n), q
+
+
+def write_rows(z, R: np.ndarray, out: np.ndarray, value) -> None:
+    """Write value on the rows of out where the g = 0 mask z of
+    g_zero_rows holds; nothing when z is a bool."""
+    if isinstance(z, np.ndarray):
+        out[np.broadcast_to(z, R.shape[:-1])] = value
+
+
+def fill_rows(R: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """value at every row of R: a new array of shape R.shape[:-1] + value.shape."""
+    return np.broadcast_to(value, R.shape[:-1] + value.shape).copy()
+
+
+def per_row(x, k: int = 1):
+    """A per-row scalar with k trailing axes, so that it broadcasts over the
+    components of each row of a stack; a float stays a float."""
+    return x[(...,) + (None,) * k] if isinstance(x, np.ndarray) else x
+
+
+def axial(R: np.ndarray) -> Union[float, np.ndarray]:
+    """The axial component Z of a checked vector (a float) or of every row
+    of a stack (an array of shape R.shape[:-1])."""
+    return float(R[-1]) if R.ndim == 1 else R[..., -1]
 
 
 # The one collinearity threshold of the pair code, on u / sqrt(a11 a22), the
@@ -83,8 +146,9 @@ COLLINEAR_TOL = 1e-14
 
 class Gram(NamedTuple):
     """Pair geometry of nonzero x, y from Space.gram: the products a11, a22,
-    a12, the residual perp = y - (a12/a11) x, the Gram root u = |x| |perp|,
-    the angle atan2(u, a12) in [0, pi] and u / sqrt(a11 a22) <= COLLINEAR_TOL.
+    a12, the residual perp = y - (a12/a11) x (formed from y - lam x, lam a
+    signed power of two, near (anti)parallel pairs), the Gram root
+    u = |x| |perp|, the angle atan2(u, a12) in [0, pi] and u / sqrt(a11 a22) <= COLLINEAR_TOL.
     Taking u from the residual, not from a11 a22 - a12^2, keeps u and the
     angle accurate near 0 and pi (Kahan 2006). d1 = (a11 y - a12 x) / u and
     d2 = (a22 x - a12 y) / u: (x.d1) = (d2.y) = 0, (d1.y) = (x.d2) = u."""
@@ -202,7 +266,16 @@ class Space:
         a11, a12, a22 = rx @ x, rx @ y, y @ r @ y
         if a11 == 0.0 or a22 == 0.0:
             raise DegenerateVector("pair geometry needs two nonzero vectors")
-        perp = y - (a12 / a11) * x
+        if 16.0 * a12 * a12 < 15.0 * a11 * a22:
+            perp = y - (a12 / a11) * x
+        else:
+            # within about 15 degrees of (anti)parallel y - (a12/a11) x
+            # cancels. With lam the power of two nearest |y|/|x|, signed like
+            # a12, y - lam x is exact for y near lam x, and s - (r x.s / a11) x
+            # is the same residual without the cancellation
+            lam = math.copysign(2.0 ** round(0.5 * math.log2(a22 / a11)), a12)
+            s = y - lam * x
+            perp = s - ((rx @ s) / a11) * x
         u = math.sqrt(a11 * max(perp @ r @ perp, 0.0))
         return Gram(x, y, perp, a11, a22, a12, u, math.atan2(u, a12),
                     u <= COLLINEAR_TOL * math.sqrt(a11 * a22))
@@ -280,8 +353,8 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     R = sp.check_vector(R)
     one = R.ndim == 1
     q = sp.spatial_norm(R)
-    Z = float(R[-1]) if one else R[..., -1]
-    if np.count_nonzero((q == 0.0) & (Z == 0.0)):
+    Z = axial(R)
+    if any_row((q == 0.0) & (Z == 0.0)):
         raise DegenerateVector("scalar forms are undefined at the origin")
     g = p.g
     B = Z * Z + g * q * Z + q * q

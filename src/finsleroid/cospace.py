@@ -2,7 +2,9 @@
 Legendre-style duality maps between vectors and covectors.
 
 Covectors are 1-D arrays (R_1, ..., R_{N-1}, Zhat) with the axial slot
-last; their spatial norm uses the inverse spatial matrix r^ab.
+last; their spatial norm uses the inverse spatial matrix r^ab. fhf,
+co_scalar_forms and to_costate also take covectors stacked along leading
+axes, shape (..., N); from_costate and co_metric take one covector.
 
 H is implemented from its own closed form, not as K at -g, so the mirror
 symmetry H(g; X) = K(-g; X) stays a nontrivial cross-check.
@@ -10,12 +12,11 @@ symmetry H(g; X) = K(-g; X) stays a nontrivial cross-check.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space
+from .core import Param, Space, any_row, axial
 from .errors import AxisSingular, DegenerateVector
 from .tensors import grad_covector
 
@@ -23,34 +24,47 @@ __all__ = ["fhf", "co_scalar_forms", "to_costate", "from_costate", "co_metric"]
 
 
 def _co_forms(p: Param, sp: Space, Rhat: np.ndarray):
+    """The checked covector and its characteristic scalars (qh, Bh, Ah, Lh,
+    Phih, Jh, H): floats for one covector (N,), arrays of shape
+    Rhat.shape[:-1] for a stack (..., N)."""
     Rhat = sp.check_vector(Rhat)
-    Rs = Rhat[:-1]
-    qh = math.sqrt(max(float(Rs @ sp.r_spatial_inv @ Rs), 0.0))
-    Zh = float(Rhat[-1])
-    if qh == 0.0 and Zh == 0.0:
+    Rs = Rhat[..., :-1]
+    qh = np.sqrt(abs(np.vecdot(Rs @ sp.r_spatial_inv, Rs)))
+    qh = float(qh) if qh.ndim == 0 else qh
+    Zh = axial(Rhat)
+    if any_row((qh == 0.0) & (Zh == 0.0)):
         raise DegenerateVector("co-function undefined at the origin")
-    g, h, G = p.g, p.h, p.G
+    g = p.g
     Bh = Zh * Zh - g * qh * Zh + qh * qh
     Ah = Zh - 0.5 * g * qh
     Lh = qh - 0.5 * g * Zh
-    if qh > 0.0:
-        Phih = math.atan2(Ah, h * qh)
-    else:
-        Phih = math.copysign(0.5 * math.pi, Zh)
-    Jh = math.exp(-0.5 * G * Phih)
-    H = math.sqrt(Bh) * Jh
-    return qh, Bh, Ah, Lh, Phih, Jh, H
+    # on the axis atan2(Zh, +0) = +-pi/2
+    Phih = np.arctan2(Ah, p.h * qh)
+    Jh = np.exp(-0.5 * p.G * Phih)
+    H = np.sqrt(Bh) * Jh
+    if Rhat.ndim == 1:
+        Phih, Jh, H = float(Phih), float(Jh), float(H)
+    return Rhat, (qh, Bh, Ah, Lh, Phih, Jh, H)
+
+
+def _one_co_forms(p: Param, sp: Space, Rhat: np.ndarray):
+    """_co_forms for the functions of one covector: a stack raises
+    ValueError."""
+    if np.ndim(Rhat) != 1:
+        raise ValueError(f"expected one covector, got shape {np.shape(Rhat)}")
+    return _co_forms(p, sp, Rhat)
 
 
 def co_scalar_forms(p: Param, sp: Space, Rhat: np.ndarray) -> dict:
-    """Characteristic scalars of a covector, keyed like the vector-side set."""
-    qh, Bh, Ah, Lh, Phih, Jh, H = _co_forms(p, sp, Rhat)
-    return {"q": qh, "B": Bh, "A": Ah, "L": Lh, "Phi": Phih, "J": Jh, "H": H}
+    """Characteristic scalars of a covector, or of every row of a stack,
+    keyed like the vector-side set."""
+    return dict(zip(("q", "B", "A", "L", "Phi", "J", "H"), _co_forms(p, sp, Rhat)[1]))
 
 
-def fhf(p: Param, sp: Space, Rhat: np.ndarray) -> float:
-    """Hamiltonian co-function H(g; Rhat), the dual norm of a covector."""
-    return _co_forms(p, sp, Rhat)[-1]
+def fhf(p: Param, sp: Space, Rhat: np.ndarray) -> Union[float, np.ndarray]:
+    """Hamiltonian co-function H(g; Rhat), the dual norm of a covector: a
+    float for one covector, an array of shape Rhat.shape[:-1] for a stack."""
+    return _co_forms(p, sp, Rhat)[1][-1]
 
 
 def to_costate(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
@@ -64,7 +78,7 @@ def from_costate(p: Param, sp: Space, Rhat: np.ndarray) -> np.ndarray:
 
     Closed form; inverts to_costate exactly, including on the axis.
     """
-    qh, Bh, Ah, Lh, Phih, Jh, H = _co_forms(p, sp, Rhat)
+    Rhat, (qh, Bh, Ah, Lh, Phih, Jh, H) = _one_co_forms(p, sp, Rhat)
     out = np.empty(sp.dim)
     out[:-1] = (sp.r_spatial_inv @ Rhat[:-1]) * H**2 / Bh
     out[-1] = (Rhat[-1] - p.g * qh) * H**2 / Bh
@@ -77,8 +91,7 @@ def co_metric(p: Param, sp: Space, Rhat: np.ndarray) -> Tuple[np.ndarray, np.nda
     Substituting Rhat = to_costate(R) reproduces metric_inverse(R) and
     metric(R) exactly.
     """
-    Rhat = sp.check_vector(Rhat)
-    qh, Bh, Ah, Lh, Phih, Jh, H = _co_forms(p, sp, Rhat)
+    Rhat, (qh, Bh, Ah, Lh, Phih, Jh, H) = _one_co_forms(p, sp, Rhat)
     if qh == 0.0:
         if p.g == 0.0:
             return sp.r_full_inv.copy(), sp.r_full.copy()

@@ -6,7 +6,9 @@ coefficients, conformal flatness, induced sphere geometry).
 
 Image-space points are plain arrays t with the axial slot last. Their
 Euclidean norm is S(t) = sqrt(r_pq t^p t^q); sigma satisfies
-S(sigma(R)) = K(R). mu also takes points stacked along leading axes.
+S(sigma(R)) = K(R). sigma, mu, sigma_jacobian, n_metric, snorm, mnorm and
+unit_l also take points stacked along leading axes, (..., N), with one g
+or one g per row; the other functions take one point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Param, Space, checked_forms
+from .core import (Param, Space, any_row, axial, fill_rows, g_zero_rows,
+                   per_row, require_off_axis, scalar_forms, write_rows)
 from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -40,9 +43,12 @@ __all__ = [
 ]
 
 
-def snorm(sp: Space, t: np.ndarray) -> float:
-    """S(t), the full Euclidean norm of an image-space point."""
-    return sp.norm(t)
+def snorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
+    """S(t), the full Euclidean norm of an image-space point, as the hypot
+    of m(t) and t^N; broadcasts over the leading axes of t like mnorm."""
+    t = np.asarray(t, dtype=float)
+    S = np.hypot(sp.spatial_norm(t), t[..., -1])
+    return float(S) if S.ndim == 0 else S
 
 
 def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
@@ -52,34 +58,42 @@ def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
 
 
 def _radial(sp: Space, t: np.ndarray, what: str):
-    """S(t) and L = t / S(t) of the checked image point t; raises
-    DegenerateVector at the origin."""
+    """S(t) and L = t / S(t) of the checked image point t, one vector or a
+    stack (..., N); raises DegenerateVector on a row at the origin."""
     t = sp.check_vector(t)
     S = snorm(sp, t)
-    if S == 0.0:
+    if any_row(S == 0.0):
         raise DegenerateVector(f"{what} undefined at the origin")
-    return S, t / S
+    return S, t / per_row(S)
+
+
+def _one_radial(sp: Space, t: np.ndarray, what: str):
+    """_radial for the functions of one image point: a stack raises
+    ValueError."""
+    if np.ndim(t) != 1:
+        raise ValueError(f"expected one vector, got shape {np.shape(t)}")
+    return _radial(sp, t, what)
 
 
 def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
-    """Unit radial vector L^p = t^p / S(t)."""
+    """Unit radial vector L^p = t^p / S(t); broadcasts like snorm."""
     return _radial(sp, t, "unit vector")[1]
 
 
-def sigma_over_j(p: Param, R: np.ndarray, A: float) -> np.ndarray:
+def sigma_over_j(p: Param, R: np.ndarray, A) -> np.ndarray:
     """sigma(R) / J = (h R^a, A), from the axial combination A of R: norm
     sqrt(B), and the angle of two of them is that of their sigma images."""
-    t = np.empty(len(R))
-    t[:-1] = np.multiply(R[:-1], p.h)
-    t[-1] = A
+    t = R * per_row(p.h)
+    t[..., -1] = A
     return t
 
 
 def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Forward map: t^a = R^a h J, t^N = A J. Positively homogeneous,
     and S(sigma(R)) = K(R)."""
-    R, f = checked_forms(p, sp, R)
-    return sigma_over_j(p, R, f.A) * f.J
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
+    return sigma_over_j(p, R, f.A) * per_row(f.J)
 
 
 def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
@@ -107,23 +121,26 @@ def sigma_jacobian(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
     Requires q > 0 unless g = 0 (identity). det = h^(N-1) J^N.
     """
-    R, f = checked_forms(p, sp, R)
-    return _sigma_jacobian(p, sp, R, f)
+    R = np.asarray(R, dtype=float)
+    return _sigma_jacobian(p, sp, R, scalar_forms(p, sp, R))
 
 
 def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
-    if f.q == 0.0:
-        if p.g == 0.0:
-            return np.eye(sp.dim)
-        raise AxisSingular("sigma Jacobian undefined on the axis (q = 0) for g != 0")
-    g, h, J = p.g, p.h, f.J
-    q, B, A, Z = f.q, f.B, f.A, float(R[-1])
-    rR = sp.r_spatial @ R[:-1]
-    out = np.empty((sp.dim, sp.dim))
-    out[-1, -1] = (B + 0.5 * g * q * A) * J / B
-    out[:-1, -1] = -g * (Z * A - B) / (2 * q) * J * rR / B
-    out[-1, :-1] = 0.5 * g * q * J * R[:-1] * h / B
-    out[:-1, :-1] = (B * np.eye(sp.dim - 1) - 0.5 * g * Z / q * np.outer(rR, R[:-1])) * J * h / B
+    require_off_axis(p, f, "sigma Jacobian")
+    z, q = g_zero_rows(p, f.q)
+    if z is True:
+        return fill_rows(R, np.eye(sp.dim))
+    g, h, J, B, A, Z = p.g, p.h, f.J, f.B, f.A, axial(R)
+    Rs = R[..., :-1]
+    rR = Rs @ sp.r_spatial
+    out = np.empty(R.shape + R.shape[-1:])
+    out[..., -1, -1] = (B + 0.5 * g * q * A) * J / B
+    out[..., :-1, -1] = per_row(-g * (Z * A - B) / (2 * q) * J / B) * rR
+    out[..., -1, :-1] = per_row(0.5 * g * q * J * h / B) * Rs
+    out[..., :-1, :-1] = ((per_row(B, 2) * np.eye(sp.dim - 1)
+                           - (per_row(0.5 * g * Z / q) * rR)[..., :, None] * Rs[..., None, :])
+                          * per_row(J * h / B, 2))
+    write_rows(z, R, out, np.eye(sp.dim))
     return out
 
 
@@ -161,16 +178,20 @@ class NMetric:
 
     low: np.ndarray
     up: np.ndarray
-    det: float
+    det: Union[float, np.ndarray]
 
 
 def n_metric(p: Param, sp: Space, t: np.ndarray) -> NMetric:
     """n^rs = h^2 r^rs + (g^2/4) L^r L^s and its inverse
-    n_rs = r_rs / h^2 - (G^2/4) L_r L_s; det(n_rs) = h^(2(1-N)) det(r_ab)."""
+    n_rs = r_rs / h^2 - (G^2/4) L_r L_s; det(n_rs) = h^(2(1-N)) det(r_ab).
+    The det does not depend on t: it is an array only for per-row g."""
     L = unit_l(sp, t)
-    Llow = sp.r_full @ L
-    up = p.h**2 * sp.r_full_inv + 0.25 * p.g**2 * np.outer(L, L)
-    low = sp.r_full / p.h**2 - 0.25 * p.G**2 * np.outer(Llow, Llow)
+    Llow = L @ sp.r_full
+    h2 = per_row(p.h * p.h, 2)
+    up = (h2 * sp.r_full_inv
+          + per_row(0.25 * p.g * p.g, 2) * (L[..., :, None] * L[..., None, :]))
+    low = (sp.r_full / h2
+           - per_row(0.25 * p.G * p.G, 2) * (Llow[..., :, None] * Llow[..., None, :]))
     det = p.h ** (2 * (1 - sp.dim)) * sp.r_spatial_det
     return NMetric(low=low, up=up, det=det)
 
@@ -181,7 +202,7 @@ def qe_christoffel(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     Identities: t^p N_p^r_q = 0, trace-free, nilpotent product.
     """
-    S, L = _radial(sp, t, "Christoffel symbols")
+    S, L = _one_radial(sp, t, "Christoffel symbols")
     Llow = sp.r_full @ L
     H = sp.r_full - np.outer(Llow, Llow)
     return -0.25 * p.G**2 * np.einsum("r,pq->prq", L, H) / S
@@ -192,7 +213,7 @@ def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     All contractions with the radial unit vector vanish.
     """
-    S, L = _radial(sp, t, "curvature")
+    S, L = _one_radial(sp, t, "curvature")
     Llow = sp.r_full @ L
     H = sp.r_full - np.outer(Llow, Llow)
     return -0.25 * p.G**2 * (np.einsum("pq,rs->prqs", H, H)
@@ -220,7 +241,7 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
     base_frame[P, q] must satisfy sum_P base[P, p] base[P, q] = r_pq;
     default is the Cholesky-derived frame of the space.
     """
-    S, L = _radial(sp, t, "frames")
+    S, L = _one_radial(sp, t, "frames")
     if base_frame is None:
         base = sp.base_frame
         base_inv = sp.base_frame_inv
@@ -244,14 +265,14 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
 
 def conformal_factor(p: Param, sp: Space, t: np.ndarray) -> float:
     """Conformal scale xi = (S^2/2)^((h-1)/2); equals 1 at S = sqrt(2)."""
-    S = _radial(sp, t, "conformal factor")[0]
+    S = _one_radial(sp, t, "conformal factor")[0]
     return (0.5 * S * S) ** (0.5 * (p.h - 1.0))
 
 
 def conformal_check(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Transport n^rs through the radial rescaling map and return the
     result c^pq, which equals xi^2 r^pq (conformal flatness)."""
-    S2 = _radial(sp, t, "conformal transport")[0] ** 2
+    S2 = _one_radial(sp, t, "conformal transport")[0] ** 2
     h = p.h
     xi = (0.5 * S2) ** (0.5 * (h - 1.0))
     a_prime = 0.5 * (h - 1.0) * (0.5 * S2) ** (0.5 * (h - 3.0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -36,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShapeReport:
-    """Extremal dimensions of the unit body.
+    """Extremal dimensions of the unit body: floats for a float g, arrays of
+    g's shape for per-row g.
 
     q_star          equatorial radius at Z = 0
     Z1, Z2          south and north poles on the axis
@@ -46,13 +47,13 @@ class ShapeReport:
     width           2 q_2star
     """
 
-    q_star: float
-    Z1: float
-    Z2: float
-    altitude: float
-    q_2star: float
-    Z_2star: float
-    width: float
+    q_star: Union[float, np.ndarray]
+    Z1: Union[float, np.ndarray]
+    Z2: Union[float, np.ndarray]
+    altitude: Union[float, np.ndarray]
+    q_2star: Union[float, np.ndarray]
+    Z_2star: Union[float, np.ndarray]
+    width: Union[float, np.ndarray]
 
 
 def shape_report(p: Param) -> ShapeReport:
@@ -63,21 +64,13 @@ def shape_report(p: Param) -> ShapeReport:
     which resolves the branch split (Z_2star >= 0 iff g <= 0).
     """
     G = p.G
-    at = math.atan(0.5 * G)
-    q_star = math.exp(-0.5 * G * at)
-    Z1 = -math.exp(G * math.pi / 4)
-    Z2 = math.exp(-G * math.pi / 4)
-    q_2star = math.exp(0.5 * G * at)
-    Z_2star = -p.g * q_2star
-    return ShapeReport(
-        q_star=q_star,
-        Z1=Z1,
-        Z2=Z2,
-        altitude=Z2 - Z1,
-        q_2star=q_2star,
-        Z_2star=Z_2star,
-        width=2.0 * q_2star,
-    )
+    at = np.arctan(0.5 * G)
+    q_star = np.exp(-0.5 * G * at)
+    Z1 = -np.exp(G * math.pi / 4)
+    Z2 = np.exp(-G * math.pi / 4)
+    q_2star = np.exp(0.5 * G * at)
+    fields = (q_star, Z1, Z2, Z2 - Z1, q_2star, -p.g * q_2star, 2.0 * q_2star)
+    return ShapeReport(*(float(v) for v in fields) if np.ndim(G) == 0 else fields)
 
 
 def indicatrix_point(p: Param, sp: Space, f: float, n: np.ndarray) -> np.ndarray:

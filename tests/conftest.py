@@ -1,6 +1,7 @@
-"""Shared helpers: random geometry draws, finite-difference oracles and a
-counter of scalar_forms evaluations."""
+"""Shared helpers: random geometry draws, finite-difference oracles, a
+counter of scalar_forms evaluations and the array leaves of a result."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -89,6 +90,18 @@ def count_scalar_forms(monkeypatch):
         if name.startswith("finsleroid.") and getattr(module, "scalar_forms", None) is fn:
             monkeypatch.setattr(module, "scalar_forms", counted)
     return calls
+
+
+def leaves(x):
+    """The arrays of a result, in field order: a dataclass, dict, tuple or
+    list is walked, anything else is one leaf."""
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in leaves(item)]
+    return [np.asarray(x)]
 
 
 @pytest.fixture

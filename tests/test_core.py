@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import finsleroid as fd
 from finsleroid import (DegenerateVector, OutOfRange, Space, connect, fmf,
                         make_param, scalar_forms)
-from conftest import rand_space, rand_vec
+from conftest import leaves, rand_space, rand_vec
 
 
 def test_param_euclidean_case():
@@ -279,7 +278,10 @@ def test_default_space_built_once(monkeypatch):
 
 
 # the functions of ONE_VECTOR that also take vectors stacked along leading axes
-STACKED = {"scalar_forms", "fmf", "metric", "mu"}
+STACKED = {"scalar_forms", "fmf", "grad_covector", "metric", "metric_inverse",
+           "metric_det", "angular", "cartan", "curvature_S", "to_costate",
+           "fhf", "co_scalar_forms", "sigma", "sigma_jacobian", "mu",
+           "n_metric"}
 ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
               "metric_inverse", "metric_det", "angular", "cartan",
               "curvature_S", "to_costate", "from_costate", "fhf",
@@ -289,16 +291,6 @@ ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
               "axis_angle", "equator_angle", "perpendicular_companion"]
 
 
-def _leaves(x):
-    if dataclasses.is_dataclass(x):
-        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
-    elif isinstance(x, dict):
-        x = list(x.values())
-    if isinstance(x, (list, tuple)):
-        return [leaf for item in x for leaf in _leaves(item)]
-    return [np.asarray(x)]
-
-
 @pytest.mark.parametrize("name", ONE_VECTOR + ["snorm", "mnorm", "unit_l"])
 def test_one_vector_functions_take_lists(name):
     # a plain list gives the result of the same vector as an array
@@ -306,7 +298,7 @@ def test_one_vector_functions_take_lists(name):
     p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
     R = [0.3, 0.5, 1.0]
     args = (sp,) if name in ("snorm", "mnorm", "unit_l") else (p, sp)
-    got, want = _leaves(fn(*args, R)), _leaves(fn(*args, np.array(R)))
+    got, want = leaves(fn(*args, R)), leaves(fn(*args, np.array(R)))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -323,9 +315,10 @@ def test_one_vector_functions_refuse_stacks(name):
         with pytest.raises(ValueError):
             fn(p, sp, X)
         return
-    got = _leaves(fn(p, sp, X))
+    got = leaves(fn(p, sp, X))
     for i, row in enumerate(X):
-        want = _leaves(fn(p, sp, row))
+        want = leaves(fn(p, sp, row))
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert np.array_equal(a[i], b)
+            # a 0-d leaf is shared by every row (n_metric's det at a float g)
+            assert np.array_equal(a if a.ndim == 0 else a[i], b)
