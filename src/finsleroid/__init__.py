@@ -8,7 +8,7 @@ metric tensors, and reproduce the standard profile curves.
 from .core import Param, ScalarForms, Space, fmf, make_param, scalar_forms
 from .cospace import co_metric, co_scalar_forms, fhf, from_costate, to_costate
 from .errors import (AntipodalSingular, AxisSingular, BadDirection, BadFrame,
-                     ChartOutOfRange, CollinearVectors, DegenerateVector,
+                     ChartOutOfRange, CollinearVectors, ConeLimit, DegenerateVector,
                      DegenerateW, FinsleroidError, NegativeRadicand,
                      NotUnitSpeed, OutOfRange, SingularXi, VertexSingular)
 from .geodesic import (GeodesicBoundary, connect, difference_gradients,

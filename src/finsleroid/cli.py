@@ -5,8 +5,9 @@ Exit codes: 0 ok, 1 check failure, 2 bad input, 3 geometric singularity,
 4 I/O error.
 
 Configuration comes from flags or from a single JSON document
-(--config FILE); flags win on conflict. All numeric CSV fields are
-written with 17 significant digits so they round-trip; identical
+(--config FILE); flags win on conflict. CSV numbers are Python's "%.17g"
+(17 significant digits, so they round-trip), written by one exact
+vectorised pass over each block of rows (finsleroid.csvtext); identical
 configuration produces byte-identical output.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import angle as angle_mod
 from . import cospace, geodesic, identities, quasieuclid, shape, tensors
 from .core import Space, checked_forms, fmf, make_param
+from .csvtext import csv_lines
 from .errors import FinsleroidError, OutOfRange
 
 EXIT_OK = 0
@@ -72,16 +74,10 @@ def _emit(path: Optional[str], text: str) -> None:
 
 def _csv(header: List[str], table: np.ndarray,
          comments: Optional[List[str]] = None) -> str:
-    """Comment lines, the header and one line per row of the 2-D table.
-
-    The whole text is one %-format pass over a template that repeats a
-    "%.17g,...\n" row, which writes the same bytes as _fmt for every float
-    and builds no per-row strings.
-    """
-    table = np.asarray(table, dtype=float)
+    """Comment lines, the header and one line per row of the 2-D table, each
+    number written as "%.17g" % x, the bytes of _fmt."""
     head = "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (head.replace("%", "%%") + row * len(table)) % tuple(table.ravel().tolist())
+    return head + csv_lines(table)
 
 
 def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
@@ -96,7 +92,7 @@ def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
     styles = {"body": 'fill="none" stroke="black" stroke-width="0.01"',
               "circle": 'fill="none" stroke="gray" stroke-width="0.005"'}
     for name, poly in polylines:
-        # one %-format pass, as in _csv; z * -1 keeps the sign of -z, -0.0 too
+        # one %-format pass; z * -1 keeps the sign of -z, -0.0 too
         xz = tuple((poly * (1, -1)).ravel().tolist())
         coords = " ".join(["%.6f,%.6f"] * len(poly)) % xz
         style = styles.get(name, styles["body"])
@@ -211,6 +207,11 @@ def cmd_check(args) -> int:
         if not val:
             raise ValueError(f"--tol expects KEY=VAL, got {item!r}")
         tol_over[key] = float(val)
+    names = [identity.name for identity in identities.IDENTITIES]
+    unknown = sorted(set(tol_over) - set(names))
+    if unknown:
+        raise ValueError(f"--tol names no identity: {', '.join(unknown)}; "
+                         f"the identities are {', '.join(names)}")
     results = identities.run_battery(rng, args.inject_fault)
     checks = []
     all_ok = True

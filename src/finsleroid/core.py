@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import AxisSingular, DegenerateVector, OutOfRange
+from .errors import AxisSingular, ConeLimit, DegenerateVector, OutOfRange
 
 __all__ = [
     "COLLINEAR_TOL",
@@ -91,6 +91,25 @@ def any_row(mask) -> bool:
     float g is a bool, read as it is: np.count_nonzero would first make it
     an array."""
     return mask if isinstance(mask, bool) else bool(np.count_nonzero(mask))
+
+
+# J = exp(G a / 2) at an angle a in [-pi/2, pi/2]: J and 1/J are normal
+# doubles while |G a / 2| <= 1022 ln 2. Only |G| > (4/pi) 1022 ln 2 ~ 902,
+# that is 2 - |g| < 5e-6, can leave that range.
+_CONE_EXP_LIMIT = 1022 * math.log(2.0)
+_CONE_G = _CONE_EXP_LIMIT / (0.25 * math.pi)
+
+
+def half_G_angle(p: Param, a):
+    """G a / 2, the exponent of J = exp(G a / 2) at an angle a (a float or
+    an array of angles) in [-pi/2, pi/2]. Raises ConeLimit where exp of it
+    would leave the normal doubles; below |G| ~ 902 that takes one
+    comparison."""
+    x = 0.5 * p.G * a
+    if any_row(abs(p.G) > _CONE_G) and any_row(abs(x) > _CONE_EXP_LIMIT):
+        raise ConeLimit(f"cone limit: |g| is so near 2 that |G Phi / 2| exceeds "
+                        f"{_CONE_EXP_LIMIT:.1f} and exp(G Phi / 2) leaves the double range")
+    return x
 
 
 def require_off_axis(p: Param, f: "ScalarForms", what: str) -> None:
@@ -363,7 +382,7 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     # branch-free: agrees with the +-pi/2 split, is continuous across Z = 0
     # at fixed q, and on the axis atan2(Z, +0) = +-pi/2
     Phi = np.arctan2(A, p.h * q)
-    J = np.exp(0.5 * p.G * Phi)
+    J = np.exp(half_G_angle(p, Phi))
     K = np.sqrt(B) * J
     if one:
         Phi, J, K = float(Phi), float(J), float(K)

@@ -16,7 +16,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, any_row, axial
+from .core import Param, Space, any_row, axial, half_G_angle
 from .errors import AxisSingular, DegenerateVector
 from .tensors import grad_covector
 
@@ -40,7 +40,7 @@ def _co_forms(p: Param, sp: Space, Rhat: np.ndarray):
     Lh = qh - 0.5 * g * Zh
     # on the axis atan2(Zh, +0) = +-pi/2
     Phih = np.arctan2(Ah, p.h * qh)
-    Jh = np.exp(-0.5 * p.G * Phih)
+    Jh = np.exp(half_G_angle(p, -Phih))
     H = np.sqrt(Bh) * Jh
     if Rhat.ndim == 1:
         Phih, Jh, H = float(Phih), float(Jh), float(H)

@@ -14,6 +14,11 @@ class OutOfRange(FinsleroidError):
     """Characteristic parameter outside the open interval (-2, 2)."""
 
 
+class ConeLimit(FinsleroidError):
+    """|g| so near 2 that J = exp(G Phi / 2) or 1/J is not a normal double:
+    the unit body has become a cone at working precision."""
+
+
 class DegenerateVector(FinsleroidError):
     """Zero vector where a direction is required."""
 

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from . import tensors
-from .core import Param, Space
+from .core import Param, Space, half_G_angle
 
 __all__ = [
     "TrigTriple",
@@ -50,7 +50,7 @@ class TrigTriple:
 
 
 def _j(p: Param, f):
-    return np.exp(-0.5 * p.G * (f - 0.5 * math.pi))
+    return np.exp(half_G_angle(p, 0.5 * math.pi - f))
 
 
 def gen_trig(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:

@@ -20,7 +20,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (Param, Space, any_row, axial, fill_rows, g_zero_rows,
-                   per_row, require_off_axis, scalar_forms, write_rows)
+                   half_G_angle, per_row, require_off_axis, scalar_forms,
+                   write_rows)
 from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -109,7 +110,7 @@ def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     tN = t[..., -1]
     if np.count_nonzero((m == 0.0) & (tN == 0.0)):
         raise DegenerateVector("inverse map undefined at the origin")
-    k = np.exp(0.5 * p.G * np.arctan2(tN, m))
+    k = np.exp(half_G_angle(p, np.arctan2(tN, m)))
     R = np.empty(t.shape)
     R[..., :-1] = t[..., :-1] / (p.h * k)[..., None]
     R[..., -1] = (tN - 0.5 * p.G * m) / k
@@ -160,7 +161,7 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     tN = float(t[-1])
     S2 = snorm(sp, t) ** 2
     phi = math.atan2(tN, m)
-    k = math.exp(0.5 * G * phi)
+    k = math.exp(half_G_angle(p, phi))
     I = tN - 0.5 * G * m
     rt = sp.r_spatial @ t[:-1]
     out = np.empty((sp.dim, sp.dim))

@@ -21,7 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, checked_forms
+from .core import Param, Space, checked_forms, half_G_angle
 from .errors import BadDirection, VertexSingular
 from .plane import gen_trig
 
@@ -65,10 +65,10 @@ def shape_report(p: Param) -> ShapeReport:
     """
     G = p.G
     at = np.arctan(0.5 * G)
-    q_star = np.exp(-0.5 * G * at)
-    Z1 = -np.exp(G * math.pi / 4)
-    Z2 = np.exp(-G * math.pi / 4)
-    q_2star = np.exp(0.5 * G * at)
+    q_star = np.exp(half_G_angle(p, -at))
+    Z1 = -np.exp(half_G_angle(p, 0.5 * math.pi))
+    Z2 = np.exp(half_G_angle(p, -0.5 * math.pi))
+    q_2star = np.exp(half_G_angle(p, at))
     fields = (q_star, Z1, Z2, Z2 - Z1, q_2star, -p.g * q_2star, 2.0 * q_2star)
     return ShapeReport(*(float(v) for v in fields) if np.ndim(G) == 0 else fields)
 

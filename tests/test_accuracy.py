@@ -1,12 +1,13 @@
-"""Accuracy against 50-digit references near singular loci: h as |g| -> 2,
-and the Gram root and n2 near the antipodal pair."""
+"""Accuracy against 50-digit references near singular loci: h and K as
+|g| -> 2, and the Gram root and n2 near the antipodal pair."""
 
 import numpy as np
 import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from finsleroid import Space, make_param, n2  # noqa: E402
+import finsleroid as fd  # noqa: E402
+from finsleroid import ConeLimit, Space, fmf, make_param, n2  # noqa: E402
 from conftest import rand_space  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -29,6 +30,54 @@ def test_h_near_the_cone_limit():
         for h in (h_arr, make_param(float(x)).h):
             assert abs(mp.mpf(h) - h_ref) <= 2 * EPS * h_ref, x
     assert make_param(0.0).h == 1.0
+
+
+def _mp_K(g, R):
+    """K(g; R) in 50 digits at the same float inputs (Euclidean r), and G Phi."""
+    q = mp.sqrt(sum(mp.mpf(v) ** 2 for v in R[:-1]))
+    Z, g = mp.mpf(R[-1]), mp.mpf(g)
+    h = mp.sqrt(1 - g ** 2 / 4)
+    Phi = mp.atan2(Z + g * q / 2, h * q)
+    return mp.sqrt(Z ** 2 + g * q * Z + q ** 2) * mp.exp(g / h * Phi / 2), g / h * Phi
+
+
+CONE_VECTORS = np.array([(0.3, 0.5, -1.0), (0.3, -0.5, -1.0), (1.0, 0.2, 0.7),
+                         (0.1, 0.1, 1.0), (2.0, -1.0, 0.5)])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_K_near_the_cone_limit(sign):
+    # J = exp(G Phi / 2) with |G| ~ 2 / sqrt(2 - |g|): K keeps the
+    # conditioning of exp, eps (1 + |G Phi|), until J leaves the doubles,
+    # and then ConeLimit is raised; K was 0 (g > 0) or inf (g < 0) there.
+    # Measured: at most 0.47 eps (1 + |G Phi|)
+    sp = Space.euclidean(3)
+    raised = 0
+    for gap in 10.0 ** -np.arange(1, 16):
+        p = make_param(sign * (2.0 - gap))
+        for R in CONE_VECTORS:
+            try:
+                K = fmf(p, sp, R)
+            except ConeLimit:
+                raised += 1
+                continue
+            ref, GPhi = _mp_K(p.g, R)
+            assert abs(mp.mpf(K) - ref) <= 2 * EPS * (1 + abs(GPhi)) * ref, (p.g, R)
+    assert 0 < raised < 15 * len(CONE_VECTORS)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, sp, R: fmf(p, sp, R),
+    lambda p, sp, R: fd.fhf(p, sp, R),
+    lambda p, sp, R: fd.mu(p, sp, R),
+    lambda p, sp, R: fd.mu_jacobian(p, sp, R[0]),
+    lambda p, sp, R: fd.shape_report(p),
+    lambda p, sp, R: fd.gen_trig(p, np.linspace(0.0, np.pi, 5)),
+], ids=["fmf", "fhf", "mu", "mu_jacobian", "shape_report", "gen_trig"])
+@pytest.mark.parametrize("g", [2.0 - 1e-12, -(2.0 - 1e-12)])
+def test_exp_of_G_raises_at_the_cone_limit(call, g):
+    with pytest.raises(ConeLimit):
+        call(make_param(g), Space.euclidean(3), CONE_VECTORS)
 
 
 def _mp_pair(r, x, y):

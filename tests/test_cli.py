@@ -1,10 +1,14 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsleroid.cli import main
+from finsleroid.csvtext import CHUNK_ROWS
 
 
 def run(capsys, *argv):
@@ -301,15 +305,83 @@ def test_usage_error_returns_bad_input(capsys):
     assert "expected one argument" in err
 
 
+def _fmt_csv(header, table, comments=()):
+    """The reference of _csv: _fmt of every value, joined per row."""
+    from finsleroid.cli import _fmt
+    return ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+            + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table))
+
+
 def test_csv_table_bytes_match_fmt():
-    from finsleroid.cli import _csv, _fmt
+    from finsleroid.cli import _csv
     rng = np.random.default_rng(5)
+    decades = np.array([float(f"1e{k}") for k in range(-5, 17)])
     vals = np.concatenate([
         [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.0, 1e300],
-        rng.normal(size=99990) * 10.0 ** rng.integers(-300, 300, size=99990)])
-    table = vals.reshape(-1, 3)
-    expect = "# c\n# 100%\nx,y,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
-    assert _csv(["x", "y", "z"], table, ["c", "100%"]) == expect
+        # the doubles next to each decade, where the exponent changes
+        np.nextafter(decades, np.inf), np.nextafter(decades, -np.inf), decades, -decades,
+        # half-even ties of the 17th digit, and values that round up to a
+        # decade
+        [281474976710656.125, -281474976710656.375, 140737488355328.0625,
+         9.9999999999999995e-5, 999999999999999.9, 0.09999999999999999],
+        rng.normal(size=99990) * 10.0 ** rng.integers(-300, 300, size=99990),
+        rng.normal(size=30000) * 10.0 ** rng.integers(-6, 17, size=30000)])
+    table = vals[:len(vals) // 3 * 3].reshape(-1, 3)
+    args = (["x", "y", "z"], table, ["c", "100%"])
+    assert _csv(*args) == _fmt_csv(*args)
+
+
+@pytest.mark.parametrize("cols", [1, 5])
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_csv_chunk_edges(rows, cols):
+    from finsleroid.cli import _csv
+    table = np.random.default_rng(rows + cols).normal(size=(rows, cols))
+    header = [f"c{i}" for i in range(cols)]
+    assert _csv(header, table) == _fmt_csv(header, table)
+
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.lists(st.one_of(_FLOAT_BITS, st.floats(-1e15, 1e15)), max_size=60))
+def test_csv_matches_fmt_on_any_table(cols, values):
+    # bit patterns give NaN, +-inf, subnormals and every exponent; the
+    # floats in +-1e15 cover the fixed-notation range densely
+    from finsleroid.cli import _csv
+    table = np.array(values[:len(values) // cols * cols], dtype=float).reshape(-1, cols)
+    header = ["v"] * cols
+    assert _csv(header, table) == _fmt_csv(header, table)
+
+
+def test_geodesic_stdout_equals_out_file(tmp_path, capsys):
+    args = ("geodesic", "--g", "-0.7", "--vec", "1,0.2,0.4", "--vec2", "0.3,-0.5,1.1",
+            "--samples", "3000")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    path = tmp_path / "g.csv"
+    assert run(capsys, *args, "--out", str(path))[0] == 0
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("g", ["1.999999", "-1.999999"])
+def test_geodesic_cone_limit_is_named(capsys, g):
+    # J = exp(G Phi / 2) leaves the doubles; this exited 3 with "needs two
+    # nonzero vectors" (g > 0) or 2 with "non-finite components" (g < 0)
+    code, out, err = run(capsys, "geodesic", "--g", g, "--vec=0.3,0.5,-1", "--vec2=0.3,-0.5,-1")
+    assert code == 3 and out == ""
+    assert "cone limit" in err
+
+
+def test_check_tol_unknown_name_is_bad_input(tmp_path, capsys):
+    code, _, err = run(capsys, "check", "--tol", "metric_hesian=1e-30")
+    assert code == 2
+    assert "metric_hesian" in err and "metric_hessian" in err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tol": {"metric_hesian": 1e-30}}))
+    assert run(capsys, "check", "--config", str(cfg))[0] == 2
+    cfg.write_text(json.dumps({"tol": {"metric_hessian": 1e-30}}))
+    assert run(capsys, "check", "--config", str(cfg))[0] == 1
 
 
 @pytest.mark.parametrize("seed", ["6", "26", "29", "277"])
