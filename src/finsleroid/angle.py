@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Param, Space, checked_forms, checked_pair, space_for
+from .core import (Param, Space, checked_forms, checked_pair, require_tensor_range,
+                   space_for)
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import mu, sigma_over_j
 
@@ -52,9 +53,12 @@ def fins_angle(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray) -> AnglePair
     alpha is 1/h times the Space.gram angle of the images (h R^a, A), which
     equals qe_angle of the sigma images. K1^2 + K2^2 - 2 K1 K2 cos(alpha) is
     formed as (K1 - K2)^2 + 4 K1 K2 sin^2(alpha/2), which does not cancel.
+    Raises ConeLimit where K1^2 or K2^2 would leave the normal doubles.
     """
     R1, f1 = checked_forms(p, sp, R1)
     R2, f2 = checked_forms(p, sp, R2)
+    require_tensor_range(p, f1, 2)
+    require_tensor_range(p, f2, 2)
     pair = sp.gram(sigma_over_j(p, R1, f1.A), sigma_over_j(p, R2, f2.A))
     alpha = pair.angle / p.h
     product = f1.K * f2.K * math.cos(alpha)

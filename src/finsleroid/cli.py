@@ -9,6 +9,13 @@ Configuration comes from flags or from a single JSON document
 (17 significant digits, so they round-trip), written by one exact
 vectorised pass over each block of rows (finsleroid.csvtext); identical
 configuration produces byte-identical output.
+
+Every file a command writes (--out of eval, angle, geodesic, indicatrix
+and check, and the files of figures) goes through _write. An existing
+regular file is overwritten in place and trimmed to the new bytes, so it
+keeps its inode and mode; a new file gets mode 0o666 less the umask.
+As before, the write is neither atomic nor fsynced. Other targets, such as
+/dev/null or a pipe, are written without trimming.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -65,9 +74,28 @@ def _build_space(dim: Optional[int], r_text: Optional[str],
     return Space.euclidean(dim)
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path, overwriting it in place: no O_TRUNC,
+    whose freeing of the old blocks and allocating them again costs more
+    than the write. A regular file is then trimmed to the bytes written,
+    also after a failed write, so no tail of the old file is left."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    done = 0
+    try:
+        while done < len(data):
+            done += os.write(fd, data[done:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, done)
+        finally:
+            os.close(fd)
+
+
 def _emit(path: Optional[str], text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -181,19 +209,19 @@ def cmd_figures(args) -> int:
         name = f"indicatrix_g{g:+.1f}"
         if args.format == "svg":
             path = outdir / f"{name}.svg"
-            path.write_text(_svg([("body", prof), ("circle", circle)]))
+            _write(path, _svg([("body", prof), ("circle", circle)]))
         else:
             path = outdir / f"{name}.csv"
-            path.write_text(_csv(["f", "q", "Z", "circle_q", "circle_Z"],
-                                 np.column_stack([fs, prof, circle]), [f"g={_fmt(g)}"]))
+            _write(path, _csv(["f", "q", "Z", "circle_q", "circle_Z"],
+                              np.column_stack([fs, prof, circle]), [f"g={_fmt(g)}"]))
         written.append(path)
     gs = np.linspace(-1.9, 1.9, 191)
     report = shape.shape_report(make_param(gs))
     path = outdir / "equator_radius_curve.csv"
-    path.write_text(_csv(["g", "q_star"], np.column_stack([gs, report.q_star])))
+    _write(path, _csv(["g", "q_star"], np.column_stack([gs, report.q_star])))
     written.append(path)
     path = outdir / "width_height_curve.csv"
-    path.write_text(_csv(["g", "Z_2star"], np.column_stack([gs, report.Z_2star])))
+    _write(path, _csv(["g", "Z_2star"], np.column_stack([gs, report.Z_2star])))
     written.append(path)
     sys.stdout.write("".join(f"{p}\n" for p in written))
     return EXIT_OK

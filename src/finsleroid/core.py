@@ -49,6 +49,9 @@ class Param:
     an array of g's shape, one entry per row, and broadcasts with the rows
     of a stack of vectors: R of shape (..., N) with g of shape R.shape[:-1]
     evaluates row i at g[i].
+
+    G_max, the largest |G| over the rows, is a float that the cone-limit
+    checks compare before they look at any angle; it is no field.
     """
 
     g: Union[float, np.ndarray]
@@ -62,6 +65,15 @@ class Param:
     def mirrored(self) -> "Param":
         """The parameter set for -g."""
         return make_param(-self.g)
+
+    def __post_init__(self):
+        # a plain attribute: dataclasses.replace sets it anew, and unlike a
+        # cached_property it leaves the instance __dict__ unfilled, which
+        # keeps every attribute read of the Param fast (a filled one costs
+        # about 35 ns more a read on CPython 3.11)
+        G = self.G
+        object.__setattr__(self, "G_max", abs(G) if isinstance(G, float)
+                           else float(np.max(np.abs(G), initial=0.0)))
 
 
 def make_param(g: Union[float, np.ndarray]) -> Param:
@@ -93,23 +105,41 @@ def any_row(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(np.count_nonzero(mask))
 
 
-# J = exp(G a / 2) at an angle a in [-pi/2, pi/2]: J and 1/J are normal
-# doubles while |G a / 2| <= 1022 ln 2. Only |G| > (4/pi) 1022 ln 2 ~ 902,
-# that is 2 - |g| < 5e-6, can leave that range.
+# J = exp(G a / 2) at an angle a in [-pi/2, pi/2]: J^k and J^-k are normal
+# doubles while |k G a / 2| <= 1022 ln 2. Only k |G| > (4/pi) 1022 ln 2 ~ 902,
+# for J itself 2 - |g| < 5e-6, can leave that range. The tensors' bound of
+# require_tensor_range can be reached only above half that.
 _CONE_EXP_LIMIT = 1022 * math.log(2.0)
 _CONE_G = _CONE_EXP_LIMIT / (0.25 * math.pi)
+_TENSOR_CONE_G = 0.5 * _CONE_G
 
 
-def half_G_angle(p: Param, a):
+def _cone_limit(power: int) -> ConeLimit:
+    return ConeLimit(f"cone limit: |g| is so near 2 that J = exp(G Phi / 2) to the "
+                     f"power {power} leaves the double range")
+
+
+def half_G_angle(p: Param, a, power: int = 1):
     """G a / 2, the exponent of J = exp(G a / 2) at an angle a (a float or
-    an array of angles) in [-pi/2, pi/2]. Raises ConeLimit where exp of it
-    would leave the normal doubles; below |G| ~ 902 that takes one
-    comparison."""
+    an array of angles) in [-pi/2, pi/2]. Raises ConeLimit where J^power or
+    J^-power would leave the normal doubles; while power |G| <= ~902 that
+    takes one comparison."""
     x = 0.5 * p.G * a
-    if any_row(abs(p.G) > _CONE_G) and any_row(abs(x) > _CONE_EXP_LIMIT):
-        raise ConeLimit(f"cone limit: |g| is so near 2 that |G Phi / 2| exceeds "
-                        f"{_CONE_EXP_LIMIT:.1f} and exp(G Phi / 2) leaves the double range")
+    if power * p.G_max > _CONE_G and any_row(abs(power * x) > _CONE_EXP_LIMIT):
+        raise _cone_limit(power)
     return x
+
+
+def require_tensor_range(p: Param, f: "ScalarForms", power: int) -> None:
+    """Raise ConeLimit where a tensor built on J^power (power <= 4) at the
+    forms f would leave the normal doubles. Its rational factors in R carry
+    up to G^2 per power of J (1/B <= 2 / ((1 - |g|/2) |R|^2) ~ G^2 / |R|^2,
+    and curvature_S forms J^4 G^8), so the bound is on
+    power (|G Phi / 2| + 2 ln |G|). While power |G| <= ~451 that takes one
+    comparison: below it the bound cannot be reached."""
+    if power * p.G_max > _TENSOR_CONE_G and any_row(
+            power * (abs(0.5 * p.G * f.Phi) + 2.0 * math.log(p.G_max)) > _CONE_EXP_LIMIT):
+        raise _cone_limit(power)
 
 
 def require_off_axis(p: Param, f: "ScalarForms", what: str) -> None:

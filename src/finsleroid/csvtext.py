@@ -49,6 +49,8 @@ def csv_lines(table: np.ndarray) -> str:
     """The CSV lines of a 2-D float table: "%.17g" % x for every number,
     "," between the numbers of a row and "\\n" after each row."""
     table = np.asarray(table, dtype=float)
+    if table.shape[1] == 0:  # no numbers: an empty line per row
+        return "\n" * len(table)
     return "".join(_rows(table[i:i + CHUNK_ROWS]) for i in range(0, len(table), CHUNK_ROWS))
 
 

@@ -26,8 +26,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import (Param, Space, axial, fill_rows, g_zero_rows, per_row,
-                   require_off_axis, scalar_forms, write_rows)
+from .core import (Param, Space, axial, fill_rows, g_zero_rows, half_G_angle,
+                   per_row, require_off_axis, require_tensor_range, scalar_forms,
+                   write_rows)
 
 __all__ = [
     "grad_covector",
@@ -42,6 +43,17 @@ __all__ = [
 ]
 
 
+def _checked(p: Param, sp: Space, R: np.ndarray, power: int, what: str):
+    """R as a float array and its scalar forms, for a tensor built on J^power:
+    a row on the axis with g != 0 raises AxisSingular, and ConeLimit is
+    raised where the tensor would leave the normal doubles."""
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
+    require_off_axis(p, f, what)
+    require_tensor_range(p, f, power)
+    return R, f
+
+
 def _grad_covector(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     k = f.K * f.K / f.B
     out = np.empty(R.shape)
@@ -53,7 +65,9 @@ def _grad_covector(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
 def grad_covector(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Covector R_p = (1/2) d K^2 / d R^p. Satisfies R_p R^p = K^2."""
     R = np.asarray(R, dtype=float)
-    return _grad_covector(p, sp, R, scalar_forms(p, sp, R))
+    f = scalar_forms(p, sp, R)
+    require_tensor_range(p, f, 2)
+    return _grad_covector(p, sp, R, f)
 
 
 def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
@@ -79,17 +93,13 @@ def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
 def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Metric tensor g_pq = (1/2) d^2 K^2 / dR^p dR^q. A row on the axis
     raises AxisSingular for g != 0; at g = 0 the metric is r_pq."""
-    R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, "metric")
+    R, f = _checked(p, sp, R, 2, "metric")
     return _metric(p, sp, R, f)
 
 
 def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Reciprocal tensor g^pq with g_pq g^qr = delta; r^pq at g = 0."""
-    R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, "metric inverse")
+    R, f = _checked(p, sp, R, 2, "metric inverse")
     z, q = g_zero_rows(p, f.q)
     if z is True:
         return fill_rows(R, sp.r_full_inv)
@@ -106,8 +116,11 @@ def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 
 def metric_det(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
-    """det(g_pq) in closed form: J^(2N) det(r_ab). Always positive."""
-    return scalar_forms(p, sp, R).J ** (2 * sp.dim) * sp.r_spatial_det
+    """det(g_pq) in closed form: J^(2N) det(r_ab). Always positive; raises
+    ConeLimit where J^(2N) would leave the normal doubles."""
+    f = scalar_forms(p, sp, R)
+    half_G_angle(p, f.Phi, 2 * sp.dim)  # for its range check only
+    return f.J ** (2 * sp.dim) * sp.r_spatial_det
 
 
 def _angular(p: Param, sp: Space, R: np.ndarray, f, Rlow: np.ndarray) -> np.ndarray:
@@ -117,9 +130,7 @@ def _angular(p: Param, sp: Space, R: np.ndarray, f, Rlow: np.ndarray) -> np.ndar
 
 def angular(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Angular tensor h_pq = g_pq - R_p R_q / K^2; annihilates R^q."""
-    R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, "angular tensor")
+    R, f = _checked(p, sp, R, 4, "angular tensor")
     return _angular(p, sp, R, f, _grad_covector(p, sp, R, f))
 
 
@@ -191,9 +202,7 @@ def cartan(p: Param, sp: Space, R: np.ndarray) -> CartanTensors:
     equatorial plane Z = 0 included; zero at g = 0, AxisSingular on the
     axis otherwise.
     """
-    R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, "Cartan tensor")
+    R, f = _checked(p, sp, R, 4, "Cartan tensor")
     return _cartan(p, sp, R, f)[0]
 
 
@@ -216,9 +225,7 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     vanishes identically and the fit is empty; S* is then taken from the
     trace identity (equal to -g^2/4 either way).
     """
-    R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, "Cartan tensor")
+    R, f = _checked(p, sp, R, 4, "Cartan tensor")
     ct, h = _cartan(p, sp, R, f)
     T = np.einsum("...tqr,...pts->...pqrs", ct.full, ct.mixed)  # S_pqrs = T_pqrs - T_pqsr
     lead = tuple(range(R.ndim - 1))

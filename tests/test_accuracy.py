@@ -1,5 +1,6 @@
 """Accuracy against 50-digit references near singular loci: h and K as
-|g| -> 2, and the Gram root and n2 near the antipodal pair."""
+|g| -> 2, and the Gram root and n2 near the antipodal pair; the range of
+the tensor stack as |g| -> 2."""
 
 import numpy as np
 import pytest
@@ -78,6 +79,58 @@ def test_K_near_the_cone_limit(sign):
 def test_exp_of_G_raises_at_the_cone_limit(call, g):
     with pytest.raises(ConeLimit):
         call(make_param(g), Space.euclidean(3), CONE_VECTORS)
+
+
+TENSOR_CALLS = {
+    "grad_covector": lambda p, sp, R, S: fd.grad_covector(p, sp, R),
+    "metric": lambda p, sp, R, S: fd.metric(p, sp, R),
+    "metric_inverse": lambda p, sp, R, S: fd.metric_inverse(p, sp, R),
+    "metric_det": lambda p, sp, R, S: fd.metric_det(p, sp, R),
+    "angular": lambda p, sp, R, S: fd.angular(p, sp, R),
+    "cartan": lambda p, sp, R, S: fd.cartan(p, sp, R).full,
+    # S_pqrs vanishes identically at N = 2, S* never
+    "curvature_S": lambda p, sp, R, S: (fd.curvature_S(p, sp, R).s_star if len(R) == 2
+                                        else fd.curvature_S(p, sp, R).tensor),
+    "fins_angle": lambda p, sp, R, S: [fd.fins_angle(p, sp, R, S).ominus_sq],
+}
+
+
+PHIS = np.linspace(-1.5, 1.5, 31)
+
+
+@pytest.mark.parametrize("name", TENSOR_CALLS)
+def test_tensor_stack_near_the_cone_limit(name):
+    # J^2 (J^4 in angular, cartan and curvature_S, J^(2N) in metric_det)
+    # left the doubles well before J itself: at g = 1.99999 metric was all
+    # zeros and metric_inverse raised ZeroDivisionError, at g = -1.99999
+    # metric overflowed, and metric_det read 0.0 or raised OverflowError
+    # from g = +-1.9999. Now every result is a finite nonzero double or
+    # ConeLimit is raised
+    call = TENSOR_CALLS[name]
+    rng = np.random.default_rng(13)
+    raised = done = 0
+    for gap in 10.0 ** -np.arange(3.0, 6.01, 0.5):
+        for g in (2.0 - gap, -(2.0 - gap)):
+            p = make_param(g)
+            for n in range(2, 6):
+                sp = Space.euclidean(n)
+                # random pairs, and vectors at Phi = atan2(A, h q) across
+                # (-pi/2, pi/2), where the 1/B factors meet the largest J
+                pairs = rng.normal(size=(6 + len(PHIS), 2, n))
+                if n == 3:
+                    pairs[0] = CONE_VECTORS[:2]
+                u = pairs[6:, 0, :-1]
+                u /= np.linalg.norm(u, axis=1)[:, None]
+                pairs[6:, 0, -1] = p.h * np.tan(PHIS) - 0.5 * p.g
+                for R, S in pairs:
+                    try:
+                        v = np.asarray(call(p, sp, R, S))
+                    except ConeLimit:
+                        raised += 1
+                        continue
+                    done += 1
+                    assert np.all(np.isfinite(v)) and np.any(v != 0), (name, g, R)
+    assert raised > 0 and done > 0
 
 
 def _mp_pair(r, x, y):

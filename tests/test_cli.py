@@ -1,12 +1,17 @@
+import errno
 import json
 import math
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsleroid import cli
 from finsleroid.cli import main
 from finsleroid.csvtext import CHUNK_ROWS
 
@@ -331,7 +336,7 @@ def test_csv_table_bytes_match_fmt():
     assert _csv(*args) == _fmt_csv(*args)
 
 
-@pytest.mark.parametrize("cols", [1, 5])
+@pytest.mark.parametrize("cols", [0, 1, 5])
 @pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
 def test_csv_chunk_edges(rows, cols):
     from finsleroid.cli import _csv
@@ -390,3 +395,103 @@ def test_check_hessian_step_scales_with_vector(capsys, seed):
     # rounding and metric_hessian failed its tolerance of 1e-5
     code, out, _ = run(capsys, "check", "--seed", seed)
     assert code == 0
+
+
+# ----------------------------------------------------------- file writer
+
+GEODESIC = ("geodesic", "--g", "-0.7", "--vec", "1,0.2,0.4", "--vec2", "0.3,-0.5,1.1")
+
+
+def test_out_rewrites_the_file_in_place(tmp_path, capsys):
+    # longer, shorter, then same-length output over an existing file: each
+    # time the file holds exactly the new bytes, on the same inode and mode
+    path = tmp_path / "g.csv"
+    path.write_text("x" * 5000)
+    path.chmod(0o640)
+    before = os.stat(path)
+    for samples in ("200", "20", "20"):
+        if samples == "20" and path.stat().st_size:
+            with open(path, "r+b") as f:  # same length, other bytes
+                f.write(b"#" * path.stat().st_size)
+        code, out, _ = run(capsys, *GEODESIC, "--samples", samples)
+        assert code == 0
+        assert run(capsys, *GEODESIC, "--samples", samples, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode()
+        after = os.stat(path)
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+
+def test_out_new_file_mode_follows_umask(tmp_path, capsys):
+    path = tmp_path / "new.txt"
+    old = os.umask(0o027)
+    try:
+        assert run(capsys, "eval", "--g", "0.4", "--vec", "1,1", "--out", str(path))[0] == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~0o027
+    assert "K: " in path.read_text()
+
+
+def test_out_dev_null(capsys):
+    assert run(capsys, *GEODESIC, "--out", os.devnull)[0] == 0
+
+
+def test_out_fifo_gets_the_stdout_bytes(tmp_path, capsys):
+    # a pipe cannot be trimmed: the writer leaves targets that are not
+    # regular files as they are
+    code, out, _ = run(capsys, *GEODESIC, "--samples", "3000")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def reader():
+        with open(fifo, "rb") as f:
+            got.append(f.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    assert run(capsys, *GEODESIC, "--samples", "3000", "--out", str(fifo))[0] == 0
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert got == [out.encode()]
+
+
+def test_out_read_only_file_is_left_unchanged(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ro.csv"
+    path.write_bytes(b"old contents\n")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        # a superuser may write any file: refuse the open as the kernel
+        # does for everyone else
+        real_open = os.open
+
+        def refusing_open(target, flags, *args):
+            if os.fspath(target) == str(path) and flags & os.O_WRONLY:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(target, flags, *args)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+    code, _, err = run(capsys, *GEODESIC, "--out", str(path))
+    assert code == 4 and "i/o error" in err
+    assert path.read_bytes() == b"old contents\n"
+
+
+def test_out_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch):
+    # the disk fills after 100 bytes: the file holds those bytes and
+    # nothing of the longer old file behind them
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"x" * 10000)
+    real_write, calls = os.write, []
+
+    def filling_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[:100])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "write", filling_write)
+    code, _, err = run(capsys, *GEODESIC, "--out", str(path))
+    monkeypatch.undo()
+    assert code == 4 and "No space left" in err
+    _, out, _ = run(capsys, *GEODESIC)
+    assert path.read_bytes() == out.encode()[:100]

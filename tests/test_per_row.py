@@ -103,6 +103,10 @@ def test_make_param_of_array_is_per_row():
         assert isinstance(col, np.ndarray) and col.shape == g.shape
         for i in range(len(g)):
             assert col[i] == getattr(make_param(float(g[i])), f.name)
+    # G_max, the largest |G|, is no field and follows every new Param
+    assert P.G_max == max(abs(P.G)) and "G_max" not in {f.name for f in dataclasses.fields(P)}
+    assert dataclasses.replace(P, G=P.G[:2]).G_max == abs(P.G[0])
+    assert make_param(-0.4).G_max == make_param(0.4).G == abs(make_param(-0.4).G)
 
 
 def test_float_g_keeps_one_vector_types(rng):
