@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -63,14 +63,23 @@ class Param:
     g_up_minus: Union[float, np.ndarray]
 
     def mirrored(self) -> "Param":
-        """The parameter set for -g."""
-        return make_param(-self.g)
+        """The parameter set for -g, built from these fields: g -> -g swaps
+        the root pairs, so it equals make_param(-g) bit for bit and keeps a
+        replaced h. Built on the first call and paired both ways:
+        p.mirrored().mirrored() is p."""
+        if self._mirror is None:
+            m = Param(-self.g, self.h, -self.G, self.g_up_plus, self.g_up_minus,
+                      self.g_plus, self.g_minus)
+            object.__setattr__(m, "_mirror", self)
+            object.__setattr__(self, "_mirror", m)
+        return self._mirror
 
     def __post_init__(self):
-        # a plain attribute: dataclasses.replace sets it anew, and unlike a
-        # cached_property it leaves the instance __dict__ unfilled, which
+        # plain attributes: dataclasses.replace sets them anew, and unlike a
+        # cached_property they leave the instance __dict__ unfilled, which
         # keeps every attribute read of the Param fast (a filled one costs
         # about 35 ns more a read on CPython 3.11)
+        object.__setattr__(self, "_mirror", None)
         G = self.G
         object.__setattr__(self, "G_max", abs(G) if isinstance(G, float)
                            else float(np.max(np.abs(G), initial=0.0)))
@@ -226,6 +235,9 @@ class Space:
 
     The full background tensor r_pq extends r_ab by a unit axial slot
     (r_NN = 1, r_Na = 0). The matrix must be symmetric positive definite.
+    Its inverse, determinant and frames are set here once, as plain
+    write-protected attributes: unlike a cached_property they leave the
+    instance __dict__ unfilled, which keeps every attribute read fast.
     """
 
     def __init__(self, dim: int, r_spatial: Optional[np.ndarray] = None):
@@ -243,62 +255,41 @@ class Space:
             raise ValueError("spatial metric must be symmetric")
         if np.any(np.linalg.eigvalsh(r_spatial) <= 0):
             raise ValueError("spatial metric must be positive definite")
+        inv = np.linalg.inv(r_spatial)
+        inv = 0.5 * (inv + inv.T)
+        r_full, r_full_inv = np.zeros((dim, dim)), np.zeros((dim, dim))
+        r_full[:-1, :-1], r_full_inv[:-1, :-1] = r_spatial, inv
+        r_full[-1, -1] = r_full_inv[-1, -1] = 1.0
+        chol = np.linalg.cholesky(r_full)
         self.dim = dim
         self.r_spatial = r_spatial
-        self.r_spatial.setflags(write=False)
+        self.r_spatial_inv = inv
+        self.r_spatial_det = float(np.linalg.det(r_spatial))
+        self.r_full = r_full
+        self.r_full_inv = r_full_inv
+        # Cholesky-derived orthonormal frame, frame[P, q] with
+        # sum_P frame[P, p] frame[P, q] = r_pq, and its dual frame with
+        # sum_P inv[P, p] inv[P, q] = r^pq
+        self.base_frame = chol.T
+        self.base_frame_inv = np.linalg.inv(chol)
+        for a in (r_spatial, inv, r_full, r_full_inv, self.base_frame, self.base_frame_inv):
+            a.setflags(write=False)
+        self._dual: Optional[Space] = None
 
     @staticmethod
     def euclidean(dim: int) -> "Space":
         """The Euclidean space of dimension dim: one shared instance per
         int(dim). Sharing is safe, since its matrices are write-protected
-        and its cached properties are deterministic."""
+        and its dual is deterministic."""
         return _euclidean(int(dim))
 
-    @cached_property
-    def r_full(self) -> np.ndarray:
-        r = np.zeros((self.dim, self.dim))
-        r[:-1, :-1] = self.r_spatial
-        r[-1, -1] = 1.0
-        r.setflags(write=False)
-        return r
-
-    @cached_property
-    def r_spatial_inv(self) -> np.ndarray:
-        inv = np.linalg.inv(self.r_spatial)
-        inv = 0.5 * (inv + inv.T)
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
-    def r_spatial_det(self) -> float:
-        return float(np.linalg.det(self.r_spatial))
-
-    @cached_property
-    def r_full_inv(self) -> np.ndarray:
-        inv = np.zeros((self.dim, self.dim))
-        inv[:-1, :-1] = self.r_spatial_inv
-        inv[-1, -1] = 1.0
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
-    def base_frame(self) -> np.ndarray:
-        """Cholesky-derived orthonormal frame: frame[P, q] with
-        sum_P frame[P, p] frame[P, q] = r_pq."""
-        f = np.linalg.cholesky(self.r_full).T
-        f.setflags(write=False)
-        return f
-
-    @cached_property
-    def base_frame_inv(self) -> np.ndarray:
-        """Dual frame: sum_P inv[P, p] inv[P, q] = r^pq."""
-        f = np.linalg.inv(np.linalg.cholesky(self.r_full))
-        f.setflags(write=False)
-        return f
-
     def dual(self) -> "Space":
-        """Space whose spatial metric is the inverse matrix (covector side)."""
-        return Space(self.dim, self.r_spatial_inv)
+        """Space whose spatial metric is the inverse matrix (covector side).
+        Built on the first call and paired both ways: sp.dual().dual() is sp."""
+        if self._dual is None:
+            d = Space(self.dim, self.r_spatial_inv)
+            d._dual, self._dual = self, d
+        return self._dual
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Full background product r_pq x^p y^q."""

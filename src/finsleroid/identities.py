@@ -255,7 +255,8 @@ IDENTITIES: Tuple[Identity, ...] = (
              "1 + S* = h^2: a least-squares fit over O(1) angular products, absolute",
              _curvature_constant),
     Identity("duality", 1e-9,
-             "H(R_p) = K(R) and H(g) = K(-g): independent closed forms through exp(+-G Phi/2)",
+             "H(R_p) = K(R): the Legendre half is the independent check, through "
+             "exp(+-G Phi/2) at g and -g; H(g) = K(-g) holds by construction",
              _duality),
     Identity("qe_roundtrip", 1e-10,
              "mu(sigma(R)) = R and S(sigma(R)) = K, absolute, with K up to ~25 |R| at |g| = 1.8",

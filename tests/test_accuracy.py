@@ -92,6 +92,9 @@ TENSOR_CALLS = {
     "curvature_S": lambda p, sp, R, S: (fd.curvature_S(p, sp, R).s_star if len(R) == 2
                                         else fd.curvature_S(p, sp, R).tensor),
     "fins_angle": lambda p, sp, R, S: [fd.fins_angle(p, sp, R, S).ominus_sq],
+    # R read as a covector: the gradient and the metric pair at -g
+    "from_costate": lambda p, sp, R, S: fd.from_costate(p, sp, R),
+    "co_metric": lambda p, sp, R, S: fd.co_metric(p, sp, R),
 }
 
 
@@ -104,8 +107,10 @@ def test_tensor_stack_near_the_cone_limit(name):
     # left the doubles well before J itself: at g = 1.99999 metric was all
     # zeros and metric_inverse raised ZeroDivisionError, at g = -1.99999
     # metric overflowed, and metric_det read 0.0 or raised OverflowError
-    # from g = +-1.9999. Now every result is a finite nonzero double or
-    # ConeLimit is raised
+    # from g = +-1.9999. At g = 1.99999 co_metric warned of an invalid
+    # product and from_costate raised OverflowError, at g = -1.99999 co_metric raised
+    # ZeroDivisionError and from_costate returned zeros. Now every result
+    # is a finite nonzero double or ConeLimit is raised
     call = TENSOR_CALLS[name]
     rng = np.random.default_rng(13)
     raised = done = 0

@@ -1,11 +1,13 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import finsleroid as fd
-from finsleroid import (DegenerateVector, OutOfRange, Space, connect, fmf,
-                        make_param, scalar_forms)
+from finsleroid import (DegenerateVector, OutOfRange, Param, Space, connect,
+                        fmf, make_param, scalar_forms)
 from conftest import leaves, rand_space, rand_vec
 
 
@@ -40,6 +42,30 @@ def test_param_pair_identities(rng):
         m = p.mirrored()
         assert m.g_plus == pytest.approx(-p.g_minus, abs=1e-15)
         assert m.g_up_plus == pytest.approx(-p.g_up_minus, abs=1e-15)
+
+
+def _same_param(a, b):
+    return a.G_max == b.G_max and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) and
+        type(getattr(a, f.name)) is type(getattr(b, f.name)) for f in dataclasses.fields(Param))
+
+
+@pytest.mark.parametrize("g", [0.0, 0.4, -1.3, 1.99999, np.linspace(-1.9, 1.9, 11)])
+def test_mirrored_is_make_param_of_minus_g(g):
+    # built from the fields, bit for bit the Param make_param(-g) builds
+    p = make_param(g)
+    assert _same_param(p.mirrored(), make_param(-np.asarray(g)))
+    # built once and paired both ways
+    assert p.mirrored() is p.mirrored() and p.mirrored().mirrored() is p
+
+
+def test_mirrored_keeps_a_replaced_h():
+    p = make_param(np.array([0.4, -1.2]))
+    p.mirrored()
+    # a replaced Param builds its own mirror, from its own h
+    faulty = dataclasses.replace(p, h=p.h + 1e-3)
+    assert np.array_equal(faulty.mirrored().h, p.h + 1e-3)
+    assert np.array_equal(faulty.mirrored().g, -p.g)
 
 
 def test_space_validation():
@@ -260,6 +286,25 @@ def test_euclidean_space_is_shared():
         sp.r_full[0, 0] = 2.0
 
 
+def test_dual_is_built_once_and_paired():
+    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    d = sp.dual()
+    assert sp.dual() is d and d.dual() is sp
+    assert np.array_equal(d.r_spatial, sp.r_spatial_inv)
+    for name in ("r_spatial", "r_spatial_inv", "r_full", "r_full_inv", "base_frame",
+                 "base_frame_inv"):
+        with pytest.raises(ValueError):
+            getattr(d, name)[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("cls", [Space, Param])
+def test_no_cached_property(cls):
+    # filling a cached_property materialises the instance __dict__, and
+    # every later attribute read of that object is slower
+    assert not [name for klass in cls.__mro__ for name, v in vars(klass).items()
+                if isinstance(v, functools.cached_property)]
+
+
 def test_default_space_built_once(monkeypatch):
     p = make_param(0.4)
     t1, t2 = np.array([1.0, 0.2, 0.5]), np.array([0.3, 1.1, 0.4])
@@ -277,11 +322,35 @@ def test_default_space_built_once(monkeypatch):
     assert built == []
 
 
+def test_covector_side_builds_one_dual_per_space(monkeypatch):
+    p = make_param(0.4)
+    X = np.array([0.3, 0.5, 1.0])
+    spaces = [Space(3, [[1.5, 0.2], [0.2, 0.8]]), Space(3), Space.euclidean(3)]
+    built = []
+    init = Space.__init__
+
+    def counted(self, dim, r_spatial=None):
+        built.append(r_spatial)
+        init(self, dim, r_spatial)
+
+    monkeypatch.setattr(Space, "__init__", counted)
+    for sp in spaces:
+        for _ in range(3):
+            fd.fhf(p, sp, X)
+            fd.from_costate(p, sp, X)
+            fd.co_metric(p, sp, X)
+    # each build is the dual of one of the spaces, and at most one per
+    # space: the shared Euclidean space may have built its dual before
+    per_space = [sum(r is sp.r_spatial_inv for r in built) for sp in spaces]
+    assert per_space[:2] == [1, 1] and per_space[2] <= 1
+    assert len(built) == sum(per_space)
+
+
 # the functions of ONE_VECTOR that also take vectors stacked along leading axes
 STACKED = {"scalar_forms", "fmf", "grad_covector", "metric", "metric_inverse",
            "metric_det", "angular", "cartan", "curvature_S", "to_costate",
-           "fhf", "co_scalar_forms", "sigma", "sigma_jacobian", "mu",
-           "n_metric"}
+           "from_costate", "fhf", "co_scalar_forms", "co_metric", "sigma",
+           "sigma_jacobian", "mu", "n_metric"}
 ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
               "metric_inverse", "metric_det", "angular", "cartan",
               "curvature_S", "to_costate", "from_costate", "fhf",

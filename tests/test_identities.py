@@ -85,7 +85,8 @@ def test_fault_raises_h_only():
 def test_battery_scalar_forms_calls(monkeypatch):
     # the stacked identities make one call per evaluation over all rows;
     # the pair identities make 2 (stacked sigma) and 22 (with fins_angle per
-    # pair), plane_identities 4: 47 in all, against 628 one-vector calls
+    # pair), plane_identities 4, and the two co-form evaluations of duality
+    # (fhf at the mirror): 49 in all, against 628 one-vector calls
     calls = count_scalar_forms(monkeypatch)
     identities.run_battery(np.random.default_rng(5))
-    assert calls[0] == 47
+    assert calls[0] == 49

@@ -28,8 +28,8 @@ def _per_row_stack(rng, n):
 STACKED = {"scalar_forms": "R", "fmf": "R", "grad_covector": "R", "metric": "R",
            "metric_inverse": "R", "metric_det": "R", "angular": "R",
            "cartan": "R", "curvature_S": "R", "to_costate": "R", "fhf": "co",
-           "co_scalar_forms": "co", "sigma": "R", "sigma_jacobian": "R",
-           "mu": "t", "n_metric": "t"}
+           "co_scalar_forms": "co", "from_costate": "co", "co_metric": "co",
+           "sigma": "R", "sigma_jacobian": "R", "mu": "t", "n_metric": "t"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -121,7 +121,7 @@ def test_float_g_keeps_one_vector_types(rng):
     assert type(fd.curvature_S(p, sp, R).s_star) is float
     assert type(fd.n_metric(p, sp, t).det) is float
     assert type(fd.snorm(sp, t)) is float
-    assert all(type(v) is float for v in fd.co_scalar_forms(p, sp, R).values())
+    assert all(type(v) is float for v in fd.co_scalar_forms(p, sp, R))
     report = fd.shape_report(p)
     assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report))
     for fn in (fd.grad_covector, fd.to_costate, fd.sigma):
