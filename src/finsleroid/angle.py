@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .core import (Param, Space, checked_forms, checked_pair, require_tensor_range,
-                   space_for)
+                   scalar_forms, space_for)
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import mu, sigma_over_j
 
@@ -40,37 +40,44 @@ __all__ = [
 class AnglePair:
     """Angle data for a vector pair: the angle alpha in [0, pi/h], the
     scalar product K1 K2 cos(alpha), and the squared two-point length
-    K1^2 + K2^2 - 2 K1 K2 cos(alpha)."""
+    K1^2 + K2^2 - 2 K1 K2 cos(alpha). Floats for one pair; arrays over the
+    rows for stacked pairs."""
 
-    alpha: float
-    scalar_product: float
-    ominus_sq: float
+    alpha: Union[float, np.ndarray]
+    scalar_product: Union[float, np.ndarray]
+    ominus_sq: Union[float, np.ndarray]
 
 
 def fins_angle(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray) -> AnglePair:
-    """Angle, scalar product, and squared two-point length of two vectors.
+    """Angle, scalar product, and squared two-point length of two vectors,
+    one pair (N,) or stacked pairs (..., N) with one g or one g per row.
 
     alpha is 1/h times the Space.gram angle of the images (h R^a, A), which
     equals qe_angle of the sigma images. K1^2 + K2^2 - 2 K1 K2 cos(alpha) is
     formed as (K1 - K2)^2 + 4 K1 K2 sin^2(alpha/2), which does not cancel.
-    Raises ConeLimit where K1^2 or K2^2 would leave the normal doubles.
+    Raises ConeLimit where K1^2 or K2^2 would leave the normal doubles, and
+    DegenerateVector when a row is zero.
     """
-    R1, f1 = checked_forms(p, sp, R1)
-    R2, f2 = checked_forms(p, sp, R2)
+    R1, R2 = np.asarray(R1, dtype=float), np.asarray(R2, dtype=float)
+    f1, f2 = scalar_forms(p, sp, R1), scalar_forms(p, sp, R2)
     require_tensor_range(p, f1, 2)
     require_tensor_range(p, f2, 2)
     pair = sp.gram(sigma_over_j(p, R1, f1.A), sigma_over_j(p, R2, f2.A))
     alpha = pair.angle / p.h
-    product = f1.K * f2.K * math.cos(alpha)
-    half = math.sin(0.5 * alpha)
+    m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
+    product = f1.K * f2.K * m.cos(alpha)
+    half = m.sin(0.5 * alpha)
     ominus_sq = (f1.K - f2.K) ** 2 + 4.0 * f1.K * f2.K * half * half
     return AnglePair(alpha=alpha, scalar_product=product, ominus_sq=ominus_sq)
 
 
 def qe_angle(p: Param, t1: np.ndarray, t2: np.ndarray,
-             space: Optional[Space] = None) -> float:
-    """Image-space angle: (1/h) times the Euclidean angle of t1, t2."""
-    return checked_pair(t1, t2, space)[1].angle / p.h
+             space: Optional[Space] = None) -> Union[float, np.ndarray]:
+    """Image-space angle: (1/h) times the Euclidean angle of t1, t2. A float
+    for one pair; an array over the rows for stacked pairs (..., N), with
+    one g or one g per row."""
+    sp = space_for(t1, space)
+    return sp.gram(sp.check_vector(t1), sp.check_vector(t2)).angle / p.h
 
 
 def axis_angle(p: Param, sp: Space, R: np.ndarray) -> float:
@@ -182,8 +189,8 @@ def parallelogram_residuals(p: Param, t1: np.ndarray, t2: np.ndarray,
     candidate t3, r_i = n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(angle(t_i,
     t3) / h) from the Gram data of (t_i, t3). Both vanish at the exact
     anisotropic sum."""
-    sp = space_for(t1, space)
-    pairs = (sp.gram(t1, t3), sp.gram(t2, t3))
+    sp, pair13 = checked_pair(t1, t3, space)
+    pairs = (pair13, checked_pair(t2, t3, sp)[1])
     n3 = math.sqrt(pairs[0].a22)
     return np.array([n3 - (other.a11 - pair.a11) / n3
                      - 2.0 * math.sqrt(pair.a11) * math.cos(pair.angle / p.h)

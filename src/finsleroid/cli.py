@@ -203,9 +203,9 @@ def cmd_figures(args) -> int:
     fs = np.linspace(0.0, math.pi, n)
     circle = np.column_stack([np.sin(fs), np.cos(fs)])
     written = []
-    for g in FIGURE_G_VALUES:
-        p = make_param(g)
-        prof = shape.indicatrix_profile(p, n)
+    # one profile call for every g: a per-row Param with g of shape (k, 1)
+    profiles = shape.indicatrix_profile(make_param(np.array(FIGURE_G_VALUES)[:, None]), n)
+    for g, prof in zip(FIGURE_G_VALUES, profiles):
         name = f"indicatrix_g{g:+.1f}"
         if args.format == "svg":
             path = outdir / f"{name}.svg"

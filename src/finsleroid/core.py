@@ -209,25 +209,29 @@ class Gram(NamedTuple):
     u = |x| |perp|, the angle atan2(u, a12) in [0, pi] and u / sqrt(a11 a22) <= COLLINEAR_TOL.
     Taking u from the residual, not from a11 a22 - a12^2, keeps u and the
     angle accurate near 0 and pi (Kahan 2006). d1 = (a11 y - a12 x) / u and
-    d2 = (a22 x - a12 y) / u: (x.d1) = (d2.y) = 0, (d1.y) = (x.d2) = u."""
+    d2 = (a22 x - a12 y) / u: (x.d1) = (d2.y) = 0, (d1.y) = (x.d2) = u.
+
+    For one pair the scalar fields are Python floats and collinear a bool;
+    for stacked pairs they are arrays over the rows, and x, y, perp, d1 and
+    d2 have the pairs' shape (..., N)."""
 
     x: np.ndarray
     y: np.ndarray
     perp: np.ndarray
-    a11: float
-    a22: float
-    a12: float
-    u: float
-    angle: float
-    collinear: bool
+    a11: Union[float, np.ndarray]
+    a22: Union[float, np.ndarray]
+    a12: Union[float, np.ndarray]
+    u: Union[float, np.ndarray]
+    angle: Union[float, np.ndarray]
+    collinear: Union[bool, np.ndarray]
 
     @property
     def d1(self) -> np.ndarray:
-        return (self.a11 / self.u) * self.perp
+        return per_row(self.a11 / self.u) * self.perp
 
     @property
     def d2(self) -> np.ndarray:
-        return (self.u / self.a11) * self.x - (self.a12 / self.u) * self.perp
+        return per_row(self.u / self.a11) * self.x - per_row(self.a12 / self.u) * self.perp
 
 
 class Space:
@@ -256,7 +260,11 @@ class Space:
         if np.any(np.linalg.eigvalsh(r_spatial) <= 0):
             raise ValueError("spatial metric must be positive definite")
         inv = np.linalg.inv(r_spatial)
-        inv = 0.5 * (inv + inv.T)
+        self._fill(r_spatial, 0.5 * (inv + inv.T))
+
+    def _fill(self, r_spatial: np.ndarray, inv: np.ndarray) -> None:
+        """Set the matrices from the checked spatial metric and its inverse."""
+        dim = len(r_spatial) + 1
         r_full, r_full_inv = np.zeros((dim, dim)), np.zeros((dim, dim))
         r_full[:-1, :-1], r_full_inv[:-1, :-1] = r_spatial, inv
         r_full[-1, -1] = r_full_inv[-1, -1] = 1.0
@@ -284,10 +292,12 @@ class Space:
         return _euclidean(int(dim))
 
     def dual(self) -> "Space":
-        """Space whose spatial metric is the inverse matrix (covector side).
-        Built on the first call and paired both ways: sp.dual().dual() is sp."""
+        """Space whose spatial metric is the inverse matrix (covector side),
+        with this space's metric as its inverse, exactly. Built on the first
+        call and paired both ways: sp.dual().dual() is sp."""
         if self._dual is None:
-            d = Space(self.dim, self.r_spatial_inv)
+            d = Space.__new__(Space)
+            d._fill(self.r_spatial_inv, self.r_spatial)
             d._dual, self._dual = self, d
         return self._dual
 
@@ -300,25 +310,41 @@ class Space:
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> Gram:
         """The pair kernel: every angle and Gram root of two vectors in the
-        package comes from here. Raises DegenerateVector on a zero vector."""
+        package comes from here. Takes one pair, shape (N,), or pairs
+        stacked along leading axes, (..., N), each row on its own: the
+        residual branch and COLLINEAR_TOL apply row by row. Raises
+        DegenerateVector when a row of x or y is zero."""
         x, y, r = np.asarray(x, dtype=float), np.asarray(y, dtype=float), self.r_full
-        rx = r @ x
-        a11, a12, a22 = rx @ x, rx @ y, y @ r @ y
-        if a11 == 0.0 or a22 == 0.0:
+        rx = np.matvec(r, x)
+        a11, a12, a22 = np.vecdot(rx, x), np.vecdot(rx, y), np.vecdot(np.matvec(r, y), y)
+        if a12.ndim:
+            m = np
+        else:  # one pair: Python floats, and math for its scalar steps
+            m, a11, a12, a22 = math, float(a11), float(a12), float(a22)
+        if any_row((a11 == 0.0) | (a22 == 0.0)):
             raise DegenerateVector("pair geometry needs two nonzero vectors")
-        if 16.0 * a12 * a12 < 15.0 * a11 * a22:
-            perp = y - (a12 / a11) * x
-        else:
+        s, c = y, a12 / a11
+        near = 16.0 * a12 * a12 >= 15.0 * a11 * a22
+        if any_row(near):
             # within about 15 degrees of (anti)parallel y - (a12/a11) x
             # cancels. With lam the power of two nearest |y|/|x|, signed like
             # a12, y - lam x is exact for y near lam x, and s - (r x.s / a11) x
-            # is the same residual without the cancellation
-            lam = math.copysign(2.0 ** round(0.5 * math.log2(a22 / a11)), a12)
-            s = y - lam * x
-            perp = s - ((rx @ s) / a11) * x
-        u = math.sqrt(a11 * max(perp @ r @ perp, 0.0))
-        return Gram(x, y, perp, a11, a22, a12, u, math.atan2(u, a12),
-                    u <= COLLINEAR_TOL * math.sqrt(a11 * a22))
+            # is the same residual without the cancellation. lam is 0 on the
+            # other rows, where s = y and r x.s = a12 bit for bit. log2 of
+            # a22 / a11 is taken as a difference, since the quotient of far
+            # apart |y| and |x| can overflow or reach 0; on the other rows
+            # it is read as 0, so that no power of two there overflows
+            e = m.log2(a22) - m.log2(a11)
+            e = e if m is math else np.where(near, e, 0.0)
+            lam = near * m.copysign(2.0 ** m.floor(0.5 * e + 0.5), a12)
+            s = y - per_row(lam) * x
+            c = np.vecdot(rx, s) / a11
+        perp = s - per_row(c) * x
+        # |perp|^2 as a sum of squares in the orthonormal frame: never below 0
+        w = np.matvec(self.base_frame, perp)
+        u = m.sqrt(a11 * np.vecdot(w, w))
+        return Gram(x, y, perp, a11, a22, a12, u, m.atan2(u, a12),
+                    u <= COLLINEAR_TOL * m.sqrt(a11 * a22))
 
     def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
         """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
@@ -349,16 +375,21 @@ def _euclidean(dim: int) -> Space:
 
 
 def space_for(t: np.ndarray, space: Optional[Space]) -> Space:
-    """space, or the Euclidean space of t's dimension when it is None."""
-    return space if space is not None else Space.euclidean(len(np.asarray(t)))
+    """space, or the Euclidean space of the last axis of t (one vector or
+    a stack) when it is None."""
+    return space if space is not None else Space.euclidean(np.shape(t)[-1])
 
 
 def checked_pair(t1: np.ndarray, t2: np.ndarray,
                  space: Optional[Space]) -> Tuple[Space, Gram]:
     """space_for(t1, space) and the Space.gram data of t1, t2 after
-    check_vector; Gram.x and Gram.y hold the checked arrays."""
+    check_vector, for the functions of one pair: stacked pairs raise
+    ValueError. Gram.x and Gram.y hold the checked arrays."""
     sp = space_for(t1, space)
-    return sp, sp.gram(sp.check_vector(t1), sp.check_vector(t2))
+    t1, t2 = sp.check_vector(t1), sp.check_vector(t2)
+    if t1.ndim != 1 or t2.ndim != 1:
+        raise ValueError(f"expected one pair of vectors, got shapes {t1.shape} and {t2.shape}")
+    return sp, sp.gram(t1, t2)
 
 
 class ScalarForms(NamedTuple):

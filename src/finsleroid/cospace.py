@@ -15,7 +15,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .core import Param, ScalarForms, Space, scalar_forms
-from .tensors import grad_covector, metric, metric_inverse
+from .tensors import _checked, _metric, _metric_inverse, grad_covector
 
 __all__ = ["fhf", "co_scalar_forms", "to_costate", "from_costate", "co_metric"]
 
@@ -47,7 +47,9 @@ def from_costate(p: Param, sp: Space, Rhat: np.ndarray) -> np.ndarray:
 
 def co_metric(p: Param, sp: Space, Rhat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Co-metric pair (g^pq, g_pq) = (1/2) d^2 H^2 / dR_p dR_q and its
-    inverse: metric and metric_inverse at -g on the dual space. Substituting
-    Rhat = to_costate(R) reproduces metric_inverse(R) and metric(R)."""
+    inverse: metric and metric_inverse at -g on the dual space, from one
+    evaluation of the forms. Substituting Rhat = to_costate(R) reproduces
+    metric_inverse(R) and metric(R)."""
     m, d = p.mirrored(), sp.dual()
-    return metric(m, d, Rhat), metric_inverse(m, d, Rhat)
+    Rhat, f = _checked(m, d, Rhat, 2, "co-metric")
+    return _metric(m, d, Rhat, f), _metric_inverse(m, d, Rhat, f)

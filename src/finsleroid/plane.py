@@ -18,7 +18,9 @@ with J(f) = exp(-G (f - pi/2) / 2). The exact derivative chain (in f) is
 and arc length along the curve advances as ds = df / h, so the profile
 satisfies d2R/ds2 - g dR/ds + R = 0 exactly. gen_trig and
 trig_derivatives, the one place of these formulas, take a float f or an
-array of f.
+array of f. Every function of f also takes a per-row Param whose g has
+shape (k, 1): it broadcasts over the samples f, and row i is the curve at
+g[i].
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from . import tensors
-from .core import Param, Space, half_G_angle
+from .core import Param, Space, half_G_angle, per_row
 
 __all__ = [
     "TrigTriple",
@@ -55,7 +57,8 @@ def _j(p: Param, f):
 
 def gen_trig(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
     """Generalized trigonometric values at parameter f in [0, pi]: floats
-    for a float f, arrays of f's shape for an array of f."""
+    for a float f and a float g, else arrays of the broadcast shape of g
+    and f."""
     J = _j(p, f)
     G, h = p.G, p.h
     s, c = np.sin(f), np.cos(f)
@@ -86,7 +89,8 @@ def indicatrix_length(p: Param) -> float:
 
 def _curve(p: Param, f):
     """R(f) = (Sin_g f, Cos_g f), dR/df, d2R/df2 on the unit level set
-    (K = 1, r = identity), each of shape f.shape + (2,)."""
+    (K = 1, r = identity), each of shape f.shape + (2,), or (k,) + f.shape
+    + (2,) for g of shape (k, 1)."""
     t, d = gen_trig(p, f), trig_derivatives(p, f)
     R = np.stack([t.sin_g, t.cos_g], axis=-1)
     dR = np.stack([d.sin_g, d.cos_g], axis=-1)
@@ -101,18 +105,20 @@ def _worst(values: np.ndarray) -> float:
 def rund_residual(p: Param, f_samples: Iterable[float],
                   cartan_scalar: Optional[float] = None) -> float:
     """Max norm residual of d2R/ds2 + I dR/ds + R over the given samples,
-    with ds = df/h. The residual vanishes for I = -g (the default); any
-    other I is a negative control."""
+    with ds = df/h, and over the rows of a per-row g of shape (k, 1). The
+    residual vanishes for I = -g (the default); any other I is a negative
+    control."""
     I = -p.g if cartan_scalar is None else float(cartan_scalar)
-    h = p.h
+    h = per_row(p.h)
     R, dR, d2R = _curve(p, np.fromiter(f_samples, dtype=float))
-    return _worst(h * h * d2R + I * h * dR + R)
+    return _worst(h * h * d2R + per_row(I) * h * dR + R)
 
 
 def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
     """Arc-length factor identities along the plane indicatrix.
 
-    Returns the worst deviations, as floats, of
+    Returns the worst deviations, as floats, over the samples and over the
+    rows of a per-row g of shape (k, 1), of
       "wronskian":   R^2 dR^1/df - R^1 dR^2/df - K^2/(h J^2)   (K = 1)
       "sqrt_det":    sqrt(det g_pq) - J^2   (one metric call over the samples)
       "convexity":   the curvature ratio minus 1/h^2 (constant)
@@ -123,10 +129,11 @@ def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
     fs = np.fromiter(f_samples, dtype=float)
     R, dR, d2R = _curve(p, fs)
     J2 = _j(p, fs) ** 2
-    wronskian = R[:, 1] * dR[:, 0] - R[:, 0] * dR[:, 1] - 1.0 / (h * J2)
-    num = d2R[:, 1] * dR[:, 0] - dR[:, 1] * d2R[:, 0]
-    den = dR[:, 1] * R[:, 0] - R[:, 1] * dR[:, 0]
+    wronskian = R[..., 1] * dR[..., 0] - R[..., 0] * dR[..., 1] - 1.0 / (h * J2)
+    num = d2R[..., 1] * dR[..., 0] - dR[..., 1] * d2R[..., 0]
+    den = dR[..., 1] * R[..., 0] - R[..., 1] * dR[..., 0]
     inner = (fs > 1e-9) & (fs < math.pi - 1e-9)  # metric needs q > 0
-    sqrt_det = np.sqrt(np.linalg.det(tensors.metric(p, sp, R[inner]))) - J2[inner]
+    sqrt_det = (np.sqrt(np.linalg.det(tensors.metric(p, sp, R[..., inner, :])))
+                - J2[..., inner])
     return {"wronskian": _worst(wronskian), "sqrt_det": _worst(sqrt_det),
             "convexity": _worst(num / den - 1.0 / (h * h))}

@@ -93,12 +93,14 @@ def indicatrix_point(p: Param, sp: Space, f: float, n: np.ndarray) -> np.ndarray
 
 def indicatrix_profile(p: Param, n_samples: int) -> np.ndarray:
     """Generatrix polyline: array of (q, Z) rows sampled uniformly in f
-    over [0, pi]. Every row satisfies K = 1 exactly."""
+    over [0, pi], shape (n_samples, 2). Every row satisfies K = 1 exactly.
+    A per-row Param whose g has shape (k, 1) gives the k polylines stacked,
+    shape (k, n_samples, 2)."""
     n_samples = int(n_samples)
     if n_samples < 8:
         raise ValueError("need at least 8 samples")
     t = gen_trig(p, np.linspace(0.0, math.pi, n_samples))
-    return np.column_stack([t.sin_g, t.cos_g])
+    return np.stack([t.sin_g, t.cos_g], axis=-1)
 
 
 def profile_slopes(p: Param, sp: Space, R: np.ndarray) -> Tuple[float, float]:

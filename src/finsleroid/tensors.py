@@ -97,9 +97,9 @@ def metric(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     return _metric(p, sp, R, f)
 
 
-def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
-    """Reciprocal tensor g^pq with g_pq g^qr = delta; r^pq at g = 0."""
-    R, f = _checked(p, sp, R, 2, "metric inverse")
+def _metric_inverse(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
+    """g^pq of shape R.shape + (N,) at the checked R off the axis; r^pq on
+    the g = 0 rows."""
     z, q = g_zero_rows(p, f.q)
     if z is True:
         return fill_rows(R, sp.r_full_inv)
@@ -113,6 +113,12 @@ def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
                           * Rs[..., None, :])
     write_rows(z, R, out, sp.r_full_inv)
     return out
+
+
+def metric_inverse(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
+    """Reciprocal tensor g^pq with g_pq g^qr = delta; r^pq at g = 0."""
+    R, f = _checked(p, sp, R, 2, "metric inverse")
+    return _metric_inverse(p, sp, R, f)
 
 
 def metric_det(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:

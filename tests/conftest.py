@@ -1,5 +1,6 @@
-"""Shared helpers: random geometry draws, finite-difference oracles, a
-counter of scalar_forms evaluations and the array leaves of a result."""
+"""Shared helpers: random geometry draws, finite-difference oracles,
+counters of scalar_forms and Space.gram evaluations and the array leaves
+of a result."""
 
 import dataclasses
 import sys
@@ -89,6 +90,19 @@ def count_scalar_forms(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("finsleroid.") and getattr(module, "scalar_forms", None) is fn:
             monkeypatch.setattr(module, "scalar_forms", counted)
+    return calls
+
+
+def count_gram(monkeypatch):
+    """Count the calls of Space.gram, the pair kernel, on every Space;
+    returns a one-item list holding the count."""
+    calls = [0]
+    fn = Space.gram
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return fn(self, *args, **kwargs)
+    monkeypatch.setattr(Space, "gram", counted)
     return calls
 
 

@@ -238,6 +238,20 @@ def test_collinear_raises():
         parallelogram_sum(p, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
 
 
+@pytest.mark.parametrize("fn", [parallelogram_sum, parallelogram_diff,
+                                parallelogram_exact, parallelogram_residuals])
+def test_parallelogram_refuses_stacks_and_nonfinite(fn):
+    # the parallelogram functions take one pair (one triple for the
+    # residuals): a stack or a non-finite entry raises ValueError
+    p = make_param(0.3)
+    t = [np.array([1.0, 0.2, 0.1]), np.array([0.3, 1.0, -0.2]), np.array([1.2, 1.1, 0.0])]
+    args = t if fn is parallelogram_residuals else t[:2]
+    for k in range(len(args)):
+        for bad in (np.stack([args[k]] * 2), args[k][None], np.array([1.0, np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                fn(p, *args[:k], bad, *args[k + 1:])
+
+
 def test_large_k_warns():
     p = make_param(1.5)  # k = 1/h - 1 ~ 0.51
     with pytest.warns(UserWarning):

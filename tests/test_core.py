@@ -297,6 +297,17 @@ def test_dual_is_built_once_and_paired():
             getattr(d, name)[0, 0] = 2.0
 
 
+def test_dual_takes_the_original_matrices_as_its_inverses(rng):
+    # not inv(inv(r)), which is off r by about 1e-16
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng)
+        d = sp.dual()
+        assert np.array_equal(d.r_spatial_inv, sp.r_spatial)
+        assert np.array_equal(d.r_full_inv, sp.r_full)
+        assert np.array_equal(d.r_full, sp.r_full_inv)
+        assert d.dual() is sp and d.dim == sp.dim
+
+
 @pytest.mark.parametrize("cls", [Space, Param])
 def test_no_cached_property(cls):
     # filling a cached_property materialises the instance __dict__, and
@@ -327,13 +338,14 @@ def test_covector_side_builds_one_dual_per_space(monkeypatch):
     X = np.array([0.3, 0.5, 1.0])
     spaces = [Space(3, [[1.5, 0.2], [0.2, 0.8]]), Space(3), Space.euclidean(3)]
     built = []
-    init = Space.__init__
+    fill = Space._fill
 
-    def counted(self, dim, r_spatial=None):
+    # every Space, a dual included, sets its matrices through _fill
+    def counted(self, r_spatial, inv):
         built.append(r_spatial)
-        init(self, dim, r_spatial)
+        fill(self, r_spatial, inv)
 
-    monkeypatch.setattr(Space, "__init__", counted)
+    monkeypatch.setattr(Space, "_fill", counted)
     for sp in spaces:
         for _ in range(3):
             fd.fhf(p, sp, X)

@@ -7,7 +7,7 @@ import scipy.optimize
 from finsleroid import (Space, co_metric, co_scalar_forms, curvature_S, fhf,
                         fmf, from_costate, make_param, metric, metric_inverse,
                         scalar_forms, to_costate)
-from conftest import rand_space, rand_vec
+from conftest import count_scalar_forms, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5)):
@@ -123,6 +123,28 @@ def test_co_metric_euclidean(rng):
     up, low = co_metric(p, sp, X)
     assert np.allclose(up, sp.r_full_inv, atol=1e-13)
     assert np.allclose(low, sp.r_full, atol=1e-13)
+
+
+def test_co_metric_at_g_zero_is_the_background_exactly(rng):
+    # the dual's inverse metric is the space's own r_full, not inv(inv(r))
+    p = make_param(0.0)
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng)
+        up, low = co_metric(p, sp, rand_vec(p, sp, rng))
+        assert np.array_equal(low, sp.r_full)
+        assert np.array_equal(up, sp.r_full_inv)
+
+
+def test_co_metric_evaluates_the_forms_once(rng, monkeypatch):
+    calls = count_scalar_forms(monkeypatch)
+    for _ in range(20):
+        p, sp, X = draw(rng)
+        calls[0] = 0
+        up, low = co_metric(p, sp, X)
+        assert calls[0] == 1
+        m, d = p.mirrored(), sp.dual()
+        assert np.array_equal(up, metric(m, d, X))
+        assert np.array_equal(low, metric_inverse(m, d, X))
 
 
 def test_co_metric_reciprocity(rng):

@@ -8,7 +8,7 @@ import numpy as np
 
 from finsleroid import Space, identities
 from finsleroid.cli import main
-from conftest import count_scalar_forms
+from conftest import count_gram, count_scalar_forms
 
 NAMES_AND_TOLS = [
     ("form_identities", 1e-12), ("homogeneity", 1e-12), ("euler_identity", 1e-11),
@@ -56,7 +56,9 @@ def test_battery_passes_seeds_0_to_99():
 
 def test_sample_draw_order():
     # check --seed k tests the same inputs as before the table: 40 (g, R)
-    # draws, then the second vectors of geodesic_norm_law, then angle_laws
+    # draws, then the second vectors of geodesic_norm_law, then angle_laws.
+    # The reference keeps the old two-condition rule; draw_sample tests
+    # q > 0.2 alone, which implies |v| > 0.2
     sp = Space.euclidean(3)
 
     def rand_vec(rng):
@@ -64,7 +66,7 @@ def test_sample_draw_order():
             v = rng.normal(size=3)
             if sp.spatial_norm(v) > 0.2 and sp.norm(v) > 0.2:
                 return v
-    for seed in (0, 7, 123):
+    for seed in range(300):  # CHECK_SEED_RANGE of perfbench's cli_reports
         rng = np.random.default_rng(seed)
         g, X = zip(*[(float(rng.uniform(-1.8, 1.8)), rand_vec(rng)) for _ in range(40)])
         geo = [rand_vec(rng) for _ in range(10)]
@@ -84,9 +86,19 @@ def test_fault_raises_h_only():
 
 def test_battery_scalar_forms_calls(monkeypatch):
     # the stacked identities make one call per evaluation over all rows;
-    # the pair identities make 2 (stacked sigma) and 22 (with fins_angle per
-    # pair), plane_identities 4, and the two co-form evaluations of duality
-    # (fhf at the mirror): 49 in all, against 628 one-vector calls
+    # the pair identities make 2 (stacked sigma) and angle_laws 2 more
+    # (fins_angle over the stacked pairs), plane_identities 1 (the metric
+    # under landsberg_check, over every g), and the two co-form evaluations
+    # of duality (fhf at the mirror): 28 in all, against 628 one-vector calls
     calls = count_scalar_forms(monkeypatch)
     identities.run_battery(np.random.default_rng(5))
-    assert calls[0] == 49
+    assert calls[0] == 28
+
+
+def test_battery_gram_calls(monkeypatch):
+    # angle_laws makes one stacked fins_angle and one stacked qe_angle call;
+    # connect, one pair at a time, makes the other 20 (10 pairs each in
+    # geodesic_norm_law and angle_laws), against 40 with per-pair angles
+    calls = count_gram(monkeypatch)
+    identities.run_battery(np.random.default_rng(5))
+    assert calls[0] == 22

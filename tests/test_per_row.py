@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import finsleroid as fd
-from finsleroid import AxisSingular, OutOfRange, make_param
+from finsleroid import AxisSingular, DegenerateVector, OutOfRange, make_param
 from conftest import leaves, rand_space
 
 
@@ -142,3 +142,116 @@ def test_shape_report_per_row_g():
         one = fd.shape_report(make_param(float(gs[i])))
         for f in dataclasses.fields(one):
             assert getattr(report, f.name)[i] == pytest.approx(getattr(one, f.name), rel=1e-15)
+
+
+def _pair_rows(rng, n):
+    """Second vectors for _per_row_stack: random rows, then collinear,
+    antiparallel, near-parallel (ratio 1.7 and 2) and coincident rows, and
+    rows whose |y|^2 / |x|^2 overflows (1e312) or underflows to 0 (1e-360):
+    two random, two near-parallel."""
+    g, X = _per_row_stack(rng, n)
+    Y = rng.normal(size=X.shape)
+    e = rng.normal(size=n)
+    Y[10], Y[11], Y[12] = 2.5 * X[10], -0.7 * X[11], X[12]
+    Y[13], Y[14] = 1.7 * X[13] + 1e-6 * e, 2.0 * X[14] + 1e-9 * e
+    Y[15] = -0.6 * X[15] + 1e-9 * e
+    X[16], Y[16] = 1e-78 * X[16], 1e78 * Y[16]
+    X[17], Y[17] = 1e90 * X[17], 1e-90 * Y[17]
+    X[18], X[19] = 1e-78 * X[18], 1e90 * X[19]
+    Y[18], Y[19] = 1e156 * X[18] + 1e72 * e, 1e-180 * X[19] + 1e-96 * e
+    return g, X, Y
+
+
+def _assert_rows_match(got, want, i, scales=None):
+    """Row i of the stacked result got against the one-pair result want,
+    leaf by leaf, within 1e-14 of each leaf's scale (default max |want|);
+    bool leaves exactly."""
+    got, want = leaves(got), leaves(want)
+    assert len(got) == len(want)
+    scales = scales or [np.max(np.abs(b)) for b in want]
+    for a, b, scale in zip(got, want, scales):
+        if b.dtype == bool:
+            assert a[i] == b, i
+        else:
+            assert np.max(np.abs(a[i] - b)) <= 1e-14 * scale, i
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("identity", [True, False])
+def test_stacked_pairs_match_one_pair_calls(rng, n, identity):
+    sp = rand_space(n, rng, identity=identity)
+    for _ in range(5):
+        g, X, Y = _pair_rows(rng, n)
+        P = make_param(g)
+        T1, T2 = fd.sigma(P, sp, X), fd.sigma(P, sp, Y)
+        grams, pairs = sp.gram(X, Y), fd.fins_angle(P, sp, X, Y)
+        angles = fd.qe_angle(P, T1, T2, space=sp)
+        for i in range(len(X)):
+            p = make_param(float(g[i]))
+            gram = sp.gram(X[i], Y[i])
+            _assert_rows_match(grams, gram, i)
+            # the exact collinear, antiparallel and coincident rows, and only
+            # they, are collinear
+            assert gram.collinear == (i in (10, 11, 12)), i
+            one = fd.fins_angle(p, sp, X[i], Y[i])
+            # the scalar product K1 K2 cos(alpha) vanishes at alpha = pi/2:
+            # scale it by K1 K2. alpha is compared absolutely: at N = 5 the
+            # stacked scalar_forms can differ from the one-vector ones in the
+            # last bit (a stacked matmul), which moves the angle of a
+            # near-parallel pair by about eps
+            K12 = fd.fmf(p, sp, X[i]) * fd.fmf(p, sp, Y[i])
+            _assert_rows_match(pairs, one, i, [1.0, K12, one.ominus_sq])
+            _assert_rows_match(angles, fd.qe_angle(p, T1[i], T2[i], space=sp), i)
+
+
+def test_zero_row_anywhere_raises(rng):
+    sp = rand_space(3, rng)
+    P = make_param(rng.uniform(-1.5, 1.5, size=6))
+    X, Y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    for i in (0, 3, 5):
+        for k in (0, 1):
+            pair = [X.copy(), Y.copy()]
+            pair[k][i] = 0.0
+            with pytest.raises(DegenerateVector):
+                sp.gram(*pair)
+            with pytest.raises(DegenerateVector):
+                fd.qe_angle(P, *pair, space=sp)
+            with pytest.raises(DegenerateVector):
+                fd.fins_angle(P, sp, *pair)
+
+
+def test_one_pair_keeps_python_scalars(rng):
+    # generic, near-parallel (the residual branch) and collinear pairs
+    sp = rand_space(3, rng)
+    p = make_param(0.7)
+    x = np.array([0.3, -0.5, 0.8])
+    for y in (np.array([1.0, 0.2, -0.4]), 1.7 * x + 1e-6, 2.5 * x):
+        pair = sp.gram(x, y)
+        assert all(type(v) is float for v in (pair.a11, pair.a22, pair.a12, pair.u, pair.angle))
+        assert type(pair.collinear) is bool
+        ap = fd.fins_angle(p, sp, x, y)
+        assert all(type(getattr(ap, f.name)) is float for f in dataclasses.fields(ap))
+        assert type(fd.qe_angle(p, x, y, space=sp)) is float
+
+
+def test_plane_and_profile_take_per_row_g():
+    # a faulted h and a wrong Cartan scalar make residuals that depend on g,
+    # so the per-row calls must evaluate row i at g[i]
+    gs = np.array([0.0, 0.4, -0.6, 1.2, -1.7])
+    fs = np.linspace(0.05, np.pi - 0.05, 40)
+    for shift in (0.0, 1e-3):
+        P = dataclasses.replace(make_param(gs[:, None]), h=make_param(gs[:, None]).h + shift)
+        ones = [dataclasses.replace(make_param(float(g)), h=make_param(float(g)).h + shift)
+                for g in gs]
+        for cartan in (None, 0.3):
+            want = max(fd.rund_residual(p, fs, cartan) for p in ones)
+            assert fd.rund_residual(P, fs, cartan) == pytest.approx(want, rel=1e-14, abs=1e-16)
+        chk = fd.landsberg_check(P, fs)
+        for key, value in chk.items():
+            want = max(fd.landsberg_check(p, fs)[key] for p in ones)
+            assert value == pytest.approx(want, rel=1e-14, abs=1e-16), key
+        prof = fd.indicatrix_profile(P, 64)
+        assert prof.shape == (len(gs), 64, 2)
+        for i, p in enumerate(ones):
+            one = fd.indicatrix_profile(p, 64)
+            assert np.max(np.abs(prof[i] - one)) <= 1e-14 * np.max(np.abs(one))
