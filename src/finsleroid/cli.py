@@ -5,9 +5,12 @@ Exit codes: 0 ok, 1 check failure, 2 bad input, 3 geometric singularity,
 4 I/O error.
 
 Configuration comes from flags or from a single JSON document
-(--config FILE); flags win on conflict. CSV numbers are Python's "%.17g"
-(17 significant digits, so they round-trip), written by one exact
-vectorised pass over each block of rows (finsleroid.csvtext); identical
+(--config FILE); flags win on conflict. Each subcommand accepts only the
+flags it reads: any other flag, or config key, is a usage error. CSV
+numbers are Python's "%.17g" (17 significant digits, so they round-trip),
+written by one exact vectorised pass over each block of rows; the SVG
+coordinates of figures are Python's "%.6f", written by one exact vectorised
+pass over all the polylines of a call (finsleroid.csvtext). Identical
 configuration produces byte-identical output.
 
 Every file a command writes (--out of eval, angle, geodesic, indicatrix
@@ -36,7 +39,7 @@ import numpy as np
 from . import angle as angle_mod
 from . import cospace, geodesic, identities, quasieuclid, shape, tensors
 from .core import Space, checked_forms, fmf, make_param
-from .csvtext import csv_lines
+from .csvtext import csv_lines, points_text
 from .errors import FinsleroidError, OutOfRange
 
 EXIT_OK = 0
@@ -108,8 +111,10 @@ def _csv(header: List[str], table: np.ndarray,
     return head + csv_lines(table)
 
 
-def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
-    pts = np.vstack([poly for _, poly in polylines])
+def _svg(polylines: List[Tuple[str, np.ndarray, str]]) -> str:
+    """The SVG document of (name, (n, 2) points, their points text) polylines,
+    the text from _svg_points; the view box spans every point."""
+    pts = np.vstack([poly for _, poly, _ in polylines])
     lo = pts.min(axis=0) - 0.1
     hi = pts.max(axis=0) + 0.1
     width, height = hi - lo
@@ -119,14 +124,18 @@ def _svg(polylines: List[Tuple[str, np.ndarray]]) -> str:
     ]
     styles = {"body": 'fill="none" stroke="black" stroke-width="0.01"',
               "circle": 'fill="none" stroke="gray" stroke-width="0.005"'}
-    for name, poly in polylines:
-        # one %-format pass; z * -1 keeps the sign of -z, -0.0 too
-        xz = tuple((poly * (1, -1)).ravel().tolist())
-        coords = " ".join(["%.6f,%.6f"] * len(poly)) % xz
+    for name, _, coords in polylines:
         style = styles.get(name, styles["body"])
         parts.append(f'<polyline id="{name}" {style} points="{coords}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _svg_points(polylines: List[np.ndarray]) -> List[str]:
+    """The SVG points text of each (n, 2) polyline of (q, Z): "%.6f,%.6f" of
+    (q, -Z), the SVG y axis pointing down, from one exact pass over all."""
+    # z * -1 keeps the sign of -z, -0.0 too
+    return points_text([poly * (1, -1) for poly in polylines])
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +214,14 @@ def cmd_figures(args) -> int:
     written = []
     # one profile call for every g: a per-row Param with g of shape (k, 1)
     profiles = shape.indicatrix_profile(make_param(np.array(FIGURE_G_VALUES)[:, None]), n)
-    for g, prof in zip(FIGURE_G_VALUES, profiles):
+    if args.format == "svg":
+        # the points of the six bodies and of the circle they share
+        *bodies, ring = _svg_points([*profiles, circle])
+    for i, (g, prof) in enumerate(zip(FIGURE_G_VALUES, profiles)):
         name = f"indicatrix_g{g:+.1f}"
         if args.format == "svg":
             path = outdir / f"{name}.svg"
-            _write(path, _svg([("body", prof), ("circle", circle)]))
+            _write(path, _svg([("body", prof, bodies[i]), ("circle", circle, ring)]))
         else:
             path = outdir / f"{name}.csv"
             _write(path, _csv(["f", "q", "Z", "circle_q", "circle_Z"],
@@ -267,26 +279,40 @@ def cmd_check(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, vec=False, vec2=False, samples=None):
-    sub.add_argument("--g", type=float, default=None, help="characteristic parameter")
-    sub.add_argument("--dim", type=int, default=None, help="dimension N")
-    sub.add_argument("--r", type=str, default=None,
-                     help="comma list of the (N-1)^2 spatial metric entries")
-    if vec:
-        sub.add_argument("--vec", type=str, default=None, help="vector, comma separated")
-    if vec2:
-        sub.add_argument("--vec2", type=str, default=None, help="second vector")
-    if samples is not None:
-        sub.add_argument("--samples", type=int, default=None)
-        sub.set_defaults(_samples_default=samples)
-    sub.add_argument("--format", choices=("csv", "json", "svg"), default=None)
-    sub.add_argument("--out", type=str, default=None, help="output path")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tol", action="append", default=None, metavar="KEY=VAL")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON document with the same keys; flags win")
-    sub.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+# Every flag of the CLI. Each subcommand registers only the flags its
+# handler reads, so any other flag is a usage error.
+_FLAGS = {
+    "g": dict(type=float, help="characteristic parameter"),
+    "dim": dict(type=int, help="dimension N"),
+    "r": dict(type=str, help="comma list of the (N-1)^2 spatial metric entries"),
+    "vec": dict(type=str, help="vector, comma separated"),
+    "vec2": dict(type=str, help="second vector"),
+    "samples": dict(type=int, help="number of samples"),
+    "format": dict(choices=("csv", "svg"), help="figure file format (default csv)"),
+    "seed": dict(type=int, help="seed of the random sample (default 0)"),
+    "tol": dict(action="append", metavar="KEY=VAL", help="tolerance of an identity"),
+    "json": dict(action="store_true", help="machine-readable output"),
+    "out": dict(type=str, help="output path"),
+    "config": dict(type=str, help="JSON document with the same keys; flags win"),
+    "inject-fault": dict(action="store_true", help=argparse.SUPPRESS),
+}
+
+# name: (handler, help, its flags, the flags it requires, the defaults of
+# the flags that neither the command line nor --config set)
+_COMMANDS = {
+    "eval": (cmd_eval, "metric function and tensor scalars at a vector",
+             "g dim r vec json out", "g vec", {}),
+    "angle": (cmd_angle, "angle and scalar product of two vectors",
+              "g dim r vec vec2 json out", "g vec vec2", {}),
+    "geodesic": (cmd_geodesic, "closed-form geodesic samples as CSV",
+                 "g dim r vec vec2 samples out", "g vec vec2", {"samples": 50}),
+    "indicatrix": (cmd_indicatrix, "unit-body generatrix as CSV",
+                   "g samples out", "g", {"samples": 181}),
+    "figures": (cmd_figures, "emit the standard figure data files",
+                "samples format out", "", {"samples": 361, "format": "csv"}),
+    "check": (cmd_check, "run the identity suite",
+              "seed tol json out inject-fault", "", {"seed": 0}),
+}
 
 
 def _apply_config(args) -> None:
@@ -335,33 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parse_args does not change it."""
     ap = _Parser(prog="finsleroid", description="Finsleroid geometry toolkit")
     subs = ap.add_subparsers(dest="command", required=True)
-    handlers = {}
-
-    s = subs.add_parser("eval", help="metric function and tensor scalars at a vector")
-    _add_common(s, vec=True)
-    handlers["eval"] = cmd_eval
-
-    s = subs.add_parser("angle", help="angle and scalar product of two vectors")
-    _add_common(s, vec=True, vec2=True)
-    handlers["angle"] = cmd_angle
-
-    s = subs.add_parser("geodesic", help="closed-form geodesic samples as CSV")
-    _add_common(s, vec=True, vec2=True, samples=50)
-    handlers["geodesic"] = cmd_geodesic
-
-    s = subs.add_parser("indicatrix", help="unit-body generatrix as CSV")
-    _add_common(s, samples=181)
-    handlers["indicatrix"] = cmd_indicatrix
-
-    s = subs.add_parser("figures", help="emit the standard figure data files")
-    _add_common(s, samples=361)
-    handlers["figures"] = cmd_figures
-
-    s = subs.add_parser("check", help="run the identity suite")
-    _add_common(s)
-    handlers["check"] = cmd_check
-
-    ap.set_defaults(_handlers=handlers)
+    for name, (handler, text, flags, required, defaults) in _COMMANDS.items():
+        s = subs.add_parser(name, help=text)
+        for flag in flags.split() + ["config"]:
+            s.add_argument(f"--{flag}", **_FLAGS[flag])
+        s.set_defaults(_handler=handler, _required=required.split(), _defaults=defaults)
     return ap
 
 
@@ -372,21 +376,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = ap.parse_args(_join_number_lists(argv))
         _apply_config(args)
-        if args.seed is None:
-            args.seed = 0
-        if args.format is None:
-            args.format = "csv"
-        if getattr(args, "samples", "absent") is None:
-            args.samples = args._samples_default
-        if args.command in ("eval", "angle", "geodesic", "indicatrix") and args.g is None:
-            raise ValueError("--g is required")
-        if getattr(args, "vec", None) is None and args.command in (
-                "eval", "angle", "geodesic"):
-            raise ValueError("--vec is required")
-        if getattr(args, "vec2", None) is None and args.command in ("angle", "geodesic"):
-            raise ValueError("--vec2 is required")
-        handler = args._handlers[args.command]
-        return handler(args)
+        for key, val in args._defaults.items():
+            if getattr(args, key) is None:
+                setattr(args, key, val)
+        for flag in args._required:
+            if getattr(args, flag) is None:
+                raise ValueError(f"--{flag} is required")
+        return args._handler(args)
     except (OutOfRange, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -190,6 +190,30 @@ def per_row(x, k: int = 1):
     return x[(...,) + (None,) * k] if isinstance(x, np.ndarray) else x
 
 
+# Veltkamp's splitter 2^27 + 1. _SPLIT * a overflows for |a| above about
+# 1.3e300, so a caller scales its factors below _SPLIT_MAX by powers of two.
+_SPLIT = 134217729.0
+_SPLIT_MAX = 2.0 ** 996
+
+
+def two_product(a, b, b_split=None):
+    """Dekker's two-product, elementwise: hi = fl(a b) and lo with
+    hi + lo = a b exactly, barring underflow (Dekker 1971), from Veltkamp's
+    split of each factor into two halves of at most 26 bits. A caller with a
+    constant b may pass its split (bhi, blo)."""
+    hi = a * b
+    ahi, alo = split(a)
+    bhi, blo = split(b) if b_split is None else b_split
+    return hi, ((ahi * bhi - hi) + ahi * blo + alo * bhi) + alo * blo
+
+
+def split(a):
+    """Veltkamp's split, elementwise: ahi + alo = a exactly, for |a| < _SPLIT_MAX."""
+    c = _SPLIT * a
+    ahi = c - (c - a)
+    return ahi, a - ahi
+
+
 def axial(R: np.ndarray) -> Union[float, np.ndarray]:
     """The axial component Z of a checked vector (a float) or of every row
     of a stack (an array of shape R.shape[:-1])."""
@@ -204,8 +228,8 @@ COLLINEAR_TOL = 1e-14
 
 class Gram(NamedTuple):
     """Pair geometry of nonzero x, y from Space.gram: the products a11, a22,
-    a12, the residual perp = y - (a12/a11) x (formed from y - lam x, lam a
-    signed power of two, near (anti)parallel pairs), the Gram root
+    a12, the residual perp = y - (a12/a11) x (formed from the exact
+    y - lam x, lam = a12/a11 rounded, near (anti)parallel pairs), the Gram root
     u = |x| |perp|, the angle atan2(u, a12) in [0, pi] and u / sqrt(a11 a22) <= COLLINEAR_TOL.
     Taking u from the residual, not from a11 a22 - a12^2, keeps u and the
     angle accurate near 0 and pi (Kahan 2006). d1 = (a11 y - a12 x) / u and
@@ -327,17 +351,17 @@ class Space:
         near = 16.0 * a12 * a12 >= 15.0 * a11 * a22
         if any_row(near):
             # within about 15 degrees of (anti)parallel y - (a12/a11) x
-            # cancels. With lam the power of two nearest |y|/|x|, signed like
-            # a12, y - lam x is exact for y near lam x, and s - (r x.s / a11) x
-            # is the same residual without the cancellation. lam is 0 on the
-            # other rows, where s = y and r x.s = a12 bit for bit. log2 of
-            # a22 / a11 is taken as a difference, since the quotient of far
-            # apart |y| and |x| can overflow or reach 0; on the other rows
-            # it is read as 0, so that no power of two there overflows
-            e = m.log2(a22) - m.log2(a11)
-            e = e if m is math else np.where(near, e, 0.0)
-            lam = near * m.copysign(2.0 ** m.floor(0.5 * e + 0.5), a12)
-            s = y - per_row(lam) * x
+            # cancels. lam x = hi + lo exactly for lam = a12/a11 rounded, and
+            # y - hi is exact for y near lam x, so s = (y - hi) - lo is
+            # y - lam x in one rounding and s - (r x.s / a11) x the same
+            # residual without the cancellation. lam is 0 on the other rows,
+            # where s = y and r x.s = a12 bit for bit. lam can leave the range
+            # of the split (|y| / |x| above about 1e300; x cannot, as a11 is
+            # finite), so it is scaled by 2^-64 there and x by 2^64
+            lam = c if m is math else np.where(near, c, 0.0)
+            k = per_row(2.0 ** (64 * (abs(lam) >= _SPLIT_MAX)))
+            hi, lo = two_product(per_row(lam) / k, x * k)
+            s = (y - hi) - lo
             c = np.vecdot(rx, s) / a11
         perp = s - per_row(c) * x
         # |perp|^2 as a sum of squares in the orthonormal frame: never below 0

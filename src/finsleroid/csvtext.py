@@ -1,17 +1,23 @@
-"""The text of float tables as CSV lines, byte-identical to "%.17g".
+"""Float text in two exact formats, byte-identical to Python's own:
+"%.17g" for the CSV tables and "%.6f" for the SVG points.
 
-CPython's "%.17g" rounds correctly, one number at a time, through the
-bignum path of dtoa. csv_lines forms the same digits for a whole block
-of rows with numpy: an exact Dekker two-product gives the 17 significant
-digits of each number in fixed notation, and a table of 4-digit groups
-turns them into text. Every other number is passed to "%.17g" itself.
+CPython's "%" rounds correctly, one number at a time, through the bignum
+path of dtoa. csv_lines and points_text form the same digits for a whole
+array with numpy: one exact Dekker two-product (core.two_product) gives
+the decimal digits before rounding, and tables of digit groups turn them
+into text. Every number outside a kernel's fast range is passed to "%"
+itself.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "csv_lines"]
+from .core import split, two_product
+
+__all__ = ["CHUNK_ROWS", "csv_lines", "points_text"]
 
 
 # Rows per pass of _rows: its buffers stay small and in cache.
@@ -33,16 +39,33 @@ def _quad_table() -> np.ndarray:
     return d.view(np.uint32).ravel()
 
 
+def _fixed6_table() -> np.ndarray:
+    """The three 4-byte groups of "%.6f" of 0..999 as one uint32 each: at
+    [0] a NUL byte and the integer digits, with the leading '0's but the
+    last as NUL bytes; at [1] ".ddd"; at [2] "ddd" and a NUL byte."""
+    ddd = _QUADS[:1000].view(np.uint8).reshape(1000, 4)[:, 1:]
+    kept = np.logical_or.accumulate(ddd != 48, axis=1)
+    kept[:, 2] = True
+    t = np.zeros((3, 1000, 4), np.uint8)
+    t[0, :, 1:] = ddd * kept
+    t[1, :, 0] = 46  # '.'
+    t[1, :, 1:] = t[2, :, :3] = ddd
+    return t.view(np.uint32)[..., 0]
+
+
 _QUADS = _quad_table()
+_FIXED6 = _fixed6_table()
 # _DECADES[j + 5] is the double nearest 10^j, j = -5..16: each is 10^j or just
 # above it, so a double x >= 10^j exactly when x >= _DECADES[j + 5]
 _DECADES = np.array([float(f"1e{j}") for j in range(-5, 17)])
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact doubles
-# Veltkamp's split of 10^p into two halves, for Dekker's two-product
-_SPLIT = 134217729.0  # 2^27 + 1
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+# Veltkamp's split of 10^p into two halves, for the two-product
+_POW10_SPLIT = split(_POW10)
 _SLOW = 19  # the sort key of the values "%.17g" writes: after the 19 exponents
+# points_text writes |x| < 999 itself: x 10^6 stays below 2^31, and the
+# integer part has at most 3 digits
+_FIXED6_HI = 999.0
+_SLOW_MARK = 1  # the byte that stands for a value written by "%.6f"
 
 
 def csv_lines(table: np.ndarray) -> str:
@@ -82,12 +105,8 @@ def _rows(rows: np.ndarray) -> str:
     counts = np.bincount(key, minlength=_SLOW + 1)
     a, xs = a.take(order), x.take(order)
     # 10^(16 - k) of each sorted row, split
-    b, bhi, blo = (np.repeat(t[20:0:-1], counts) for t in (_POW10, _POW10_HI, _POW10_LO))
-    hi = a * b
-    c = _SPLIT * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    lo = ((ahi * bhi - hi) + ahi * blo + alo * bhi) + alo * blo
+    b, bhi, blo = (np.repeat(t[20:0:-1], counts) for t in (_POW10, *_POW10_SPLIT))
+    hi, lo = two_product(a, b, (bhi, blo))
     N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # the digits d0, d1..d16 at columns 3..19 of a (n, 20) array whose uint32
     # columns 1..4 take the 4-digit groups, with the trailing zeros of N as
@@ -136,3 +155,58 @@ def _rows(rows: np.ndarray) -> str:
     line[:, 24] = 44  # ','
     line[ncols - 1::ncols, 24] = 10  # '\n'
     return line.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def points_text(polylines: Sequence[np.ndarray]) -> List[str]:
+    """The SVG points of each (n, 2) polyline: "%.6f,%.6f" % (x, y) for
+    every point, joined by " ", from one pass over all the polylines."""
+    values = np.concatenate([np.asarray(p, dtype=float).ravel() for p in polylines])
+    sep = np.full(values.size, 32, np.uint8)  # ' '
+    sep[::2] = 44  # ','
+    ends = np.cumsum([np.size(p) for p in polylines])
+    sep[ends[ends > 0] - 1] = 10  # '\n' after the last number of a polyline
+    lines = iter(_fixed6(values, sep).split("\n"))
+    return [next(lines) if np.size(p) else "" for p in polylines]
+
+
+def _fixed6(x: np.ndarray, sep: np.ndarray) -> str:
+    """"%.6f" % v followed by its separator byte, for every v of x.
+
+    For |x| < 999, Dekker's two-product gives |x| 10^6 = hi + lo exactly,
+    and ulp(hi) <= 1/2, so d = hi - rint(hi) is exact. The half-even rounding
+    of hi + lo is rint(hi), except where hi lies halfway between two
+    integers: then it is hi rounded toward lo, and rint(hi) when lo = 0, that
+    is rint(hi) + sign(lo) where 2d = sign(lo). Each value gets a 12-byte
+    slot [sign, 3 integer digits, '.', 6 decimals, separator] with NUL in
+    the bytes not written, and deleting the NULs leaves the text. Every
+    other value (|x| >= 999, inf, NaN) gets a mark byte there, replaced by
+    "%.6f" % v.
+    """
+    ax = np.abs(x)
+    fast = ax < _FIXED6_HI  # False on NaN
+    hi, lo = two_product(np.where(fast, ax, 0.0), 1e6)
+    N = np.rint(hi)
+    d, s = hi - N, np.sign(lo)
+    N += (d + d == s) * s
+    N = N.astype(np.int32)  # below 10^9; int32 division is cheaper
+    whole = N // 10**6
+    frac = N - whole * 10**6
+    thousands = frac // 1000
+    slots = np.empty((x.size, 3), np.uint32)
+    slots[:, 0] = _FIXED6[0].take(whole)
+    slots[:, 1] = _FIXED6[1].take(thousands)
+    slots[:, 2] = _FIXED6[2].take(frac - thousands * 1000)
+    text = slots.view(np.uint8)
+    # the first byte of each slot, NUL in the table, takes the sign
+    text[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(45)  # '-'
+    slow = np.flatnonzero(~fast)
+    text[slow] = 0
+    text[slow, 0] = _SLOW_MARK
+    text[:, 11] = sep
+    out = text.tobytes().translate(None, b"\0").decode("ascii")
+    if not slow.size:
+        return out
+    parts = out.split(chr(_SLOW_MARK))
+    for i, v in enumerate(x[slow].tolist()):
+        parts[i] += "%.6f" % v
+    return "".join(parts)

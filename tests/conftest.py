@@ -1,6 +1,6 @@
 """Shared helpers: random geometry draws, finite-difference oracles,
-counters of scalar_forms and Space.gram evaluations and the array leaves
-of a result."""
+counters of scalar_forms and Space.gram evaluations and of "%.6f" kernel
+passes, and the array leaves of a result."""
 
 import dataclasses
 import sys
@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from finsleroid import Space, core
+from finsleroid import Space, core, csvtext
 
 
 def rand_space(n, rng, identity=False):
@@ -103,6 +103,19 @@ def count_gram(monkeypatch):
         calls[0] += 1
         return fn(self, *args, **kwargs)
     monkeypatch.setattr(Space, "gram", counted)
+    return calls
+
+
+def count_fixed6(monkeypatch):
+    """Count the passes of csvtext._fixed6, the "%.6f" kernel of the SVG
+    points; returns a one-item list holding the count."""
+    calls = [0]
+    fn = csvtext._fixed6
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(csvtext, "_fixed6", counted)
     return calls
 
 

@@ -1,6 +1,6 @@
 """Accuracy against 50-digit references near singular loci: h and K as
-|g| -> 2, and the Gram root and n2 near the antipodal pair; the range of
-the tensor stack as |g| -> 2."""
+|g| -> 2, and the Gram root and n2 near collinear and antipodal pairs; the
+range of the tensor stack as |g| -> 2."""
 
 import numpy as np
 import pytest
@@ -158,19 +158,36 @@ def _mp_n2(g, r, x, y):
             - A2 * (R * d1) * (R * d2).T / (h * n1n2))
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
 def test_gram_root_near_the_antipodal_pair(rng, delta):
-    # t2 = -t1 + delta e: y - (a12/a11) x cancels, and u was off by up to
-    # 1.9e-8 relative at delta = 1e-8; n2 at g != 0 inherits 1/u. Measured
-    # now: u within 1.2 eps, n2 within 5.8 eps of max |n2|
+    # t2 = k t1 + delta e: y - (a12/a11) x cancels. u was off by up to
+    # 1.9e-8 relative at k = -1, delta = 1e-8, and by 3.7e9 eps at k = 1.7,
+    # delta = 1e-10, while y - lam x was exact only for lam a power of two;
+    # n2 at g != 0 inherits 1/u. Measured now: u within 2.0 eps, n2 within
+    # 6.9 eps of max |n2|
     p = make_param(0.4)
-    for _ in range(20):
-        sp = rand_space(3, rng)
-        t1 = rng.normal(size=3)
-        t2 = -t1 + delta * rng.normal(size=3)
-        u = _mp_pair(sp.r_full, t1, t2)[-1]
-        assert abs(sp.gram(t1, t2).u - u) <= 4 * EPS * u
-        ref = _mp_n2(0.4, sp.r_full, t1, t2)
-        got = n2(p, t1, t2, space=sp).components
-        scale = max(abs(v) for v in ref)
-        assert max(abs(got[i, j] - ref[i, j]) for i in range(3) for j in range(3)) <= 16 * EPS * scale
+    for k in (1.7, -0.6, 3.3, -1.0):
+        for _ in range(20):
+            sp = rand_space(3, rng)
+            t1 = rng.normal(size=3)
+            t2 = k * t1 + delta * rng.normal(size=3)
+            u = _mp_pair(sp.r_full, t1, t2)[-1]
+            assert abs(sp.gram(t1, t2).u - u) <= 4 * EPS * u, k
+            ref = _mp_n2(0.4, sp.r_full, t1, t2)
+            got = n2(p, t1, t2, space=sp).components
+            scale = max(abs(v) for v in ref)
+            err = max(abs(got[i, j] - ref[i, j]) for i in range(3) for j in range(3))
+            assert err <= 16 * EPS * scale, k
+
+
+def test_gram_root_near_collinear_beyond_the_split_range(rng):
+    # lam = a12 / a11 ~ 1.7e301 leaves the range of Veltkamp's split, which
+    # gave NaN before lam was scaled by a power of two
+    sp = rand_space(3, rng)
+    x, e = rng.normal(size=3), rng.normal(size=3)
+    t1, t2 = 1e-151 * x, 1e150 * (1.7 * x + 1e-8 * e)
+    gram = sp.gram(t1, t2)
+    u = _mp_pair(sp.r_full, t1, t2)[-1]
+    assert abs(gram.u - u) <= 4 * EPS * u
+    stacked = sp.gram(np.stack([x, t1]), np.stack([e, t2]))
+    assert stacked.u[1] == gram.u and np.array_equal(stacked.perp[1], gram.perp)

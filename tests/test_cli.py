@@ -42,6 +42,10 @@ def parse_csv(text):
     return comments, header, np.array(rows)
 
 
+# every double, from its bits: NaN, +-inf, subnormals and every exponent
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
 # ------------------------------------------------------------------- eval
 
 def test_eval_euclidean(capsys):
@@ -219,7 +223,7 @@ def test_svg_points_match_per_point_format():
     import re
 
     import finsleroid as fd
-    from finsleroid.cli import _svg
+    from finsleroid.cli import _svg, _svg_points
     rng = np.random.default_rng(9)
     fs = np.linspace(0.0, math.pi, 361)
     edge = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
@@ -227,9 +231,73 @@ def test_svg_points_match_per_point_format():
     polys = [("body", fd.indicatrix_profile(fd.make_param(-0.4), 361)),
              ("circle", np.column_stack([np.sin(fs), np.cos(fs)])),
              ("edge", np.vstack([edge, -rng.uniform(0, 5e-7, size=(50, 2))]))]
-    points = re.findall(r'points="([^"]*)"', _svg(polys))
+    texts = _svg_points([poly for _, poly in polys])
+    svg = _svg([(*item, text) for item, text in zip(polys, texts)])
+    points = re.findall(r'points="([^"]*)"', svg)
     assert points == [" ".join(f"{x:.6f},{-z:.6f}" for x, z in poly) for _, poly in polys]
     assert "-0.000000,-0.000000" in points[2] and "0.000000,0.000000" in points[2]
+
+
+# "%.6f" ties: x 10^6 is halfway between two integers at x = odd / 2^7, and
+# at the double nearest a decimal k + 0.5 (10^-6) fl(x 10^6) often is
+_TIES = st.one_of(st.integers(-64000, 63999).map(lambda k: (2 * k + 1) / 128),
+                  st.integers(-999 * 10**6, 999 * 10**6).map(lambda k: (k + 0.5) / 1e6))
+_FIXED_EDGES = st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 999.0, -999.0, math.nextafter(999.0, 0.0),
+                                math.nextafter(1000.0, 0.0), -math.nextafter(1000.0, 0.0),
+                                1.7976931348623157e308, -1.7976931348623157e308,
+                                math.nan, math.inf, -math.inf])
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_FLOAT_BITS, st.floats(-1e4, 1e4), st.floats(-1e-6, 1e-6),
+                          st.floats(998.0, 1000.0), _TIES, _FIXED_EDGES), max_size=80),
+       st.integers(0, 3))
+def test_svg_points_match_fmt_on_any_doubles(values, cut):
+    # bit patterns give NaN, +-inf, subnormals and every exponent; the rest
+    # cover the kernel's fast range |x| < 999, its edge, the ties and the
+    # values that print as -0.000000
+    from finsleroid.cli import _svg_points
+    xz = np.array(values[:len(values) // 2 * 2], dtype=float).reshape(-1, 2)
+    polys = [xz[:cut], xz[cut:], xz[:0]]
+    assert _svg_points(polys) == [" ".join(f"{x:.6f},{-z:.6f}" for x, z in p) for p in polys]
+
+
+def _svg_per_point(polylines):
+    """The SVG document of (name, (n, 2) points) polylines, every number
+    written by "%.6f" one at a time."""
+    pts = np.vstack([poly for _, poly in polylines])
+    lo, hi = pts.min(axis=0) - 0.1, pts.max(axis=0) + 0.1
+    width, height = hi - lo
+    styles = {"body": 'fill="none" stroke="black" stroke-width="0.01"',
+              "circle": 'fill="none" stroke="gray" stroke-width="0.005"'}
+    return "\n".join(
+        [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{lo[0]:.6f} '
+         f'{-hi[1]:.6f} {width:.6f} {height:.6f}">']
+        + [f'<polyline id="{name}" {styles[name]} points="'
+           + " ".join("%.6f,%.6f" % (x, -z) for x, z in poly) + '"/>'
+           for name, poly in polylines]
+        + ["</svg>"]) + "\n"
+
+
+def test_figures_svg_files_match_per_point_format(tmp_path, capsys):
+    import finsleroid as fd
+    assert run(capsys, "figures", "--out", str(tmp_path), "--format", "svg",
+               "--samples", "361")[0] == 0
+    fs = np.linspace(0.0, math.pi, 361)
+    circle = np.column_stack([np.sin(fs), np.cos(fs)])
+    g = np.array(cli.FIGURE_G_VALUES)
+    for gi, body in zip(g, fd.indicatrix_profile(fd.make_param(g[:, None]), 361)):
+        svg = (tmp_path / f"indicatrix_g{gi:+.1f}.svg").read_text()
+        assert svg == _svg_per_point([("body", body), ("circle", circle)])
+
+
+@pytest.mark.parametrize("fmt, passes", [("svg", 1), ("csv", 0)])
+def test_figures_formats_the_points_in_one_pass(tmp_path, capsys, monkeypatch, fmt, passes):
+    # the six bodies and their shared circle go through one "%.6f" pass
+    from conftest import count_fixed6
+    calls = count_fixed6(monkeypatch)
+    assert run(capsys, "figures", "--out", str(tmp_path), "--format", fmt)[0] == 0
+    assert calls[0] == passes
 
 
 def test_figures_determinism(tmp_path, capsys):
@@ -304,6 +372,18 @@ def test_parser_built_once_keeps_subcommand_defaults(tmp_path, capsys):
     assert parse_csv(out)[2].shape == (50, 4)
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--seed", "3", "--dim", "5", "--g", "1.0", "--r", "2,0,0,2", "--format", "svg"),
+    ("figures", "--g", "0.9", "--dim", "7", "--seed", "4"),
+    ("indicatrix", "--g", "0.4", "--dim", "9", "--r", "1"),
+])
+def test_flag_a_command_does_not_read_is_bad_input(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_returns_bad_input(capsys):
     code, _, err = run(capsys, "eval", "--g")
     assert code == 2
@@ -343,9 +423,6 @@ def test_csv_chunk_edges(rows, cols):
     table = np.random.default_rng(rows + cols).normal(size=(rows, cols))
     header = [f"c{i}" for i in range(cols)]
     assert _csv(header, table) == _fmt_csv(header, table)
-
-
-_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
 
 
 @settings(deadline=None)
