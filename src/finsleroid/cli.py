@@ -8,9 +8,11 @@ Configuration comes from flags or from a single JSON document
 (--config FILE); flags win on conflict. Each subcommand accepts only the
 flags it reads: any other flag, or config key, is a usage error. CSV
 numbers are Python's "%.17g" (17 significant digits, so they round-trip),
-written by one exact vectorised pass over each block of rows; the SVG
-coordinates of figures are Python's "%.6f", written by one exact vectorised
-pass over all the polylines of a call (finsleroid.csvtext). Identical
+written by one exact vectorised pass over each block of rows of a table;
+figures formats the columns its files share once, in one pass over the
+columns of its six body files and one over those of its two curves. The
+SVG coordinates of figures are Python's "%.6f", written by one exact
+vectorised pass over all the polylines of a call (finsleroid.csvtext). Identical
 configuration produces byte-identical output.
 
 Every file a command writes (--out of eval, angle, geodesic, indicatrix
@@ -39,7 +41,7 @@ import numpy as np
 from . import angle as angle_mod
 from . import cospace, geodesic, identities, quasieuclid, shape, tensors
 from .core import Space, checked_forms, fmf, make_param
-from .csvtext import csv_lines, points_text
+from .csvtext import csv_lines, csv_tables, points_text
 from .errors import FinsleroidError, OutOfRange
 
 EXIT_OK = 0
@@ -103,12 +105,16 @@ def _emit(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_head(header: List[str], comments: Optional[List[str]] = None) -> str:
+    """The comment lines and the header line of a CSV file."""
+    return "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
+
+
 def _csv(header: List[str], table: np.ndarray,
          comments: Optional[List[str]] = None) -> str:
     """Comment lines, the header and one line per row of the 2-D table, each
     number written as "%.17g" % x, the bytes of _fmt."""
-    head = "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
-    return head + csv_lines(table)
+    return _csv_head(header, comments) + csv_lines(table)
 
 
 def _svg(polylines: List[Tuple[str, np.ndarray, str]]) -> str:
@@ -217,6 +223,11 @@ def cmd_figures(args) -> int:
     if args.format == "svg":
         # the points of the six bodies and of the circle they share
         *bodies, ring = _svg_points([*profiles, circle])
+    else:
+        # one "%.17g" pass over [f, circle_q, circle_Z, q0, Z0 ... q5, Z5]:
+        # each file takes f, its body's (q, Z) and the circle
+        bodies = csv_tables(np.column_stack([fs, circle, *profiles]),
+                            [(0, 3 + 2 * i, 4 + 2 * i, 1, 2) for i in range(len(profiles))])
     for i, (g, prof) in enumerate(zip(FIGURE_G_VALUES, profiles)):
         name = f"indicatrix_g{g:+.1f}"
         if args.format == "svg":
@@ -224,17 +235,18 @@ def cmd_figures(args) -> int:
             _write(path, _svg([("body", prof, bodies[i]), ("circle", circle, ring)]))
         else:
             path = outdir / f"{name}.csv"
-            _write(path, _csv(["f", "q", "Z", "circle_q", "circle_Z"],
-                              np.column_stack([fs, prof, circle]), [f"g={_fmt(g)}"]))
+            _write(path, _csv_head(["f", "q", "Z", "circle_q", "circle_Z"], [f"g={_fmt(g)}"])
+                   + bodies[i])
         written.append(path)
     gs = np.linspace(-1.9, 1.9, 191)
     report = shape.shape_report(make_param(gs))
-    path = outdir / "equator_radius_curve.csv"
-    _write(path, _csv(["g", "q_star"], np.column_stack([gs, report.q_star])))
-    written.append(path)
-    path = outdir / "width_height_curve.csv"
-    _write(path, _csv(["g", "Z_2star"], np.column_stack([gs, report.Z_2star])))
-    written.append(path)
+    # one "%.17g" pass over [g, q_star, Z_2star] for the two curves
+    curves = csv_tables(np.column_stack([gs, report.q_star, report.Z_2star]), [(0, 1), (0, 2)])
+    for name, column, text in zip(("equator_radius_curve", "width_height_curve"),
+                                  ("q_star", "Z_2star"), curves):
+        path = outdir / f"{name}.csv"
+        _write(path, _csv_head(["g", column]) + text)
+        written.append(path)
     sys.stdout.write("".join(f"{p}\n" for p in written))
     return EXIT_OK
 
@@ -316,18 +328,39 @@ _COMMANDS = {
 
 
 def _apply_config(args) -> None:
+    """Set every flag that the command line leaves unset from the --config
+    document, through the command's parser as if it were given as that
+    flag: a value of the wrong type or outside the flag's choices is a
+    usage error, as on the command line. A switch takes true or false, a
+    tol dict stands for one --tol KEY=VAL per entry, and null leaves the
+    flag unset."""
     if not getattr(args, "config", None):
         return
     doc = json.loads(Path(args.config).read_text())
+    flags = _COMMANDS[args.command][2].split() + ["config"]
+    argv = []
     for key, val in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = key.replace("_", "-")
+        if flag not in flags:
             raise ValueError(f"unknown config key {key!r}")
-        cur = getattr(args, attr)
-        if cur is None or cur is False:  # flag absent: config value applies
-            if attr == "tol" and isinstance(val, dict):
-                val = [f"{k}={v}" for k, v in val.items()]
-            setattr(args, attr, val)
+        cur = getattr(args, flag.replace("-", "_"))
+        if not (cur is None or cur is False) or val is None:  # the flag wins
+            continue
+        action = _FLAGS[flag].get("action")
+        if action == "store_true":
+            if not isinstance(val, bool):
+                raise ValueError(f"config key {key!r} takes true or false, got {val!r}")
+            if val:
+                argv.append(f"--{flag}")
+            continue
+        if flag == "tol" and isinstance(val, dict):
+            val = [f"{k}={v}" for k, v in val.items()]
+        for item in val if action == "append" and isinstance(val, list) else [val]:
+            argv.append(f"--{flag}={item if isinstance(item, str) else json.dumps(item)}")
+    try:
+        args._parser.parse_args(argv, namespace=args)
+    except ValueError as exc:
+        raise ValueError(f"--config {args.config}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -365,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         s = subs.add_parser(name, help=text)
         for flag in flags.split() + ["config"]:
             s.add_argument(f"--{flag}", **_FLAGS[flag])
-        s.set_defaults(_handler=handler, _required=required.split(), _defaults=defaults)
+        s.set_defaults(_handler=handler, _required=required.split(), _defaults=defaults,
+                       _parser=s)
     return ap
 
 

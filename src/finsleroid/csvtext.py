@@ -6,24 +6,25 @@ path of dtoa. csv_lines and points_text form the same digits for a whole
 array with numpy: one exact Dekker two-product (core.two_product) gives
 the decimal digits before rounding, and tables of digit groups turn them
 into text. Every number outside a kernel's fast range is passed to "%"
-itself.
+itself. csv_tables formats a table once and writes several CSV tables
+from its columns, so a column they share is formatted once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import split, two_product
 
-__all__ = ["CHUNK_ROWS", "csv_lines", "points_text"]
+__all__ = ["CHUNK_ROWS", "csv_lines", "csv_tables", "points_text"]
 
 
-# Rows per pass of _rows: its buffers stay small and in cache.
+# Rows per pass of _slots: its buffers stay small and in cache.
 CHUNK_ROWS = 1024
 # "%.17g" writes x in fixed notation when its decimal exponent lies in
-# [-4, 16]. _rows writes the finite x with 1e-4 <= |x| < 1e15 itself and
+# [-4, 16]. _slots writes the finite x with 1e-4 <= |x| < 1e15 itself and
 # the rest (0, subnormals, tiny, huge, inf, NaN) with "%.17g".
 _FIXED_LO, _FIXED_HI = 1e-4, 1e15
 
@@ -71,14 +72,45 @@ _SLOW_MARK = 1  # the byte that stands for a value written by "%.6f"
 def csv_lines(table: np.ndarray) -> str:
     """The CSV lines of a 2-D float table: "%.17g" % x for every number,
     "," between the numbers of a row and "\\n" after each row."""
+    return csv_tables(table, [slice(None)])[0]
+
+
+def csv_tables(table: np.ndarray, layouts: Sequence[Union[Sequence[int], slice]]
+               ) -> List[str]:
+    """The CSV lines of several tables made of the columns of one 2-D float
+    table, from one pass of the "%.17g" kernel over it: for each layout, a
+    sequence of column indices (or a slice of the columns), the csv_lines of
+    table[:, layout]. A number that several layouts share is formatted once."""
     table = np.asarray(table, dtype=float)
-    if table.shape[1] == 0:  # no numbers: an empty line per row
-        return "\n" * len(table)
-    return "".join(_rows(table[i:i + CHUNK_ROWS]) for i in range(0, len(table), CHUNK_ROWS))
+    texts: List[List[str]] = [[] for _ in layouts]
+    for i in range(0, len(table), CHUNK_ROWS):
+        for text, lines in zip(texts, _block(table[i:i + CHUNK_ROWS], layouts)):
+            text.append(lines)
+    return ["".join(text) for text in texts]
 
 
-def _rows(rows: np.ndarray) -> str:
-    """csv_lines of a block of rows.
+def _block(rows: np.ndarray, layouts) -> List[str]:
+    """The CSV lines of each layout of a block of rows, from one _slots
+    pass; the slots are freed on return."""
+    slots, at = _slots(rows)
+    return [_lines(slots, at[:, cols]) for cols in layouts]
+
+
+def _lines(slots: np.ndarray, at: np.ndarray) -> str:
+    """The CSV lines of a block of rows whose values sit in slots at the
+    row indices at, of shape (rows, columns)."""
+    if at.shape[1] == 0:  # no numbers: an empty line per row
+        return "\n" * len(at)
+    line = slots.take(at, axis=0)
+    line[..., 24] = 44  # ','
+    line[:, -1, 24] = 10  # '\n'
+    return line.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _slots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The "%.17g" text of every value of a block of rows: (slots, at), a
+    25-byte slot per value and, in at of the block's shape, the index of
+    each value's slot.
 
     For x in fixed notation with exponent k = floor(log10|x|), the 17
     significant digits are N = round-half-even(|x| 10^(16-k)) in
@@ -86,12 +118,11 @@ def _rows(rows: np.ndarray) -> str:
     exactly (10^p is exact for p <= 22), and hi >= 10^16 > 2^53 is an even
     integer, so N = hi + rint(lo) rounds as "%.17g" does. N never carries to
     10^17: the double below 10^(k+1) lies at least half an ulp, 5e-17
-    10^(k+1), below it. Each value gets a 25-byte slot [sign, text,
-    separator] with NUL in the bytes not written, and deleting the NULs
+    10^(k+1), below it. A slot is [sign, text, separator] with NUL in the
+    bytes not written; _lines writes the separators, and deleting the NULs
     leaves the lines. The values are sorted by k, so that each exponent
     lays out its digits with slices.
     """
-    ncols = rows.shape[1]
     x = rows.ravel()
     n = x.size
     ax = np.abs(x)
@@ -149,12 +180,9 @@ def _rows(rows: np.ndarray) -> str:
     if start < n:
         slow = np.array(["%.17g" % v for v in xs[start:].tolist()], dtype="S24")
         out[start:, :24] = slow.view(np.uint8).reshape(-1, 24)
-    unsort = np.empty_like(order)
-    unsort[order] = np.arange(n)
-    line = out.take(unsort, axis=0)
-    line[:, 24] = 44  # ','
-    line[ncols - 1::ncols, 24] = 10  # '\n'
-    return line.tobytes().translate(None, b"\0").decode("ascii")
+    at = np.empty_like(order)
+    at[order] = np.arange(n)
+    return out, at.reshape(rows.shape)
 
 
 def points_text(polylines: Sequence[np.ndarray]) -> List[str]:

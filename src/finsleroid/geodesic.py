@@ -22,12 +22,13 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, checked_pair, space_for
+from .core import Param, Space, any_row, checked_pair, per_row, space_for
 from .errors import AntipodalSingular, CollinearVectors, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
 from .twovector import covector_pair
 
 __all__ = [
+    "ANTIPODAL_TOL",
     "GeodesicBoundary",
     "connect",
     "qe_geodesic_at",
@@ -42,60 +43,80 @@ __all__ = [
 # sqrt(a^2 - b^2) ~ (pi - alpha) a |t2| / delta_s, where the norm law
 # a^2 + 2 b s + s^2, rounded by eps a^2, is already off by several percent
 # at pi - alpha = 1e-7.
-_ANTIPODAL_TOL = 1e-7
+ANTIPODAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class GeodesicBoundary:
-    """Solved two-point data of a geodesic.
+    """Solved two-point data of a geodesic, for one pair or for every row
+    of a stack.
 
     a        |t1|
     b        integration constant, (t1 . v1)
     delta_s  arc length between the endpoints
     S_end    |t2|
     alpha    swept angle: the Space.gram angle of t1 and t2, divided by h
-    radial   True when t2 lies on the ray of t1 (Gram.collinear, alpha = 0)
+    radial   t2 lies on the ray of t1 (Gram.collinear, alpha = 0)
+
+    For one pair the scalar fields are Python floats and radial a bool; for
+    stacked pairs they are arrays over the rows, radial is the row mask,
+    and t1, t2 have the pairs' shape (..., N).
     """
 
     param: Param
     space: Space
     t1: np.ndarray
     t2: np.ndarray
-    a: float
-    b: float
-    delta_s: float
-    S_end: float
-    alpha: float
-    radial: bool = False
+    a: Union[float, np.ndarray]
+    b: Union[float, np.ndarray]
+    delta_s: Union[float, np.ndarray]
+    S_end: Union[float, np.ndarray]
+    alpha: Union[float, np.ndarray]
+    radial: Union[bool, np.ndarray] = False
 
 
 def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
             space: Optional[Space] = None) -> GeodesicBoundary:
     """Solve the two-point problem: angle, arc length, and the constants
-    of the quadratic norm law."""
-    sp, pair = checked_pair(t1, t2, space)
-    t1, t2 = pair.x, pair.y
-    a, S_end = math.sqrt(pair.a11), math.sqrt(pair.a22)
+    of the quadratic norm law. Takes one pair (N,) or stacked pairs
+    (..., N), with one g or one g per row, each row on its own. Raises
+    AntipodalSingular when the swept angle of some row is within
+    ANTIPODAL_TOL of pi, and DegenerateVector when a row is zero."""
+    sp = space_for(t1, space)
+    pair = sp.gram(sp.check_vector(t1), sp.check_vector(t2))
+    m = np if isinstance(pair.a12, np.ndarray) else math  # floats for one pair
+    a, S_end = m.sqrt(pair.a11), m.sqrt(pair.a22)
     alpha = pair.angle / p.h
-    if alpha >= math.pi - _ANTIPODAL_TOL:
+    if any_row(alpha >= math.pi - ANTIPODAL_TOL):
         # h <= 1, so this also refuses a Euclidean-antipodal pair
-        raise AntipodalSingular(
-            f"swept angle {alpha:.6f} >= pi: no smooth connecting geodesic")
-    if pair.collinear:
-        # same-ray case: linear interpolation of norms along the ray
-        delta_s = abs(S_end - a)
-        b = a if delta_s == 0.0 else a * math.copysign(1.0, S_end - a)
-        return GeodesicBoundary(p, sp, t1, t2, a, b, delta_s, S_end, 0.0, radial=True)
+        raise AntipodalSingular(f"swept angle {np.max(alpha):.6f} >= pi: "
+                                "no smooth connecting geodesic")
+    radial = pair.collinear
+    # a radial pair runs along the ray: the norms interpolate linearly,
+    # delta_s = |S_end - a| and b = +-a (+a when the ends coincide)
+    b_ray = a * m.copysign(1.0, S_end - a)
+    if radial is True:
+        return GeodesicBoundary(p, sp, pair.x, pair.y, a, b_ray, abs(S_end - a),
+                                S_end, 0.0, True)
+    if m is np:
+        # radial rows of a stack: alpha = 0, where delta_s below is
+        # hypot(a - S_end, 0) = |S_end - a|; b is b_ray, over a divisor of 1
+        # so that coincident ends make no 0/0
+        alpha = np.where(radial, 0.0, alpha)
     # cosine theorem and b = a (S_end cos(alpha) - a) / delta_s, written
     # with 1 - cos(alpha) = 2 sin^2(alpha/2) so neither cancels
-    half = math.sin(0.5 * alpha)
-    delta_s = math.hypot(a - S_end, 2.0 * math.sqrt(a * S_end) * half)
-    b = a * ((S_end - a) - 2.0 * S_end * half * half) / delta_s
-    return GeodesicBoundary(p, sp, t1, t2, a, b, delta_s, S_end, alpha)
+    half = m.sin(0.5 * alpha)
+    delta_s = m.hypot(a - S_end, 2.0 * m.sqrt(a * S_end) * half)
+    b = a * ((S_end - a) - 2.0 * S_end * half * half) / (
+        delta_s if m is math else np.where(radial, 1.0, delta_s))
+    if m is np:
+        b = np.where(radial, b_ray, b)
+    return GeodesicBoundary(p, sp, pair.x, pair.y, a, b, delta_s, S_end, alpha, radial)
 
 
 def _root(bd: GeodesicBoundary) -> float:
-    """sqrt(a^2 - b^2) = a |t2| sin(alpha) / delta_s, which does not cancel."""
+    """sqrt(a^2 - b^2) = a |t2| sin(alpha) / delta_s of one pair, which does
+    not cancel."""
     return bd.a * bd.S_end * math.sin(bd.alpha) / bd.delta_s
 
 
@@ -106,22 +127,40 @@ def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
     nu runs from 0 at s = 0 to alpha at s = delta_s, and the norm law
     (t(s) . t(s)) = a^2 + 2 b s + s^2 holds along the curve.
 
-    s is one arc length, which gives t of shape (N,) and a float nu, or an
-    array of them, which gives t of shape s.shape + (N,) and nu of shape
-    s.shape.
+    For one pair s is one arc length, which gives t of shape (N,) and a
+    float nu, or an array of them, which gives t of shape s.shape + (N,) and
+    nu of shape s.shape. For a stacked boundary with rows of shape M, s has
+    shape M + (trailing axes), row i of s running along row i of bd; t has
+    shape s.shape + (N,) and nu shape s.shape.
     """
     s = np.asarray(s, dtype=float)
-    a, b, h = bd.a, bd.b, bd.param.h
+    a, b, h, ray = bd.a, bd.b, bd.param.h, bd.radial
+    t1, t2, S_end, alpha = bd.t1, bd.t2, bd.S_end, bd.alpha
+    stacked = isinstance(ray, np.ndarray)
+    if stacked:
+        # the per-row fields broadcast over the axes of s past the rows
+        k = s.ndim - ray.ndim
+        a, b, h, ray, S_end, alpha, delta_s = (
+            per_row(v, k) for v in (a, b, h, ray, S_end, alpha, bd.delta_s))
+        t1, t2 = (t.reshape(t.shape[:-1] + (1,) * k + t.shape[-1:]) for t in (t1, t2))
+        # the radial rows read alpha = delta_s = 1 here, no 0/0, and are set
+        # to the ray t = (S/a) t1 below
+        alpha, delta_s = np.where(ray, 1.0, alpha), np.where(ray, 1.0, delta_s)
+        root, sha = a * S_end * np.sin(alpha) / delta_s, np.sin(h * alpha)
     S = np.sqrt(a * a + 2 * b * s + s * s)
-    if bd.radial:
-        t = (S / a)[..., None] * bd.t1
+    if ray is True:
+        t = (S / a)[..., None] * t1
         nu = np.zeros(s.shape)
     else:
-        nu = np.arctan2(_root(bd) * s, a * a + b * s)
-        sha = math.sin(h * bd.alpha)
-        t = (((S / a) * np.sin(h * (bd.alpha - nu)) / sha)[..., None] * bd.t1
-             + ((S / bd.S_end) * np.sin(h * nu) / sha)[..., None] * bd.t2)
-    return t, (float(nu) if s.ndim == 0 else nu)
+        if not stacked:
+            root, sha = _root(bd), math.sin(h * alpha)
+        nu = np.arctan2(root * s, a * a + b * s)
+        c1 = (S / a) * np.sin(h * (alpha - nu)) / sha
+        c2 = (S / S_end) * np.sin(h * nu) / sha
+        if stacked:
+            nu, c1, c2 = np.where(ray, 0.0, nu), np.where(ray, S / a, c1), np.where(ray, 0.0, c2)
+        t = c1[..., None] * t1 + c2[..., None] * t2
+    return t, (float(nu) if nu.ndim == 0 else nu)
 
 
 def qe_velocity(bd: GeodesicBoundary, s: float) -> np.ndarray:

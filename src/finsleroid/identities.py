@@ -2,12 +2,13 @@
 identities, each declared once in IDENTITIES with its tolerance, the
 reason for that tolerance and a residual over one random sample.
 
-draw_sample takes 40 rows (g, R) in N = 3 from the caller's generator,
-then the second vectors of the two pair identities. Each residual
+draw_sample takes 40 rows (g, R) from the caller's generator, in N = 3
+with r = I unless the caller passes a Space, then the second vectors of
+the two pair identities. No residual assumes N = 3 or r = I. Each residual
 evaluates its identity over the stacked rows, one g per row, and returns
 the worst row. The pair, plane and shape identities run stacked too, with
-per-row g; only connect (geodesic_norm_law, and the two-point length of
-angle_laws) solves its pairs one at a time.
+per-row g: geodesic_norm_law and angle_laws each solve their pairs in one
+connect call, over the rows whose qe_angle connect accepts.
 
 Each tolerance sits well above the rounding its reason names (over seeds
 0-299 the worst residual is 5e-2 of its tolerance, metric_hessian's, and
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import angle, cospace, geodesic, plane, quasieuclid, shape, tensors
 from .core import Param, Space, fmf, make_param, scalar_forms
-from .errors import FinsleroidError
 
 __all__ = ["Identity", "IDENTITIES", "Sample", "draw_sample", "run_battery"]
 
@@ -35,10 +35,10 @@ PAIR_ROWS = 10
 
 @dataclasses.dataclass(frozen=True)
 class Sample:
-    """The battery's inputs: SAMPLE_ROWS vectors X of shape (rows, 3), row i
-    at g = P.g[i], and PAIR_ROWS second vectors for each pair identity. With
-    fault set every Param of the battery has h raised by 1e-3, a fault the
-    battery must catch."""
+    """The battery's inputs in the Space sp: SAMPLE_ROWS vectors X of shape
+    (rows, N), row i at g = P.g[i], and PAIR_ROWS second vectors for each
+    pair identity. With fault set every Param of the battery has h raised
+    by 1e-3, a fault the battery must catch."""
 
     sp: Space
     P: Param
@@ -76,11 +76,11 @@ def _rand_vec(rng, sp: Space, min_q: float = 0.2) -> np.ndarray:
             return v
 
 
-def draw_sample(rng, fault: bool = False) -> Sample:
-    """The battery's inputs, drawn in a fixed order: SAMPLE_ROWS pairs
-    (g, R), then the second vectors of geodesic_norm_law, then those of
-    angle_laws."""
-    sp = Space.euclidean(3)
+def draw_sample(rng, fault: bool = False, sp: Optional[Space] = None) -> Sample:
+    """The battery's inputs in the Space sp (default Space.euclidean(3)),
+    drawn in a fixed order: SAMPLE_ROWS pairs (g, R), then the second
+    vectors of geodesic_norm_law, then those of angle_laws."""
+    sp = Space.euclidean(3) if sp is None else sp
     g, X = np.empty(SAMPLE_ROWS), np.empty((SAMPLE_ROWS, sp.dim))
     for i in range(SAMPLE_ROWS):
         g[i] = rng.uniform(-1.8, 1.8)
@@ -124,7 +124,7 @@ def _metric_hessian(s: Sample) -> float:
     # Y[k, i, j, m] = R_m + di e_i + dj e_j for the k-th sign pair (di, dj)
     signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
     di, dj = (signs[:, c, None, None, None, None] * eps[:, None] for c in (0, 1))
-    E = np.eye(3)
+    E = np.eye(s.sp.dim)
     Y = (X + di * E[:, None, None, :]) + dj * E[:, None, :]
     k2 = 0.5 * fmf(P, s.sp, Y) ** 2
     H = np.moveaxis((k2[0] - k2[1] - k2[2] + k2[3]) / (4 * eps * eps), -1, 0)
@@ -135,7 +135,7 @@ def _metric_hessian(s: Sample) -> float:
 def _cartan_contraction(s: Sample) -> float:
     P, X = s.head(np.abs(s.P.g) >= 1e-3)  # the target N^2 g^2 / 4 vanishes at g = 0
     ct = tensors.cartan(P, s.sp, X)
-    target = 9 * P.g**2 / 4
+    target = s.sp.dim**2 * P.g**2 / 4
     K2 = fmf(P, s.sp, X) ** 2
     return _worst(np.abs(K2 * np.vecdot(ct.covector, ct.vector) - target) / target)
 
@@ -149,7 +149,7 @@ def _duality(s: Sample) -> float:
     P, sp, X = s.P, s.sp, s.X
     K = fmf(P, sp, X)
     legendre = cospace.fhf(P, sp, cospace.to_costate(P, sp, X))
-    mirror = cospace.fhf(P, sp, X) - fmf(s.param(-P.g), sp, X)
+    mirror = cospace.fhf(P, sp, X) - fmf(s.param(-P.g), sp.dual(), X)
     return max(_worst(np.abs(legendre - K) / K), _worst(np.abs(mirror) / K))
 
 
@@ -175,33 +175,31 @@ def _images(s: Sample, ends: np.ndarray):
     return P, X, quasieuclid.sigma(P, s.sp, X), quasieuclid.sigma(P, s.sp, ends)
 
 
-def _connected(P: Param, T1: np.ndarray, T2: np.ndarray, sp: Space):
-    """(row, GeodesicBoundary) of each pair row that connect solves."""
-    for i in range(PAIR_ROWS):
-        try:
-            yield i, geodesic.connect(_take(P, i), T1[i], T2[i], space=sp)
-        except FinsleroidError:
-            continue
+def _connected(P: Param, T1: np.ndarray, T2: np.ndarray, sp: Space, alpha: np.ndarray):
+    """(rows, GeodesicBoundary): the mask of the pair rows that connect
+    solves, by their qe_angle alpha (the same Space.gram test connect makes),
+    and one connect call over those rows."""
+    rows = alpha < math.pi - geodesic.ANTIPODAL_TOL
+    return rows, geodesic.connect(_take(P, rows), T1[rows], T2[rows], space=sp)
 
 
 def _geodesic_norm_law(s: Sample) -> float:
-    worst = 0.0
     P, _, T1, T2 = _images(s, s.geodesic_ends)
-    for _, bd in _connected(P, T1, T2, s.sp):
-        sv = np.linspace(0.1, 0.9, 5) * bd.delta_s
-        t, _ = geodesic.qe_geodesic_at(bd, sv)
-        S2 = bd.a**2 + 2 * bd.b * sv + sv * sv
-        worst = max(worst, _worst(np.abs(np.vecdot(t @ s.sp.r_full, t) - S2) / S2))
-    return worst
+    _, bd = _connected(P, T1, T2, s.sp, angle.qe_angle(P, T1, T2, space=s.sp))
+    sv = np.linspace(0.1, 0.9, 5) * bd.delta_s[:, None]
+    t, _ = geodesic.qe_geodesic_at(bd, sv)
+    a, b = bd.a[:, None], bd.b[:, None]
+    S2 = a * a + 2 * b * sv + sv * sv
+    return _worst(np.abs(np.vecdot(t @ s.sp.r_full, t) - S2) / S2)
 
 
 def _angle_laws(s: Sample) -> float:
     P, X, T1, T2 = _images(s, s.angle_ends)
     pair = angle.fins_angle(P, s.sp, X, s.angle_ends)
-    worst = _worst(np.abs(pair.alpha - angle.qe_angle(P, T1, T2, space=s.sp)))
-    for i, bd in _connected(P, T1, T2, s.sp):
-        worst = max(worst, abs(pair.ominus_sq[i] - bd.delta_s**2))
-    return worst
+    alpha = angle.qe_angle(P, T1, T2, space=s.sp)
+    rows, bd = _connected(P, T1, T2, s.sp, alpha)
+    return max(_worst(np.abs(pair.alpha - alpha)),
+               _worst(np.abs(pair.ominus_sq[rows] - bd.delta_s**2)))
 
 
 def _shape_mirror(s: Sample) -> float:
@@ -253,7 +251,7 @@ IDENTITIES: Tuple[Identity, ...] = (
              _curvature_constant),
     Identity("duality", 1e-9,
              "H(R_p) = K(R): the Legendre half is the independent check, through "
-             "exp(+-G Phi/2) at g and -g; H(g) = K(-g) holds by construction",
+             "exp(+-G Phi/2) at g and -g; H(g) = K(-g) on the dual space holds by construction",
              _duality),
     Identity("qe_roundtrip", 1e-10,
              "mu(sigma(R)) = R and S(sigma(R)) = K, absolute, with K up to ~25 |R| at |g| = 1.8",

@@ -1,6 +1,6 @@
 """Shared helpers: random geometry draws, finite-difference oracles,
-counters of scalar_forms and Space.gram evaluations and of "%.6f" kernel
-passes, and the array leaves of a result."""
+counters of scalar_forms and Space.gram evaluations and of the passes of
+the text kernels, and the array leaves of a result."""
 
 import dataclasses
 import sys
@@ -106,16 +106,18 @@ def count_gram(monkeypatch):
     return calls
 
 
-def count_fixed6(monkeypatch):
-    """Count the passes of csvtext._fixed6, the "%.6f" kernel of the SVG
-    points; returns a one-item list holding the count."""
+def count_kernel(monkeypatch, name):
+    """Count the passes of the csvtext kernel name: "_fixed6", the "%.6f"
+    kernel of the SVG points, or "_slots", the "%.17g" kernel of the CSV
+    tables (one pass per block of CHUNK_ROWS rows); returns a one-item list
+    holding the count."""
     calls = [0]
-    fn = csvtext._fixed6
+    fn = getattr(csvtext, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return fn(*args, **kwargs)
-    monkeypatch.setattr(csvtext, "_fixed6", counted)
+    monkeypatch.setattr(csvtext, name, counted)
     return calls
 
 

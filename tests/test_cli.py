@@ -294,10 +294,42 @@ def test_figures_svg_files_match_per_point_format(tmp_path, capsys):
 @pytest.mark.parametrize("fmt, passes", [("svg", 1), ("csv", 0)])
 def test_figures_formats_the_points_in_one_pass(tmp_path, capsys, monkeypatch, fmt, passes):
     # the six bodies and their shared circle go through one "%.6f" pass
-    from conftest import count_fixed6
-    calls = count_fixed6(monkeypatch)
+    from conftest import count_kernel
+    calls = count_kernel(monkeypatch, "_fixed6")
     assert run(capsys, "figures", "--out", str(tmp_path), "--format", fmt)[0] == 0
     assert calls[0] == passes
+
+
+@pytest.mark.parametrize("fmt, passes", [("csv", 2), ("svg", 1)])
+def test_figures_formats_the_csv_numbers_in_one_pass_per_table(tmp_path, capsys, monkeypatch,
+                                                               fmt, passes):
+    # the six body files share f and the circle, and the two curves share
+    # g: one "%.17g" pass over the columns of the bodies (csv only) and one
+    # over those of the curves, against 8 (csv) and 2 (svg) with one pass
+    # per file
+    from conftest import count_kernel
+    calls = count_kernel(monkeypatch, "_slots")
+    assert run(capsys, "figures", "--out", str(tmp_path), "--format", fmt)[0] == 0
+    assert calls[0] == passes
+
+
+@pytest.mark.parametrize("samples", ["61", "361", str(CHUNK_ROWS + 5)])
+def test_figures_csv_files_match_per_value_format(tmp_path, capsys, samples):
+    import finsleroid as fd
+    assert run(capsys, "figures", "--out", str(tmp_path), "--samples", samples)[0] == 0
+    n = int(samples)
+    fs = np.linspace(0.0, math.pi, n)
+    circle = np.column_stack([np.sin(fs), np.cos(fs)])
+    g = np.array(cli.FIGURE_G_VALUES)
+    for gi, body in zip(g, fd.indicatrix_profile(fd.make_param(g[:, None]), n)):
+        text = (tmp_path / f"indicatrix_g{gi:+.1f}.csv").read_text()
+        assert text == _fmt_csv(["f", "q", "Z", "circle_q", "circle_Z"],
+                                np.column_stack([fs, body, circle]), [f"g={gi:.17g}"])
+    gs = np.linspace(-1.9, 1.9, 191)
+    report = fd.shape_report(fd.make_param(gs))
+    for name, column in (("equator_radius_curve", "q_star"), ("width_height_curve", "Z_2star")):
+        text = (tmp_path / f"{name}.csv").read_text()
+        assert text == _fmt_csv(["g", column], np.column_stack([gs, getattr(report, column)]))
 
 
 def test_figures_determinism(tmp_path, capsys):
@@ -384,6 +416,39 @@ def test_flag_a_command_does_not_read_is_bad_input(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, err", [({"format": "pdf"}, "invalid choice: 'pdf'"),
+                                      ({"samples": "abc"}, "invalid int value: 'abc'"),
+                                      ({"samples": 3.7}, "invalid int value: '3.7'")])
+def test_config_value_is_parsed_as_its_flag(tmp_path, capsys, doc, err):
+    # a config value goes through its flag's type and choices: these exited
+    # 0 with CSV files written (pdf) or ended in a TypeError traceback (abc)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "figs"
+    code, _, stderr = run(capsys, "figures", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and err in stderr and "--config" in stderr
+    assert not out.exists()
+
+
+def test_config_sets_the_flags_the_command_line_leaves_unset(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"samples": 61, "format": "svg", "out": str(tmp_path / "a")}))
+    assert run(capsys, "figures", "--config", str(cfg))[0] == 0
+    assert run(capsys, "figures", "--samples", "61", "--format", "svg",
+               "--out", str(tmp_path / "b"))[0] == 0
+    for f in (tmp_path / "b").iterdir():
+        assert f.read_bytes() == (tmp_path / "a" / f.name).read_bytes()
+    # a switch takes true or false, and a flag on the command line wins
+    cfg.write_text(json.dumps({"json": True, "seed": 4, "tol": {"metric_hessian": 1.0}}))
+    code, out, _ = run(capsys, "check", "--config", str(cfg), "--seed", "5")
+    rep = json.loads(out)
+    assert code == 0 and rep["seed"] == 5
+    assert [c["tol"] for c in rep["checks"] if c["name"] == "metric_hessian"] == [1.0]
+    cfg.write_text(json.dumps({"json": "yes"}))
+    code, _, err = run(capsys, "check", "--config", str(cfg))
+    assert code == 2 and "true or false" in err
+
+
 def test_usage_error_returns_bad_input(capsys):
     code, _, err = run(capsys, "eval", "--g")
     assert code == 2
@@ -434,6 +499,23 @@ def test_csv_matches_fmt_on_any_table(cols, values):
     table = np.array(values[:len(values) // cols * cols], dtype=float).reshape(-1, cols)
     header = ["v"] * cols
     assert _csv(header, table) == _fmt_csv(header, table)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5), st.lists(st.one_of(_FLOAT_BITS, st.floats(-1e15, 1e15)), max_size=60),
+       st.lists(st.lists(st.integers(0, 4), max_size=6), max_size=4))
+def test_csv_tables_match_fmt_on_any_layouts(cols, values, layouts):
+    # each layout picks columns in any order, repeated or none; a table
+    # of no columns has no column to pick
+    from finsleroid.csvtext import csv_tables
+    table = (np.array(values[:len(values) // cols * cols], dtype=float).reshape(-1, cols)
+             if cols else np.empty((len(values) % 5, 0)))
+    layouts = [tuple(c for c in cols_ if c < cols) for cols_ in layouts] + [slice(None)]
+    want = ["".join(",".join("%.17g" % v for v in row[list(cols_)]) + "\n" for row in table)
+            if isinstance(cols_, tuple) else
+            "".join(",".join("%.17g" % v for v in row) + "\n" for row in table)
+            for cols_ in layouts]
+    assert csv_tables(table, layouts) == want
 
 
 def test_geodesic_stdout_equals_out_file(tmp_path, capsys):

@@ -5,10 +5,11 @@ import json
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
 from finsleroid import Space, identities
 from finsleroid.cli import main
-from conftest import count_gram, count_scalar_forms
+from conftest import count_gram, count_scalar_forms, rand_space
 
 NAMES_AND_TOLS = [
     ("form_identities", 1e-12), ("homogeneity", 1e-12), ("euler_identity", 1e-11),
@@ -54,6 +55,20 @@ def test_battery_passes_seeds_0_to_99():
             assert residual <= tol, (seed, name, residual)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_every_identity_holds_in_any_dimension_and_spd_r(n):
+    # no residual assumes N = 3 or r = I; over 40 draws per n the worst
+    # residual is 7.7e-2 of its tolerance (metric_hessian) and the others
+    # stay below 4e-3
+    for seed in range(8):
+        rng = np.random.default_rng(1000 * n + seed)
+        sample = identities.draw_sample(rng, sp=rand_space(n, rng))
+        assert sample.X.shape == (identities.SAMPLE_ROWS, n)
+        for identity in identities.IDENTITIES:
+            residual = identity.residual(sample)
+            assert residual <= identity.tol, (n, seed, identity.name, residual)
+
+
 def test_sample_draw_order():
     # check --seed k tests the same inputs as before the table: 40 (g, R)
     # draws, then the second vectors of geodesic_norm_law, then angle_laws.
@@ -96,9 +111,10 @@ def test_battery_scalar_forms_calls(monkeypatch):
 
 
 def test_battery_gram_calls(monkeypatch):
-    # angle_laws makes one stacked fins_angle and one stacked qe_angle call;
-    # connect, one pair at a time, makes the other 20 (10 pairs each in
-    # geodesic_norm_law and angle_laws), against 40 with per-pair angles
+    # geodesic_norm_law makes one stacked qe_angle call, to pick the rows
+    # connect accepts, and one stacked connect; angle_laws makes one stacked
+    # fins_angle, qe_angle and connect call each: 5, against 22 with one
+    # connect call per pair and 40 with per-pair angles too
     calls = count_gram(monkeypatch)
     identities.run_battery(np.random.default_rng(5))
-    assert calls[0] == 22
+    assert calls[0] == 5

@@ -2,12 +2,14 @@
 at g[i], through the one implementation of every stacked function."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import finsleroid as fd
-from finsleroid import AxisSingular, DegenerateVector, OutOfRange, make_param
+from finsleroid import AntipodalSingular, AxisSingular, DegenerateVector, OutOfRange, make_param
+from finsleroid.geodesic import ANTIPODAL_TOL
 from conftest import leaves, rand_space
 
 
@@ -204,6 +206,61 @@ def test_stacked_pairs_match_one_pair_calls(rng, n, identity):
             _assert_rows_match(angles, fd.qe_angle(p, T1[i], T2[i], space=sp), i)
 
 
+def _boundary(bd):
+    """The array fields of a GeodesicBoundary, and their scales: b is at
+    most a in size and cancels near 0, so it is scaled by a."""
+    fields = (bd.t1, bd.t2, bd.a, bd.b, bd.delta_s, bd.S_end, bd.alpha, bd.radial)
+    scales = [np.max(np.abs(f)) for f in fields[:-1]]
+    scales[3] = bd.a
+    return fields, scales
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("identity", [True, False])
+def test_stacked_connect_matches_one_pair_calls(rng, n, identity):
+    # the rows connect accepts: random ones, the radial and coincident
+    # rows 10 and 12, near-parallel ones and rows of extreme |t2| / |t1|;
+    # the (near-)antiparallel rows 11 and 15 are refused. Warnings are
+    # errors, so the radial and coincident rows make no 0/0
+    sp = rand_space(n, rng, identity=identity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            g, X, Y = _pair_rows(rng, n)
+            rows = fd.qe_angle(make_param(g), X, Y, space=sp) < np.pi - ANTIPODAL_TOL
+            assert rows[10] and rows[12] and not rows[11] and not rows[15]
+            bd = fd.connect(make_param(g[rows]), X[rows], Y[rows], space=sp)
+            s = np.linspace(0.0, 1.0, 7) * bd.delta_s[:, None]
+            paths = [fd.qe_geodesic_at(bd, s), fd.qe_geodesic_at(bd, s[:, 3])]
+            assert paths[0][0].shape == s.shape + (n,) and paths[1][1].shape == s[:, 3].shape
+            for j, i in enumerate(np.flatnonzero(rows)):
+                one = fd.connect(make_param(float(g[i])), X[i], Y[i], space=sp)
+                assert one.radial == (i in (10, 12)), i
+                want, scales = _boundary(one)
+                _assert_rows_match(_boundary(bd)[0], want, j, scales)
+                _assert_rows_match(paths[0], fd.qe_geodesic_at(one, s[j]), j)
+                _assert_rows_match(paths[1], fd.qe_geodesic_at(one, s[j, 3]), j)
+
+
+def test_connect_refuses_a_stack_with_an_antipodal_row(rng):
+    sp = rand_space(3, rng)
+    P = make_param(rng.uniform(-1.5, 1.5, size=6))
+    X = rng.normal(size=(6, 3))
+    Y = X + 0.1 * rng.normal(size=(6, 3))
+    assert not np.any(fd.connect(P, X, Y, space=sp).radial)
+    Y[4] = -2.0 * X[4]
+    with pytest.raises(AntipodalSingular):
+        fd.connect(P, X, Y, space=sp)
+
+
+def test_connect_takes_an_empty_stack():
+    sp = fd.Space.euclidean(3)
+    bd = fd.connect(make_param(np.empty(0)), np.empty((0, 3)), np.empty((0, 3)), space=sp)
+    assert bd.a.shape == bd.b.shape == bd.radial.shape == (0,)
+    t, nu = fd.qe_geodesic_at(bd, np.empty((0, 5)))
+    assert t.shape == (0, 5, 3) and nu.shape == (0, 5)
+
+
 def test_zero_row_anywhere_raises(rng):
     sp = rand_space(3, rng)
     P = make_param(rng.uniform(-1.5, 1.5, size=6))
@@ -218,6 +275,8 @@ def test_zero_row_anywhere_raises(rng):
                 fd.qe_angle(P, *pair, space=sp)
             with pytest.raises(DegenerateVector):
                 fd.fins_angle(P, sp, *pair)
+            with pytest.raises(DegenerateVector):
+                fd.connect(P, *pair, space=sp)
 
 
 def test_one_pair_keeps_python_scalars(rng):
@@ -232,6 +291,9 @@ def test_one_pair_keeps_python_scalars(rng):
         ap = fd.fins_angle(p, sp, x, y)
         assert all(type(getattr(ap, f.name)) is float for f in dataclasses.fields(ap))
         assert type(fd.qe_angle(p, x, y, space=sp)) is float
+        bd = fd.connect(p, x, y, space=sp)
+        assert all(type(v) is float for v in (bd.a, bd.b, bd.delta_s, bd.S_end, bd.alpha))
+        assert type(bd.radial) is bool and type(fd.qe_geodesic_at(bd, 0.5)[1]) is float
 
 
 def test_plane_and_profile_take_per_row_g():
