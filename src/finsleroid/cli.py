@@ -66,12 +66,19 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def _build_space(dim: Optional[int], r_text: Optional[str],
                  vec: Optional[np.ndarray]) -> Space:
+    """The Space of --dim and --r. Without --dim the dimension is that of
+    vec, else the one whose (N-1)^2 entries --r lists."""
+    vals = _parse_floats(r_text) if r_text else None
     if dim is None:
-        if vec is None:
+        if vec is not None:
+            dim = len(vec)
+        elif vals is not None:
+            dim = math.isqrt(len(vals)) + 1
+            if (dim - 1) ** 2 != len(vals):
+                raise ValueError(f"--r needs (N-1)^2 entries, got {len(vals)}")
+        else:
             raise ValueError("need --dim or --vec to fix the dimension")
-        dim = len(vec)
-    if r_text:
-        vals = _parse_floats(r_text)
+    if vals is not None:
         m = dim - 1
         if len(vals) != m * m:
             raise ValueError(f"--r needs {m * m} entries for dimension {dim}")
@@ -264,7 +271,8 @@ def cmd_check(args) -> int:
     if unknown:
         raise ValueError(f"--tol names no identity: {', '.join(unknown)}; "
                          f"the identities are {', '.join(names)}")
-    results = identities.run_battery(rng, args.inject_fault)
+    sp = None if args.dim is None and args.r is None else _build_space(args.dim, args.r, None)
+    results = identities.run_battery(rng, args.inject_fault, sp)
     checks = []
     all_ok = True
     for name, residual, tol in results:
@@ -323,7 +331,7 @@ _COMMANDS = {
     "figures": (cmd_figures, "emit the standard figure data files",
                 "samples format out", "", {"samples": 361, "format": "csv"}),
     "check": (cmd_check, "run the identity suite",
-              "seed tol json out inject-fault", "", {"seed": 0}),
+              "dim r seed tol json out inject-fault", "", {"seed": 0}),
 }
 
 

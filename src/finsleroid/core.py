@@ -8,6 +8,13 @@ Vectors are plain 1-D numpy arrays with the axial component stored last:
 forms and of K (``fmf`` is its K), also takes vectors stacked along leading
 axes, shape ``(..., N)``, and evaluates every row with one numpy formula.
 
+Every one-vector function starts from the forms of its vector, so
+``scalar_forms`` keeps those of the last two single vectors it evaluated at
+a float g, keyed by the Param and the Space by identity and the bytes of R:
+two, for the two vectors of a pair (a vector and its costate, the ends of an
+angle). A hit returns the stored tuple of Python floats. Stacks bypass the
+memo, as keying one would copy it, and a vector that raises is not kept.
+
 The anisotropy is controlled by a single parameter ``g`` in (-2, 2), or by
 one ``g`` per row of a stack (``make_param`` of an array of g).
 At g = 0 everything collapses to the Euclidean geometry of the input
@@ -440,11 +447,34 @@ class ScalarForms(NamedTuple):
     K: Union[float, np.ndarray]
 
 
+# One entry for each vector of a pair: the one-vector calls on a vector and
+# its costate, or on the two ends of an angle, alternate between the two.
+# Four or eight entries catch no more repeats.
+_MEMO_SIZE = 2
+# (p, sp, R.tobytes(), forms) of the last _MEMO_SIZE one-vector evaluations
+# at a float g, newest first. Rebound in one assignment, never changed in
+# place, so a concurrent call can at worst miss.
+_memo: tuple = ()
+
+
 def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     """All characteristic scalars of one nonzero vector (N,), or of every
     row of a stack (..., N). The whole stack is checked: a non-finite entry
     or a wrong last axis raises ValueError, a row at the origin
-    DegenerateVector."""
+    DegenerateVector.
+
+    One vector at a float g is looked up first among the last two such
+    evaluations, keyed by p and sp by identity and the bytes of R; its
+    fields are Python floats, so the shared result cannot change. A stack
+    is evaluated every time, and only a successful evaluation is kept."""
+    global _memo
+    R = np.asarray(R, dtype=float)
+    key = None
+    if R.ndim == 1 and isinstance(p.g, float):
+        key = R.tobytes()
+        for entry in _memo:
+            if entry[0] is p and entry[1] is sp and entry[2] == key:
+                return entry[3]
     R = sp.check_vector(R)
     one = R.ndim == 1
     q = sp.spatial_norm(R)
@@ -462,7 +492,10 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     K = np.sqrt(B) * J
     if one:
         Phi, J, K = float(Phi), float(J), float(K)
-    return ScalarForms(q, B, A, L, Phi, J, K)
+    f = ScalarForms(q, B, A, L, Phi, J, K)
+    if key is not None:
+        _memo = ((p, sp, key, f),) + _memo[:_MEMO_SIZE - 1]
+    return f
 
 
 def checked_forms(p: Param, sp: Space,

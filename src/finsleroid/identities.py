@@ -274,8 +274,9 @@ IDENTITIES: Tuple[Identity, ...] = (
 )
 
 
-def run_battery(rng, fault: bool = False) -> List[Tuple[str, float, float]]:
+def run_battery(rng, fault: bool = False,
+                sp: Optional[Space] = None) -> List[Tuple[str, float, float]]:
     """(name, residual, default tolerance) of every identity, in table
-    order, over draw_sample(rng, fault)."""
-    sample = draw_sample(rng, fault)
+    order, over draw_sample(rng, fault, sp)."""
+    sample = draw_sample(rng, fault, sp)
     return [(i.name, float(i.residual(sample)), i.tol) for i in IDENTITIES]

@@ -68,11 +68,16 @@ def _radial(sp: Space, t: np.ndarray, what: str):
     return S, t / per_row(S)
 
 
+def _one_point(t: np.ndarray) -> None:
+    """Raise ValueError unless t is one image point, shape (N,)."""
+    if np.ndim(t) != 1:
+        raise ValueError(f"expected one vector, got shape {np.shape(t)}")
+
+
 def _one_radial(sp: Space, t: np.ndarray, what: str):
     """_radial for the functions of one image point: a stack raises
     ValueError."""
-    if np.ndim(t) != 1:
-        raise ValueError(f"expected one vector, got shape {np.shape(t)}")
+    _one_point(t)
     return _radial(sp, t, what)
 
 
@@ -149,8 +154,9 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Jacobian jac[q, p] = d mu^p / d t^q; the matrix inverse of
     sigma_jacobian at matched points.
 
-    Requires m(t) > 0 unless g = 0 (identity).
+    Requires m(t) > 0 unless g = 0 (identity); a stack raises ValueError.
     """
+    _one_point(t)
     t = sp.check_vector(t)
     m = mnorm(sp, t)
     if m == 0.0:

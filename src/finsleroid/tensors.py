@@ -178,19 +178,20 @@ def _cartan(p: Param, sp: Space, R: np.ndarray,
     v_up = np.empty(R.shape)
     v_up[..., :-1] = R[..., :-1] * per_row(-(Z + g * q) / (q * K2))
     v_up[..., -1] = q / K2
-    # index swaps of the last three axes: [p, q, r] -> [p, r, q] and [q, r, p]
+    # index swaps of the last three axes: [p, q, r] -> [p, r, q], [q, r, p]
+    # and [r, q, p]
     lead = tuple(range(R.ndim - 1))
     d = len(lead)
     swap_qr, cycle = lead + (d, d + 2, d + 1), lead + (d + 2, d, d + 1)
-    c, K2_3 = per_row(0.5 * g, 3), per_row(K2, 3)
+    swap_pr = lead + (d + 2, d + 1, d)
+    c, K2_2 = per_row(0.5 * g, 3), per_row(K2, 2)
     v_r = v_low[..., None, None, :]
-    hv = h[..., :, :, None] * v_r
-    full = c * (hv + hv.transpose(swap_qr) + hv.transpose(cycle)
-                - K2_3 * (v_low[..., :, None] * v_low[..., None, :])[..., None] * v_r)
-    mixed = c * (h_mixed[..., :, :, None] * v_r
-                 + (h[..., :, :, None] * v_up[..., None, None, :]
-                    + v_low[..., :, None, None] * h_mixed[..., None, :, :]).transpose(swap_qr)
-                 - K2_3 * (v_low[..., :, None] * v_up[..., None, :])[..., None] * v_r)
+    # C_pqr = c (X_pqr + X_prq + X_qrp) with X_pqr = (h_pq - (K^2/3) v_p v_q) v_r
+    X = (h - K2_2 / 3.0 * (v_low[..., :, None] * v_low[..., None, :]))[..., None] * v_r
+    full = c * (X + X.transpose(swap_qr) + X.transpose(cycle))
+    # C_p^q_r = c (Y_pqr + Y_rqp + h_pr v^q) with Y_pqr = (h_p^q - (K^2/2) v_p v^q) v_r
+    Y = (h_mixed - 0.5 * K2_2 * (v_low[..., :, None] * v_up[..., None, :]))[..., None] * v_r
+    mixed = c * (Y + Y.transpose(swap_pr) + h[..., :, None, :] * v_up[..., None, :, None])
     cn = per_row(0.5 * n * g)
     ct = CartanTensors(full=full, mixed=mixed, covector=cn * v_low, vector=cn * v_up)
     for part in (ct.full, ct.mixed, ct.covector, ct.vector):

@@ -1,6 +1,7 @@
 """Shared helpers: random geometry draws, finite-difference oracles,
-counters of scalar_forms and Space.gram evaluations and of the passes of
-the text kernels, and the array leaves of a result."""
+counters of the scalar_forms calls, of the evaluations of the forms, of
+Space.gram evaluations and of the passes of the text kernels, and the array
+leaves of a result."""
 
 import dataclasses
 import sys
@@ -90,6 +91,22 @@ def count_scalar_forms(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("finsleroid.") and getattr(module, "scalar_forms", None) is fn:
             monkeypatch.setattr(module, "scalar_forms", counted)
+    return calls
+
+
+def count_forms_evaluations(monkeypatch):
+    """Count the evaluations of the scalar forms, the calls of scalar_forms
+    that its memo does not answer, from an empty memo: within core only
+    scalar_forms calls half_G_angle, once per evaluation that passes its
+    vector checks. Returns a one-item list holding the count."""
+    calls = [0]
+    fn = core.half_G_angle
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(core, "half_G_angle", counted)
+    monkeypatch.setattr(core, "_memo", ())
     return calls
 
 

@@ -374,6 +374,38 @@ def test_check_tol_override(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, dim, r", [(("--dim", "5"), 5, np.eye(4)),
+                                           (("--r", "1.5,0.2,0.2,0.8"), 3, [[1.5, 0.2], [0.2, 0.8]]),
+                                           (("--dim", "2", "--r", "0.7"), 2, [[0.7]])])
+def test_check_runs_the_table_in_the_space_of_dim_and_r(monkeypatch, capsys, flags, dim, r):
+    from finsleroid import identities
+    spaces = []
+    draw = identities.draw_sample
+
+    def recording(rng, fault=False, sp=None):
+        spaces.append(sp)
+        return draw(rng, fault, sp)
+    monkeypatch.setattr(identities, "draw_sample", recording)
+    code, out, _ = run(capsys, "check", *flags)
+    assert code == 0 and "overall: PASS" in out
+    assert spaces[0].dim == dim and np.array_equal(spaces[0].r_spatial, r)
+
+
+def test_check_in_euclidean_3_matches_no_space_flags(capsys):
+    # without --dim and --r the table is drawn in Space.euclidean(3)
+    base = run(capsys, "check", "--json", "--seed", "3")
+    assert base[0] == 0
+    assert run(capsys, "check", "--json", "--seed", "3", "--dim", "3") == base
+    assert run(capsys, "check", "--json", "--seed", "3", "--r", "1,0,0,1") == base
+
+
+@pytest.mark.parametrize("flags", [("--dim", "5", "--r", "1,0,0,1"), ("--r", "1,0,0"),
+                                   ("--dim", "1"), ("--r", "1,2,2,1")])
+def test_check_refuses_a_bad_space(capsys, flags):
+    code, out, err = run(capsys, "check", *flags)
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_geodesic_k_column_is_fmf_of_written_rows(capsys):
     import finsleroid as fd
     code, out, _ = run(capsys, "geodesic", "--g", "-0.7", "--vec", "1,0.2,0.4",
@@ -405,7 +437,7 @@ def test_parser_built_once_keeps_subcommand_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("check", "--seed", "3", "--dim", "5", "--g", "1.0", "--r", "2,0,0,2", "--format", "svg"),
+    ("check", "--seed", "3", "--vec", "1,0,0", "--g", "1.0", "--format", "svg"),
     ("figures", "--g", "0.9", "--dim", "7", "--seed", "4"),
     ("indicatrix", "--g", "0.4", "--dim", "9", "--r", "1"),
 ])

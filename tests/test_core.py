@@ -1,14 +1,17 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import finsleroid as fd
-from finsleroid import (DegenerateVector, OutOfRange, Param, Space, connect,
-                        fmf, make_param, scalar_forms)
-from conftest import leaves, rand_space, rand_vec
+from finsleroid import (ConeLimit, DegenerateVector, OutOfRange, Param, Space, core,
+                        connect, fmf, make_param, scalar_forms)
+from conftest import (count_forms_evaluations, count_scalar_forms, leaves,
+                      rand_space, rand_vec)
 
 
 def test_param_euclidean_case():
@@ -276,6 +279,122 @@ def test_fmf_batch_checks_every_row():
         fmf(p, sp, np.ones((4, 2)))
 
 
+def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
+    # the one-vector tensor stack at R: its 10 scalar_forms calls evaluate
+    # the forms of R and of its costate once each
+    calls, evaluations = count_scalar_forms(monkeypatch), count_forms_evaluations(monkeypatch)
+    for n in (3, 5):
+        p, sp = make_param(0.7), rand_space(n, rng)
+        R = rand_vec(p, sp, rng)
+        calls[0] = evaluations[0] = 0
+        fd.fmf(p, sp, R)
+        fd.metric(p, sp, R)
+        fd.metric_inverse(p, sp, R)
+        fd.metric_det(p, sp, R)
+        fd.cartan(p, sp, R)
+        fd.curvature_S(p, sp, R)
+        co = fd.to_costate(p, sp, R)
+        fd.fhf(p, sp, co)
+        fd.sigma_jacobian(p, sp, R)
+        fd.n_metric(p, sp, fd.sigma(p, sp, R))
+        assert (calls[0], evaluations[0]) == (10, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_memo_hit_equals_a_fresh_evaluation(rng, monkeypatch, n):
+    # a hit hands back the forms a fresh, equal Param or Space evaluates
+    evaluations = count_forms_evaluations(monkeypatch)
+    for identity in (True, False):
+        sp = rand_space(n, rng, identity=identity)
+        for g in (0.0, -1.3, 1.9):
+            p = make_param(g)
+            R = rand_vec(p, sp, rng)
+            evaluations[0] = 0
+            first = scalar_forms(p, sp, R)
+            hit = scalar_forms(p, sp, list(R))
+            assert evaluations[0] == 1 and hit is first
+            fresh = [scalar_forms(make_param(g), sp, R),
+                     scalar_forms(p, Space(n, sp.r_spatial), R)]
+            assert evaluations[0] == 3
+            for f in fresh:
+                assert tuple(f) == tuple(hit)
+                assert [type(v) for v in f] == [type(v) for v in hit] == [float] * 7
+            # the key is the Param, not its g: a replaced h is evaluated anew
+            assert scalar_forms(dataclasses.replace(p, h=p.h + 1e-3), sp, R).Phi != hit.Phi
+            assert fd.metric(p, sp, R).tobytes() == fd.metric(make_param(g), sp, R).tobytes()
+
+
+def test_memo_keeps_no_failure(monkeypatch):
+    # every refused vector is refused again, and leaves the memo as it was
+    evaluations = count_forms_evaluations(monkeypatch)
+    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    cone = make_param(1.9999999)
+    R = np.array([0.3, 0.5, 1.0])
+    # near A = Z + g q / 2 = 0 the cone limit is still far off
+    S = np.array([0.3, 0.5, -sp.spatial_norm(R)])
+    scalar_forms(p, sp, R)
+    scalar_forms(cone, sp, S)
+    cases = [(p, np.zeros(3), DegenerateVector), (p, np.array([0.3, np.nan, 1.0]), ValueError),
+             (p, np.array([0.3, 1.0]), ValueError), (cone, R, ConeLimit)]
+    for q, X, err in cases:
+        for _ in range(2):
+            with pytest.raises(err):
+                scalar_forms(q, sp, X)
+    assert evaluations[0] == 2 + 2  # the two at the cone limit passed the vector checks
+    scalar_forms(p, sp, R)
+    scalar_forms(cone, sp, S)
+    assert evaluations[0] == 4
+
+
+def test_memo_sees_a_vector_changed_in_place(monkeypatch):
+    evaluations = count_forms_evaluations(monkeypatch)
+    p, sp = make_param(-0.6), Space.euclidean(3)
+    R = np.array([0.3, 0.5, 1.0])
+    before = scalar_forms(p, sp, R)
+    R[1] = 0.9
+    after = scalar_forms(p, sp, R)
+    assert evaluations[0] == 2 and after.q != before.q
+    assert after == scalar_forms(make_param(-0.6), sp, np.array([0.3, 0.9, 1.0]))
+
+
+def test_stacks_bypass_the_memo(monkeypatch):
+    evaluations = count_forms_evaluations(monkeypatch)
+    p, sp = make_param(0.4), Space.euclidean(3)
+    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+    for k in range(3):
+        scalar_forms(p, sp, X)
+        scalar_forms(p, sp, X[:1])
+        assert evaluations[0] == 2 * (k + 1)
+    assert core._memo == ()
+
+
+def test_memo_under_concurrent_threads(rng):
+    # threads sharing p and sp, each cycling over its own vectors with a
+    # short switch interval: every result is the forms of its own vector
+    p, sp = make_param(0.8), rand_space(3, rng)
+    vectors = [rand_vec(p, sp, rng) for _ in range(12)]
+    want = [tuple(scalar_forms(make_param(0.8), sp, R)) for R in vectors]
+    wrong = []
+
+    def work(k):
+        for i in range(600):
+            j = (3 * k + i % 3) % len(vectors)
+            if tuple(scalar_forms(p, sp, vectors[j])) != want[j]:
+                wrong.append(j)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_euclidean_space_is_shared():
     sp = Space.euclidean(3)
     assert Space.euclidean(np.int64(3)) is sp
@@ -387,19 +506,20 @@ def test_one_vector_functions_take_lists(name):
 
 @pytest.mark.parametrize("name", ONE_VECTOR)
 def test_one_vector_functions_refuse_stacks(name):
-    # a (2, N) stack gives the rows' results from the functions of STACKED
-    # and ValueError from every other one
+    # a (2, N) or (1, N) stack gives the rows' results from the functions of
+    # STACKED and, from every other one, the ValueError of the one-vector check
     fn = getattr(fd, name)
     p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
-    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
-    if name not in STACKED:
-        with pytest.raises(ValueError):
-            fn(p, sp, X)
-        return
-    got = leaves(fn(p, sp, X))
-    for i, row in enumerate(X):
-        want = leaves(fn(p, sp, row))
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            # a 0-d leaf is shared by every row (n_metric's det at a float g)
-            assert np.array_equal(a if a.ndim == 0 else a[i], b)
+    X2 = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+    for X in (X2, X2[:1]):
+        if name not in STACKED:
+            with pytest.raises(ValueError, match="expected one (vector|pair)"):
+                fn(p, sp, X)
+            continue
+        got = leaves(fn(p, sp, X))
+        for i, row in enumerate(X):
+            want = leaves(fn(p, sp, row))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                # a 0-d leaf is shared by every row (n_metric's det at a float g)
+                assert np.array_equal(a if a.ndim == 0 else a[i], b)
