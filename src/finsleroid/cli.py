@@ -271,7 +271,9 @@ def cmd_check(args) -> int:
     if unknown:
         raise ValueError(f"--tol names no identity: {', '.join(unknown)}; "
                          f"the identities are {', '.join(names)}")
-    sp = None if args.dim is None and args.r is None else _build_space(args.dim, args.r, None)
+    # without --dim and --r the table is drawn in Space.euclidean(3)
+    sp = (Space.euclidean(3) if args.dim is None and args.r is None
+          else _build_space(args.dim, args.r, None))
     results = identities.run_battery(rng, args.inject_fault, sp)
     checks = []
     all_ok = True
@@ -282,8 +284,9 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": residual, "tol": tol,
                        "pass": bool(ok)})
     if args.json:
-        report = {"seed": args.seed, "fault_injected": bool(args.inject_fault),
-                  "checks": checks, "pass": bool(all_ok)}
+        report = {"seed": args.seed, "dim": sp.dim, "r": sp.r_spatial.tolist(),
+                  "fault_injected": bool(args.inject_fault), "checks": checks,
+                  "pass": bool(all_ok)}
         _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"seed: {args.seed}"]

@@ -411,6 +411,14 @@ def space_for(t: np.ndarray, space: Optional[Space]) -> Space:
     return space if space is not None else Space.euclidean(np.shape(t)[-1])
 
 
+def require_one_vector(*vectors) -> None:
+    """Raise ValueError unless each of vectors is one vector, shape (N,):
+    the check of every function that takes one vector or one point."""
+    for R in vectors:
+        if np.asarray(R).ndim != 1:
+            raise ValueError(f"expected one vector, got shape {np.shape(R)}")
+
+
 def checked_pair(t1: np.ndarray, t2: np.ndarray,
                  space: Optional[Space]) -> Tuple[Space, Gram]:
     """space_for(t1, space) and the Space.gram data of t1, t2 after
@@ -463,14 +471,18 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     or a wrong last axis raises ValueError, a row at the origin
     DegenerateVector.
 
-    One vector at a float g is looked up first among the last two such
-    evaluations, keyed by p and sp by identity and the bytes of R; its
-    fields are Python floats, so the shared result cannot change. A stack
-    is evaluated every time, and only a successful evaluation is kept."""
+    One vector takes a float g (an array of g raises ValueError) and is
+    looked up first among the last two such evaluations, keyed by p and sp
+    by identity and the bytes of R; its fields are Python floats, so the
+    shared result cannot change. A stack is evaluated every time, and only
+    a successful evaluation is kept."""
     global _memo
     R = np.asarray(R, dtype=float)
     key = None
-    if R.ndim == 1 and isinstance(p.g, float):
+    if R.ndim == 1:
+        if not isinstance(p.g, float):
+            raise ValueError(f"one vector of shape {R.shape} needs one g, got g of "
+                             f"shape {np.shape(p.g)}: stack the vector to give it per-row g")
         key = R.tobytes()
         for entry in _memo:
             if entry[0] is p and entry[1] is sp and entry[2] == key:
@@ -503,8 +515,7 @@ def checked_forms(p: Param, sp: Space,
     """R as the float array that scalar_forms checks, and its scalar forms,
     for the functions of one vector: a stack raises ValueError."""
     R = np.asarray(R, dtype=float)
-    if R.ndim != 1:
-        raise ValueError(f"expected one vector, got shape {R.shape}")
+    require_one_vector(R)
     return R, scalar_forms(p, sp, R)
 
 

@@ -55,31 +55,36 @@ def _j(p: Param, f):
     return np.exp(half_G_angle(p, 0.5 * math.pi - f))
 
 
-def gen_trig(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
-    """Generalized trigonometric values at parameter f in [0, pi]: floats
-    for a float f and a float g, else arrays of the broadcast shape of g
-    and f."""
+def _generatrix(p: Param, f):
+    """The gen_trig and trig_derivatives triples at f and J(f), from one J
+    and one sine and cosine of f."""
     J = _j(p, f)
     G, h = p.G, p.h
     s, c = np.sin(f), np.cos(f)
-    return TrigTriple(
+    t = TrigTriple(
         cos_g=(c - 0.5 * G * s) / J,
         sin_g=s / (h * J),
         cos_star=(c + 0.5 * G * s) / (h * h * J),
     )
+    d = TrigTriple(
+        cos_g=-t.sin_g / h,
+        sin_g=h * t.cos_star,
+        cos_star=(G * c - (1.0 - 0.25 * G * G) * s) / (h * h * J),
+    )
+    return t, d, J
+
+
+def gen_trig(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
+    """Generalized trigonometric values at parameter f in [0, pi]: floats
+    for a float f and a float g, else arrays of the broadcast shape of g
+    and f."""
+    return _generatrix(p, f)[0]
 
 
 def trig_derivatives(p: Param, f: Union[float, np.ndarray]) -> TrigTriple:
     """Exact f-derivatives of the triple (same field order); f is a float
     or an array, as for gen_trig."""
-    J = _j(p, f)
-    G, h = p.G, p.h
-    t = gen_trig(p, f)
-    return TrigTriple(
-        cos_g=-t.sin_g / h,
-        sin_g=h * t.cos_star,
-        cos_star=(G * np.cos(f) - (1.0 - 0.25 * G * G) * np.sin(f)) / (h * h * J),
-    )
+    return _generatrix(p, f)[1]
 
 
 def indicatrix_length(p: Param) -> float:
@@ -90,12 +95,13 @@ def indicatrix_length(p: Param) -> float:
 def _curve(p: Param, f):
     """R(f) = (Sin_g f, Cos_g f), dR/df, d2R/df2 on the unit level set
     (K = 1, r = identity), each of shape f.shape + (2,), or (k,) + f.shape
-    + (2,) for g of shape (k, 1)."""
-    t, d = gen_trig(p, f), trig_derivatives(p, f)
+    + (2,) for g of shape (k, 1), and J(f), from one evaluation of the
+    generatrix."""
+    t, d, J = _generatrix(p, f)
     R = np.stack([t.sin_g, t.cos_g], axis=-1)
     dR = np.stack([d.sin_g, d.cos_g], axis=-1)
     d2R = np.stack([p.h * d.cos_star, -t.cos_star], axis=-1)
-    return R, dR, d2R
+    return R, dR, d2R, J
 
 
 def _worst(values: np.ndarray) -> float:
@@ -110,7 +116,7 @@ def rund_residual(p: Param, f_samples: Iterable[float],
     control."""
     I = -p.g if cartan_scalar is None else float(cartan_scalar)
     h = per_row(p.h)
-    R, dR, d2R = _curve(p, np.fromiter(f_samples, dtype=float))
+    R, dR, d2R, _ = _curve(p, np.fromiter(f_samples, dtype=float))
     return _worst(h * h * d2R + per_row(I) * h * dR + R)
 
 
@@ -127,8 +133,8 @@ def landsberg_check(p: Param, f_samples: Iterable[float]) -> dict:
     sp = Space.euclidean(2)
     h = p.h
     fs = np.fromiter(f_samples, dtype=float)
-    R, dR, d2R = _curve(p, fs)
-    J2 = _j(p, fs) ** 2
+    R, dR, d2R, J = _curve(p, fs)
+    J2 = J ** 2
     wronskian = R[..., 1] * dR[..., 0] - R[..., 0] * dR[..., 1] - 1.0 / (h * J2)
     num = d2R[..., 1] * dR[..., 0] - dR[..., 1] * d2R[..., 0]
     den = dR[..., 1] * R[..., 0] - R[..., 1] * dR[..., 0]

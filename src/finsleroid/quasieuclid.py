@@ -20,8 +20,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (Param, Space, any_row, axial, fill_rows, g_zero_rows,
-                   half_G_angle, per_row, require_off_axis, scalar_forms,
-                   write_rows)
+                   half_G_angle, per_row, require_off_axis, require_one_vector,
+                   scalar_forms, write_rows)
 from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -68,16 +68,10 @@ def _radial(sp: Space, t: np.ndarray, what: str):
     return S, t / per_row(S)
 
 
-def _one_point(t: np.ndarray) -> None:
-    """Raise ValueError unless t is one image point, shape (N,)."""
-    if np.ndim(t) != 1:
-        raise ValueError(f"expected one vector, got shape {np.shape(t)}")
-
-
 def _one_radial(sp: Space, t: np.ndarray, what: str):
     """_radial for the functions of one image point: a stack raises
     ValueError."""
-    _one_point(t)
+    require_one_vector(t)
     return _radial(sp, t, what)
 
 
@@ -156,7 +150,7 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     Requires m(t) > 0 unless g = 0 (identity); a stack raises ValueError.
     """
-    _one_point(t)
+    require_one_vector(t)
     t = sp.check_vector(t)
     m = mnorm(sp, t)
     if m == 0.0:

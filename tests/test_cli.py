@@ -399,6 +399,15 @@ def test_check_in_euclidean_3_matches_no_space_flags(capsys):
     assert run(capsys, "check", "--json", "--seed", "3", "--r", "1,0,0,1") == base
 
 
+@pytest.mark.parametrize("flags, dim, r", [((), 3, [[1.0, 0.0], [0.0, 1.0]]),
+                                           (("--dim", "5"), 5, np.eye(4).tolist()),
+                                           (("--r", "1.5,0.2,0.2,0.8"), 3, [[1.5, 0.2], [0.2, 0.8]])])
+def test_check_json_reports_its_space(capsys, flags, dim, r):
+    code, out, _ = run(capsys, "check", "--json", "--seed", "4", *flags)
+    rep = json.loads(out)
+    assert code == 0 and rep["dim"] == dim and rep["r"] == r
+
+
 @pytest.mark.parametrize("flags", [("--dim", "5", "--r", "1,0,0,1"), ("--r", "1,0,0"),
                                    ("--dim", "1"), ("--r", "1,2,2,1")])
 def test_check_refuses_a_bad_space(capsys, flags):

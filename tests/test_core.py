@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -523,3 +524,17 @@ def test_one_vector_functions_refuse_stacks(name):
             for a, b in zip(got, want):
                 # a 0-d leaf is shared by every row (n_metric's det at a float g)
                 assert np.array_equal(a if a.ndim == 0 else a[i], b)
+
+
+@pytest.mark.parametrize("g", [np.array([0.4]), np.array([0.4, 0.5])])
+def test_one_vector_refuses_an_array_of_g(g):
+    # one vector takes one g: a ValueError naming both shapes, and no warning
+    P, sp = make_param(g), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    R = np.array([0.3, 0.5, 1.0])
+    calls = (lambda: scalar_forms(P, sp, R), lambda: fd.metric(P, sp, R),
+             lambda: fd.sigma(P, sp, R), lambda: fd.fins_angle(P, sp, R, 2.0 * R + 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"shape \(3,\).* shape \({len(g)},\)"):
+                call()

@@ -209,6 +209,36 @@ def test_initial_value_trivial_cases(rng):
                        t1 + 1.3 * w, rtol=1e-12)
 
 
+def test_initial_value_refuses_a_stack():
+    p, sp = make_param(0.5), Space.euclidean(3)
+    t1 = np.array([0.3, -0.5, 1.0])
+    v1 = t1 / sp.norm(t1)
+    for args in ((np.stack([t1, t1]), v1), (t1, np.stack([v1, v1])), (t1[None], v1)):
+        with pytest.raises(ValueError, match=r"expected one vector, got shape \("):
+            qe_geodesic_initial(p, *args, 0.3, space=sp)
+
+
+def test_radial_velocity_runs_along_the_ray(rng):
+    # outward, inward, coincident and collinear-by-COLLINEAR_TOL ends: alpha
+    # and nu are 0, t = (S/a) t1 and v = (b + s) / (a S) t1, unit for n
+    p, sp, bd = draw_pair(rng)
+    t1 = bd.t1
+    off = 1e-15 * sp.norm(t1) * (bd.t2 - sp.dot(bd.t2, t1) / sp.dot(t1, t1) * t1)
+    for t2 in (2.5 * t1, 0.4 * t1, t1.copy(), 2.5 * t1 + off):
+        ray = connect(p, t1, t2, space=sp)
+        assert ray.radial and ray.alpha == 0.0
+        s = np.linspace(0.0, ray.delta_s, 5)
+        v = qe_velocity(ray, s)
+        assert v.shape == (5, sp.dim)
+        for k, sk in enumerate(s):
+            S = math.sqrt(ray.a**2 + 2 * ray.b * sk + sk * sk)
+            assert np.allclose(v[k], t1 * (ray.b + sk) / (ray.a * S), rtol=1e-15, atol=0.0)
+            assert np.allclose(qe_velocity(ray, float(sk)), v[k], rtol=1e-15, atol=0.0)
+            t, nu = qe_geodesic_at(ray, float(sk))
+            assert nu == 0.0 and np.allclose(t, S / ray.a * t1, rtol=1e-15, atol=0.0)
+            assert v[k] @ n_metric(p, sp, t).low @ v[k] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_initial_value_rejects_bad_speed(rng):
     p = make_param(0.5)
     sp = Space.euclidean(2)

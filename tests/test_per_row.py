@@ -240,6 +240,25 @@ def test_stacked_connect_matches_one_pair_calls(rng, n, identity):
                 _assert_rows_match(_boundary(bd)[0], want, j, scales)
                 _assert_rows_match(paths[0], fd.qe_geodesic_at(one, s[j]), j)
                 _assert_rows_match(paths[1], fd.qe_geodesic_at(one, s[j, 3]), j)
+            # the velocities of the same rows, but 17 and 19: their t2 is
+            # 1e-180 |t1|, and the norm law S^2 = a^2 + 2 b s + s^2, which
+            # the velocity divides by, cancels to 0 at s = delta_s. Elsewhere
+            # it cancels by kappa = (a^2 + 2 |b| s + s^2) / S^2, which scales
+            # the last bits by which a stacked boundary can differ
+            rows[[17, 19]] = False
+            bd = fd.connect(make_param(g[rows]), X[rows], Y[rows], space=sp)
+            s = np.linspace(0.0, 1.0, 7) * bd.delta_s[:, None]
+            vel = [fd.qe_velocity(bd, s), fd.qe_velocity(bd, s[:, 3]), fd.endpoint_velocities(bd)]
+            assert vel[0].shape == s.shape + (n,) and vel[2][1].shape == bd.t2.shape
+            for j, i in enumerate(np.flatnonzero(rows)):
+                one = fd.connect(make_param(float(g[i])), X[i], Y[i], space=sp)
+                a, b, sj = one.a, one.b, s[j]
+                kappa = np.max((a * a + 2 * abs(b) * sj + sj * sj) / (a * a + 2 * b * sj + sj * sj))
+                for got, want in ((vel[0], fd.qe_velocity(one, sj)),
+                                  (vel[1], fd.qe_velocity(one, sj[3])),
+                                  (vel[2], fd.endpoint_velocities(one))):
+                    scales = [kappa * np.max(np.abs(v)) for v in leaves(want)]
+                    _assert_rows_match(got, want, j, scales)
 
 
 def test_connect_refuses_a_stack_with_an_antipodal_row(rng):

@@ -162,7 +162,7 @@ def test_convexity_ratio_value():
     # reproduce the ratio directly at a few points
     from finsleroid.plane import _curve
     for f in (0.3, 1.2, 2.5):
-        R, dR, d2R = _curve(p, f)
+        R, dR, d2R, _ = _curve(p, f)
         ratio = (d2R[1] * dR[0] - dR[1] * d2R[0]) / (dR[1] * R[0] - R[1] * dR[0])
         assert ratio == pytest.approx(1 / 0.91, rel=1e-12)
 
@@ -173,3 +173,16 @@ def test_length_grows_toward_cone_limit():
     assert all(a < b for a, b in zip(lens, lens[1:]))
     assert lens[0] == pytest.approx(2 * math.pi)
     assert lens[-1] > 20 * math.pi
+
+
+def test_generatrix_is_evaluated_once_per_call(monkeypatch):
+    # J(f) is formed once by each of these calls, and the checks reuse it
+    from finsleroid import plane
+    calls = []
+    j = plane._j
+    monkeypatch.setattr(plane, "_j", lambda p, f: calls.append(f) or j(p, f))
+    p = make_param(0.6)
+    for fn in (gen_trig, trig_derivatives, rund_residual, landsberg_check):
+        calls.clear()
+        fn(p, FS)
+        assert len(calls) == 1, fn.__name__
