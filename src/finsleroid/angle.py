@@ -77,7 +77,7 @@ def qe_angle(p: Param, t1: np.ndarray, t2: np.ndarray,
     for one pair; an array over the rows for stacked pairs (..., N), with
     one g or one g per row."""
     sp = space_for(t1, space)
-    return sp.gram(sp.check_vector(t1), sp.check_vector(t2)).angle / p.h
+    return sp.gram(t1, t2).angle / p.h
 
 
 def axis_angle(p: Param, sp: Space, R: np.ndarray) -> float:

@@ -265,6 +265,15 @@ class Gram(NamedTuple):
         return per_row(self.u / self.a11) * self.x - per_row(self.a12 / self.u) * self.perp
 
 
+# (sp, (x.tobytes(), y.tobytes()), the Gram fields past x and y) of the last
+# one-pair evaluation of Space.gram. One entry: the pair functions called on
+# one pair (connect, n2, covector_pair, parallelogram_exact on the same image
+# pair) come one after another, so a second entry catches no more repeats.
+# Rebound in one assignment, never changed in place, so a concurrent call
+# can at worst miss.
+_gram_memo: tuple = ()
+
+
 class Space:
     """Dimension N plus the spatial metric matrix r_ab ((N-1) x (N-1)).
 
@@ -332,20 +341,40 @@ class Space:
             d._dual, self._dual = self, d
         return self._dual
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Full background product r_pq x^p y^q."""
-        return float(x[:-1] @ self.r_spatial @ y[:-1] + x[-1] * y[-1])
+    def dot(self, x: np.ndarray, y: np.ndarray) -> Union[float, np.ndarray]:
+        """Full background product r_pq x^p y^q of one pair (N,), a float,
+        or of every row of stacked pairs (..., N), an array over the rows."""
+        d = np.vecdot(np.matvec(self.r_full, x), y)
+        return float(d) if d.ndim == 0 else d
 
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.dot(x, x), 0.0))
+    def norm(self, x: np.ndarray) -> Union[float, np.ndarray]:
+        """sqrt(r_pq x^p x^q) of one vector or of every row of a stack, as dot."""
+        n = np.sqrt(np.maximum(self.dot(x, x), 0.0))
+        return float(n) if n.ndim == 0 else n
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> Gram:
         """The pair kernel: every angle and Gram root of two vectors in the
         package comes from here. Takes one pair, shape (N,), or pairs
         stacked along leading axes, (..., N), each row on its own: the
-        residual branch and COLLINEAR_TOL apply row by row. Raises
-        DegenerateVector when a row of x or y is zero."""
-        x, y, r = np.asarray(x, dtype=float), np.asarray(y, dtype=float), self.r_full
+        residual branch and COLLINEAR_TOL apply row by row. x and y are
+        checked as check_vector does, and a row of x or y at zero raises
+        DegenerateVector.
+
+        One pair is looked up first in the record of the last one-pair
+        evaluation, keyed by this Space by identity and the bytes of x and
+        y; a hit returns the stored record with the caller's x and y and
+        skips the checks, which that pair has passed. The stored perp is
+        read-only. Stacks are evaluated every time, and only a successful
+        evaluation is kept."""
+        global _gram_memo
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        key = None
+        if x.ndim == 1 and y.ndim == 1:
+            key = x.tobytes(), y.tobytes()
+            entry = _gram_memo
+            if entry and entry[0] is self and entry[1] == key:
+                return Gram(x, y, *entry[2])
+        x, y, r = self.check_vector(x), self.check_vector(y), self.r_full
         rx = np.matvec(r, x)
         a11, a12, a22 = np.vecdot(rx, x), np.vecdot(rx, y), np.vecdot(np.matvec(r, y), y)
         if a12.ndim:
@@ -374,8 +403,12 @@ class Space:
         # |perp|^2 as a sum of squares in the orthonormal frame: never below 0
         w = np.matvec(self.base_frame, perp)
         u = m.sqrt(a11 * np.vecdot(w, w))
-        return Gram(x, y, perp, a11, a22, a12, u, m.atan2(u, a12),
+        pair = Gram(x, y, perp, a11, a22, a12, u, m.atan2(u, a12),
                     u <= COLLINEAR_TOL * m.sqrt(a11 * a22))
+        if key is not None:
+            perp.setflags(write=False)  # shared by every hit
+            _gram_memo = (self, key, pair[2:])
+        return pair
 
     def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
         """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
@@ -421,11 +454,11 @@ def require_one_vector(*vectors) -> None:
 
 def checked_pair(t1: np.ndarray, t2: np.ndarray,
                  space: Optional[Space]) -> Tuple[Space, Gram]:
-    """space_for(t1, space) and the Space.gram data of t1, t2 after
-    check_vector, for the functions of one pair: stacked pairs raise
-    ValueError. Gram.x and Gram.y hold the checked arrays."""
+    """space_for(t1, space) and the Space.gram data of t1, t2, which
+    Space.gram checks, for the functions of one pair: stacked pairs raise
+    ValueError. Gram.x and Gram.y hold the float arrays of t1 and t2."""
     sp = space_for(t1, space)
-    t1, t2 = sp.check_vector(t1), sp.check_vector(t2)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     if t1.ndim != 1 or t2.ndim != 1:
         raise ValueError(f"expected one pair of vectors, got shapes {t1.shape} and {t2.shape}")
     return sp, sp.gram(t1, t2)

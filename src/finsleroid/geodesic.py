@@ -93,7 +93,7 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
     AntipodalSingular when the swept angle of some row is within
     ANTIPODAL_TOL of pi, and DegenerateVector when a row is zero."""
     sp = space_for(t1, space)
-    pair = sp.gram(sp.check_vector(t1), sp.check_vector(t2))
+    pair = sp.gram(t1, t2)
     m = np if isinstance(pair.a12, np.ndarray) else math  # floats for one pair
     a, S_end = m.sqrt(pair.a11), m.sqrt(pair.a22)
     alpha = pair.angle / p.h

@@ -120,7 +120,7 @@ def _metric_det_law(s: Sample) -> float:
 def _metric_hessian(s: Sample) -> float:
     P, X = s.head(slice(8))
     # a step relative to |R|: a fixed one is dominated by rounding for |R| ~ 3
-    eps = 1e-4 * np.array([s.sp.norm(R) for R in X])
+    eps = 1e-4 * s.sp.norm(X)
     # Y[k, i, j, m] = R_m + di e_i + dj e_j for the k-th sign pair (di, dj)
     signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
     di, dj = (signs[:, c, None, None, None, None] * eps[:, None] for c in (0, 1))

@@ -235,6 +235,20 @@ class QEFrames:
     ricci: np.ndarray
 
 
+def checked_base_frame(sp: Space, base_frame: Optional[np.ndarray]) -> np.ndarray:
+    """base_frame as a float array, or the Cholesky-derived frame of sp when
+    it is None. Raises BadFrame unless it is N x N and orthonormal for the
+    background metric: sum_P base[P, p] base[P, q] = r_pq."""
+    if base_frame is None:
+        return sp.base_frame
+    base = np.asarray(base_frame, dtype=float)
+    if base.shape != (sp.dim, sp.dim):
+        raise BadFrame(f"frame must be {sp.dim}x{sp.dim}, got shape {base.shape}")
+    if not np.allclose(base.T @ base, sp.r_full, rtol=0, atol=1e-10):
+        raise BadFrame("frame is not orthonormal for the background metric")
+    return base
+
+
 def qe_frames(p: Param, sp: Space, t: np.ndarray,
               base_frame: Optional[np.ndarray] = None) -> QEFrames:
     """Frames adapted to n from an orthonormal base frame of r_pq.
@@ -243,16 +257,8 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
     default is the Cholesky-derived frame of the space.
     """
     S, L = _one_radial(sp, t, "frames")
-    if base_frame is None:
-        base = sp.base_frame
-        base_inv = sp.base_frame_inv
-    else:
-        base = np.asarray(base_frame, dtype=float)
-        if base.shape != (sp.dim, sp.dim):
-            raise BadFrame(f"frame must be {sp.dim}x{sp.dim}")
-        if not np.allclose(base.T @ base, sp.r_full, rtol=0, atol=1e-10):
-            raise BadFrame("frame is not orthonormal for the background metric")
-        base_inv = np.linalg.inv(base).T
+    base = checked_base_frame(sp, base_frame)
+    base_inv = sp.base_frame_inv if base_frame is None else np.linalg.inv(base).T
     h = p.h
     Llow = sp.r_full @ L
     L_P = base @ L            # frame components L^P

@@ -22,7 +22,7 @@ import numpy as np
 from .core import Param, Space, checked_forms, checked_pair
 from .errors import (CollinearVectors, DegenerateW, NegativeRadicand,
                      SingularXi)
-from .quasieuclid import _sigma_jacobian, n_metric, sigma_over_j
+from .quasieuclid import _sigma_jacobian, checked_base_frame, n_metric, sigma_over_j
 
 __all__ = [
     "TwoVectorTensor",
@@ -91,14 +91,17 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
     n_pq(t1, t2) exactly; its antisymmetric defect is
     (A2/h) (t1_p t2_q - t2_p t1_q) / (|t1||t2|).
 
-    Raises NegativeRadicand outside the validity region of the radicals.
+    base_frame[P, q] must satisfy sum_P base[P, p] base[P, q] = r_pq, as
+    in qe_frames (BadFrame otherwise); default is the Cholesky-derived frame
+    of the space. Raises NegativeRadicand outside the validity region of the
+    radicals.
     """
     sp, pair = checked_pair(t1, t2, space)
     if pair.collinear:
         raise CollinearVectors("frame needs independent vectors")
     a11, a22, a12, u = pair.a11, pair.a22, pair.a12, pair.u
     h = p.h
-    base = sp.base_frame if base_frame is None else np.asarray(base_frame, float)
+    base = checked_base_frame(sp, base_frame)
     sa, ca, s, A1, A2 = _mixing(p, pair)
     if s < 0.0:
         raise NegativeRadicand("sin(alpha)/u negative")

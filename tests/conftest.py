@@ -1,7 +1,7 @@
 """Shared helpers: random geometry draws, finite-difference oracles,
 counters of the scalar_forms calls, of the evaluations of the forms, of
-Space.gram evaluations and of the passes of the text kernels, and the array
-leaves of a result."""
+the Space.gram calls and evaluations and of the passes of the text
+kernels, and the array leaves of a result."""
 
 import dataclasses
 import sys
@@ -111,8 +111,8 @@ def count_forms_evaluations(monkeypatch):
 
 
 def count_gram(monkeypatch):
-    """Count the calls of Space.gram, the pair kernel, on every Space;
-    returns a one-item list holding the count."""
+    """Count the calls of Space.gram, the pair kernel, on every Space, memo
+    hits included; returns a one-item list holding the count."""
     calls = [0]
     fn = Space.gram
 
@@ -120,6 +120,25 @@ def count_gram(monkeypatch):
         calls[0] += 1
         return fn(self, *args, **kwargs)
     monkeypatch.setattr(Space, "gram", counted)
+    return calls
+
+
+def count_gram_evaluations(monkeypatch):
+    """Count the evaluations of Space.gram, the calls that its memo does not
+    answer, from an empty memo: a hit hands back the perp of the stored
+    record, an evaluation a new one. Calls that raise are not counted.
+    Returns a one-item list holding the count."""
+    calls = [0]
+    fn = Space.gram
+
+    def counted(self, *args, **kwargs):
+        stored = core._gram_memo
+        pair = fn(self, *args, **kwargs)
+        if not stored or pair.perp is not stored[2][0]:
+            calls[0] += 1
+        return pair
+    monkeypatch.setattr(Space, "gram", counted)
+    monkeypatch.setattr(core, "_gram_memo", ())
     return calls
 
 

@@ -11,8 +11,8 @@ import pytest
 import finsleroid as fd
 from finsleroid import (ConeLimit, DegenerateVector, OutOfRange, Param, Space, core,
                         connect, fmf, make_param, scalar_forms)
-from conftest import (count_forms_evaluations, count_scalar_forms, leaves,
-                      rand_space, rand_vec)
+from conftest import (count_forms_evaluations, count_gram, count_gram_evaluations,
+                      count_scalar_forms, leaves, rand_space, rand_vec)
 
 
 def test_param_euclidean_case():
@@ -394,6 +394,189 @@ def test_memo_under_concurrent_threads(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def _memo_pairs(sp, rng):
+    """A generic pair, and near-collinear, near-antipodal, collinear and
+    antipodal ones, in sp."""
+    x = rng.normal(size=sp.dim)
+    e = rng.normal(size=sp.dim)
+    return [(x, rng.normal(size=sp.dim)), (x, 1.7 * x + 1e-9 * e),
+            (x, -x + 1e-9 * e), (x, 2.0 * x), (x, -x)]
+
+
+def _same_gram(a, b) -> bool:
+    return (all(np.asarray(u).tobytes() == np.asarray(v).tobytes()
+                for u, v in zip(a[:3], b[:3]))
+            and tuple(a[3:]) == tuple(b[3:])
+            and [type(v) for v in a[3:]] == [type(v) for v in b[3:]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gram_memo_hit_equals_a_fresh_evaluation(rng, monkeypatch, n):
+    # a hit hands back the record a fresh evaluation on an equal Space gives,
+    # bit for bit, with the caller's own x and y
+    evaluations = count_gram_evaluations(monkeypatch)
+    for identity in (True, False):
+        sp = rand_space(n, rng, identity=identity)
+        for x, y in _memo_pairs(sp, rng):
+            evaluations[0] = 0
+            first = sp.gram(x, y)
+            x2, y2 = x.copy(), y.copy()
+            hit = sp.gram(x2, y2)
+            assert evaluations[0] == 1
+            assert hit.x is x2 and hit.y is y2 and hit.perp is first.perp
+            fresh = Space(n, sp.r_spatial).gram(x, y)
+            assert evaluations[0] == 2
+            assert _same_gram(hit, fresh) and _same_gram(hit, first)
+            assert [type(v) for v in hit[3:]] == [float] * 5 + [bool]
+            if not hit.collinear:
+                assert hit.d1.tobytes() == fresh.d1.tobytes()
+                assert hit.d2.tobytes() == fresh.d2.tobytes()
+
+
+def test_gram_memo_hit_returns_the_callers_arrays():
+    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+    sp.gram(x, y)
+    x2, y2 = x.copy(), y.copy()
+    hit = sp.gram(x2, y2)
+    assert hit.x is x2 and hit.y is y2
+    # a list is converted as check_vector would, on a hit too
+    listed = sp.gram(list(x), list(y))
+    assert listed.perp is hit.perp and listed.x.tobytes() == x.tobytes()
+
+
+def test_gram_memo_keys_the_space_by_identity(monkeypatch):
+    evaluations = count_gram_evaluations(monkeypatch)
+    r = [[1.5, 0.2], [0.2, 0.8]]
+    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+    for _ in range(2):
+        Space(3, r).gram(x, y)
+    assert evaluations[0] == 2
+    sp = Space(3, r)
+    sp.gram(x, y)
+    sp.gram(x, y)
+    assert evaluations[0] == 3
+
+
+def test_gram_memo_sees_a_vector_changed_in_place(monkeypatch):
+    evaluations = count_gram_evaluations(monkeypatch)
+    sp = Space.euclidean(3)
+    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+    before = sp.gram(x, y)
+    y[1] = 0.9
+    after = sp.gram(x, y)
+    assert evaluations[0] == 2 and after.a12 != before.a12
+    assert _same_gram(after, Space(3).gram(x, np.array([0.2, 0.9, 0.7])))
+
+
+def test_gram_stacks_bypass_the_memo(monkeypatch):
+    evaluations = count_gram_evaluations(monkeypatch)
+    sp = Space.euclidean(3)
+    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+    for k in range(3):
+        sp.gram(X, X[::-1])
+        sp.gram(X[:1], X[1:])
+        sp.gram(X[0], X)  # one x against a stack of y
+        assert evaluations[0] == 3 * (k + 1)
+    assert core._gram_memo == ()
+
+
+def test_gram_memo_keeps_no_failure(monkeypatch):
+    # every refused pair is refused again, and leaves the memo as it was
+    evaluations = count_gram_evaluations(monkeypatch)
+    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+    sp.gram(x, y)
+    stored = core._gram_memo
+    cases = [(np.zeros(3), y, DegenerateVector), (x, np.zeros(3), DegenerateVector),
+             (x, np.array([0.3, np.nan, 1.0]), ValueError),
+             (np.array([np.inf, 0.5, 1.0]), y, ValueError),
+             (x, np.array([0.3, 1.0]), ValueError), (np.array([0.3, 0.5, 1.0, 2.0]), y, ValueError)]
+    for a, b, err in cases:
+        for _ in range(2):
+            with pytest.raises(err):
+                sp.gram(a, b)
+        assert core._gram_memo is stored
+    sp.gram(x, y)
+    assert evaluations[0] == 1
+
+
+def test_gram_memo_perp_is_read_only():
+    sp = Space.euclidean(3)
+    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+    for pair in (sp.gram(x, y), sp.gram(x, y)):
+        with pytest.raises(ValueError):
+            pair.perp[0] = 1.0
+    assert core._gram_memo[2][0].flags.writeable is False
+
+
+def test_gram_memo_under_concurrent_threads(rng):
+    # threads sharing sp, each cycling over its own pairs with a short
+    # switch interval: every result is the record of its own pair
+    sp = rand_space(3, rng)
+    pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+    fresh = Space(3, sp.r_spatial)
+    want = [fresh.gram(x, y) for x, y in pairs]
+    wrong = []
+
+    def work(k):
+        for i in range(600):
+            j = (3 * k + i % 3) % len(pairs)
+            pair = sp.gram(*pairs[j])
+            if not _same_gram(pair, want[j]) or pair.x is not pairs[j][0]:
+                wrong.append(j)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
+    # the calls of one pair_geometry op: fins_angle evaluates the pair of
+    # sigma(R) / J, g2 the sigma images and perpendicular_companion R with
+    # its seed; connect, n2, covector_pair and parallelogram_exact on the
+    # sigma images are hits, as qe_geodesic_at makes no call
+    calls, evaluations = count_gram(monkeypatch), count_gram_evaluations(monkeypatch)
+    sp = Space.euclidean(3)
+    R, S = np.array([0.3, 0.5, 1.0]), np.array([0.6, -0.2, 0.9])
+    for g in (-1.3, 0.0, 0.4, 1.7):
+        p = make_param(g)
+        calls[0] = evaluations[0] = 0
+        fd.fins_angle(p, sp, R, S)
+        fd.g2(p, sp, R, S)
+        t1, t2 = fd.sigma(p, sp, R), fd.sigma(p, sp, S)
+        bd = connect(p, t1, t2)
+        fd.qe_geodesic_at(bd, 0.5 * bd.delta_s)
+        fd.n2(p, t1, t2)
+        fd.covector_pair(p, t1, t2)
+        fd.parallelogram_exact(p, t1, t2)
+        fd.perpendicular_companion(p, sp, R)
+        # at g = 0, J = 1: sigma(R) / J is sigma(R), and g2's pair is a hit too
+        assert (calls[0], evaluations[0]) == (7, 2 if g == 0.0 else 3)
+        assert bd.t1 is t1 and bd.t2 is t2
+
+
+def test_dot_and_norm_over_stacks(rng):
+    # one formula over (..., N): row by row the one-pair floats, bit for bit
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng)
+        X, Y = rng.normal(size=(2, 4, n)), rng.normal(size=(2, 4, n))
+        dots, norms = sp.dot(X, Y), sp.norm(X)
+        assert dots.shape == norms.shape == (2, 4)
+        for i in np.ndindex(2, 4):
+            assert type(sp.dot(X[i], Y[i])) is float and type(sp.norm(X[i])) is float
+            assert dots[i] == sp.dot(X[i], Y[i])
+            assert norms[i] == sp.norm(X[i]) == pytest.approx(math.sqrt(X[i] @ sp.r_full @ X[i]))
 
 
 def test_euclidean_space_is_shared():

@@ -327,8 +327,9 @@ def test_frames_custom_and_bad(rng):
     fr = qe_frames(p, sp, t, base_frame=rot)
     nm = n_metric(p, sp, t)
     assert np.max(np.abs(fr.f.T @ fr.f - nm.low)) < 1e-12
-    with pytest.raises(BadFrame):
-        qe_frames(p, sp, t, base_frame=2.0 * np.eye(3))
+    for bad in (2.0 * np.eye(3), np.ones((3, 3)), np.eye(2)):
+        with pytest.raises(BadFrame):
+            qe_frames(p, sp, t, base_frame=bad)
 
 
 def test_ricci_coefficients(rng):

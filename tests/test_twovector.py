@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (NegativeRadicand, Space,
+from finsleroid import (BadFrame, NegativeRadicand, Space,
                         covector_pair, fins_angle, fmf, g2, grad_covector,
                         invert_covector_pair, make_param, metric, n2,
                         n2_frame, n_metric, qe_angle, scalar_grad,
@@ -222,6 +222,27 @@ def test_frame_euclidean_reduces_to_base(rng):
         t2 = t2 + t1
     f = n2_frame(p, t1, t2, space=sp)
     assert np.allclose(f, sp.base_frame, rtol=1e-10, atol=1e-12)
+
+
+def test_frame_checks_its_base_frame(rng):
+    # the check of qe_frames: a frame of the wrong shape or one that is not
+    # orthonormal for r raises BadFrame, where n2_frame once returned rows
+    # of about 1.0 for np.ones((3, 3)) and ended in matmul's error for 2 x 2
+    p = make_param(0.5)
+    sp = rand_space(3, rng)
+    t1, t2 = np.array([0.3, 0.5, 1.0]), np.array([0.6, -0.2, 0.9])
+    for bad in (np.ones((3, 3)), np.eye(2), np.eye(4), 2.0 * sp.base_frame):
+        with pytest.raises(BadFrame):
+            n2_frame(p, t1, t2, base_frame=bad, space=sp)
+    # an orthonormal frame is taken, and the frame turns with it
+    th = 0.7
+    rot = np.array([[math.cos(th), math.sin(th), 0],
+                    [-math.sin(th), math.cos(th), 0],
+                    [0, 0, 1.0]])
+    f = n2_frame(p, t1, t2, space=sp)
+    for base, want in ((list(sp.base_frame), f), (rot @ sp.base_frame, rot @ f)):
+        got = n2_frame(p, t1, t2, base_frame=base, space=sp)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_frame_negative_radicand():
