@@ -12,8 +12,10 @@ Every one-vector function starts from the forms of its vector, so
 ``scalar_forms`` keeps those of the last two single vectors it evaluated at
 a float g, keyed by the Param and the Space by identity and the bytes of R:
 two, for the two vectors of a pair (a vector and its costate, the ends of an
-angle). A hit returns the stored tuple of Python floats. Stacks bypass the
-memo, as keying one would copy it, and a vector that raises is not kept.
+angle). A hit returns the stored tuple of Python floats. ``Space.gram`` keeps
+its last one-pair record the same way. Both run through ``_Memo``, the one
+memo of the package (``tensors`` keeps its Cartan tensors in a third): stacks
+bypass it, as keying one would copy it, and an input that raises is not kept.
 
 The anisotropy is controlled by a single parameter ``g`` in (-2, 2), or by
 one ``g`` per row of a stack (``make_param`` of an array of g).
@@ -119,6 +121,39 @@ def any_row(mask) -> bool:
     float g is a bool, read as it is: np.count_nonzero would first make it
     an array."""
     return mask if isinstance(mask, bool) else bool(np.count_nonzero(mask))
+
+
+class _Memo:
+    """The last few successful evaluations of a function on one input,
+    newest first: the memo of scalar_forms, Space.gram and the Cartan
+    tensors. An entry is keyed by two objects, compared by identity (None
+    in place of an unused one), and the bytes of the input arrays, a bytes
+    object or a tuple of them. It holds its objects, so they live as long
+    as it does.
+
+    The entries are one tuple, rebound in one assignment and never changed
+    in place, so a concurrent call can at worst miss. A caller looks up one
+    input only, as keying a stack would copy it, and stores a result only
+    after its evaluation succeeded, so an input that raises is not kept. A
+    stored result is shared by every hit: it holds floats or read-only
+    arrays."""
+
+    __slots__ = ("size", "entries")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: tuple = ()
+
+    def get(self, a, b, data):
+        """The result stored for the objects a, b and data, or None."""
+        for entry in self.entries:
+            if entry[0] is a and entry[1] is b and entry[2] == data:
+                return entry[3]
+        return None
+
+    def put(self, a, b, data, result) -> None:
+        """Store result as the newest entry, and drop the oldest past size."""
+        self.entries = ((a, b, data, result),) + self.entries[:self.size - 1]
 
 
 # J = exp(G a / 2) at an angle a in [-pi/2, pi/2]: J^k and J^-k are normal
@@ -265,13 +300,12 @@ class Gram(NamedTuple):
         return per_row(self.u / self.a11) * self.x - per_row(self.a12 / self.u) * self.perp
 
 
-# (sp, (x.tobytes(), y.tobytes()), the Gram fields past x and y) of the last
-# one-pair evaluation of Space.gram. One entry: the pair functions called on
-# one pair (connect, n2, covector_pair, parallelogram_exact on the same image
-# pair) come one after another, so a second entry catches no more repeats.
-# Rebound in one assignment, never changed in place, so a concurrent call
-# can at worst miss.
-_gram_memo: tuple = ()
+# The Gram fields past x and y of the last one-pair evaluation of Space.gram,
+# keyed by the Space and the bytes of x and y. One entry: the pair
+# functions called on one pair (connect, n2, covector_pair,
+# parallelogram_exact on the same image pair) come one after another, so a
+# second entry catches no more repeats.
+_gram_memo = _Memo(1)
 
 
 class Space:
@@ -366,14 +400,13 @@ class Space:
         skips the checks, which that pair has passed. The stored perp is
         read-only. Stacks are evaluated every time, and only a successful
         evaluation is kept."""
-        global _gram_memo
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         key = None
         if x.ndim == 1 and y.ndim == 1:
             key = x.tobytes(), y.tobytes()
-            entry = _gram_memo
-            if entry and entry[0] is self and entry[1] == key:
-                return Gram(x, y, *entry[2])
+            stored = _gram_memo.get(self, None, key)
+            if stored is not None:
+                return Gram(x, y, *stored)
         x, y, r = self.check_vector(x), self.check_vector(y), self.r_full
         rx = np.matvec(r, x)
         a11, a12, a22 = np.vecdot(rx, x), np.vecdot(rx, y), np.vecdot(np.matvec(r, y), y)
@@ -407,7 +440,7 @@ class Space:
                     u <= COLLINEAR_TOL * m.sqrt(a11 * a22))
         if key is not None:
             perp.setflags(write=False)  # shared by every hit
-            _gram_memo = (self, key, pair[2:])
+            _gram_memo.put(self, None, key, pair[2:])
         return pair
 
     def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
@@ -488,14 +521,11 @@ class ScalarForms(NamedTuple):
     K: Union[float, np.ndarray]
 
 
-# One entry for each vector of a pair: the one-vector calls on a vector and
-# its costate, or on the two ends of an angle, alternate between the two.
-# Four or eight entries catch no more repeats.
-_MEMO_SIZE = 2
-# (p, sp, R.tobytes(), forms) of the last _MEMO_SIZE one-vector evaluations
-# at a float g, newest first. Rebound in one assignment, never changed in
-# place, so a concurrent call can at worst miss.
-_memo: tuple = ()
+# The forms of the last one-vector evaluations at a float g, keyed by p, sp
+# and the bytes of R. One entry for each vector of a pair: the one-vector
+# calls on a vector and its costate, or on the two ends of an angle,
+# alternate between the two. Four or eight entries catch no more repeats.
+_forms_memo = _Memo(2)
 
 
 def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
@@ -509,7 +539,6 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     by identity and the bytes of R; its fields are Python floats, so the
     shared result cannot change. A stack is evaluated every time, and only
     a successful evaluation is kept."""
-    global _memo
     R = np.asarray(R, dtype=float)
     key = None
     if R.ndim == 1:
@@ -517,9 +546,9 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
             raise ValueError(f"one vector of shape {R.shape} needs one g, got g of "
                              f"shape {np.shape(p.g)}: stack the vector to give it per-row g")
         key = R.tobytes()
-        for entry in _memo:
-            if entry[0] is p and entry[1] is sp and entry[2] == key:
-                return entry[3]
+        stored = _forms_memo.get(p, sp, key)
+        if stored is not None:
+            return stored
     R = sp.check_vector(R)
     one = R.ndim == 1
     q = sp.spatial_norm(R)
@@ -539,7 +568,7 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
         Phi, J, K = float(Phi), float(J), float(K)
     f = ScalarForms(q, B, A, L, Phi, J, K)
     if key is not None:
-        _memo = ((p, sp, key, f),) + _memo[:_MEMO_SIZE - 1]
+        _forms_memo.put(p, sp, key, f)
     return f
 
 

@@ -17,6 +17,13 @@ forms f. The Cartan tensor is built from the algebraic form that the
 constant curvature of the indicatrix implies (see cartan). The g = 0
 shortcuts (r_pq, zero Cartan tensors) hold row by row, and a row on the
 axis raises AxisSingular unless its g is 0.
+
+cartan and curvature_S build on the same Cartan tensors, so the tensors of
+the last single vector are kept in a one-entry core._Memo, keyed by the
+Param and the Space by identity and the bytes of R, with every array made
+read-only: curvature_S right after cartan on the same vector builds no
+tensor anew. Both still check the vector on every call; stacks bypass the
+memo and return writable arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import (Param, Space, axial, fill_rows, g_zero_rows, half_G_angle,
+from .core import (Param, Space, _Memo, axial, fill_rows, g_zero_rows, half_G_angle,
                    per_row, require_off_axis, require_tensor_range, scalar_forms,
                    write_rows)
 
@@ -156,11 +163,32 @@ class CartanTensors:
     vector: np.ndarray
 
 
+# (CartanTensors, h) of the last single vector, keyed by p, sp and the bytes
+# of R: one entry, as cartan and curvature_S on one vector come one after
+# another.
+_cartan_memo = _Memo(1)
+
+
 def _cartan(p: Param, sp: Space, R: np.ndarray,
             f) -> tuple[CartanTensors, np.ndarray]:
-    """The Cartan tensors at R off the axis or at g = 0, and the angular
-    tensor h_pq. With C_p = (N g / 2) v_p, C^p = (N g / 2) v^p and
-    v_p v^p = 1 / K^2, the form reads
+    """The Cartan tensors at the checked R off the axis or at g = 0, and the
+    angular tensor h_pq; for one vector the read-only arrays of the memo."""
+    if R.ndim != 1:
+        return _cartan_tensors(p, sp, R, f)
+    key = R.tobytes()
+    stored = _cartan_memo.get(p, sp, key)
+    if stored is None:
+        stored = ct, h = _cartan_tensors(p, sp, R, f)
+        for a in (ct.full, ct.mixed, ct.covector, ct.vector, h):
+            a.setflags(write=False)  # shared by every hit
+        _cartan_memo.put(p, sp, key, stored)
+    return stored
+
+
+def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
+                    f) -> tuple[CartanTensors, np.ndarray]:
+    """The Cartan tensors and h_pq, evaluated. With C_p = (N g / 2) v_p,
+    C^p = (N g / 2) v^p and v_p v^p = 1 / K^2, the form reads
     C_pqr = (g / 2)(h_pq v_r + h_pr v_q + h_qr v_p - K^2 v_p v_q v_r);
     raising q turns h_pq into h_p^q = delta_p^q - R_p R^q / K^2."""
     n = sp.dim
@@ -207,7 +235,8 @@ def cartan(p: Param, sp: Space, R: np.ndarray) -> CartanTensors:
     C_pqr = (1/N)(h_pq C_r + h_pr C_q + h_qr C_p - C_p C_q C_r / C^2) and
     C^2 = C_p C^p = N^2 g^2 / (4 K^2). Valid for every q > 0, the
     equatorial plane Z = 0 included; zero at g = 0, AxisSingular on the
-    axis otherwise.
+    axis otherwise. The arrays of one vector are read-only: they are kept
+    for the next call on the same vector, curvature_S's included.
     """
     R, f = _checked(p, sp, R, 4, "Cartan tensor")
     return _cartan(p, sp, R, f)[0]

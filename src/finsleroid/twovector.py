@@ -8,7 +8,8 @@ coincidence limit. Every angle, Gram root and orthogonal complement here
 comes from Space.gram on the image-space points. G_pq and the
 scalar-product gradients are pullbacks of n_pq and of the covector pair
 of (sigma(R), sigma(S)) through the sigma Jacobians. n2 routes a pair that
-is collinear by the kernel's test to the one-vector tensor.
+is parallel by the kernel's test to the one-vector tensor, and refuses an
+antipodal one for g != 0, where the tensor has no limit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import Param, Space, checked_forms, checked_pair
-from .errors import (CollinearVectors, DegenerateW, NegativeRadicand,
-                     SingularXi)
+from .errors import (AntipodalSingular, CollinearVectors, DegenerateW,
+                     NegativeRadicand, SingularXi)
 from .quasieuclid import _sigma_jacobian, checked_base_frame, n_metric, sigma_over_j
 
 __all__ = [
@@ -63,11 +64,18 @@ def _mixing(p: Param, pair) -> Tuple[float, float, float, float, float]:
 def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
        space: Optional[Space] = None) -> TwoVectorTensor:
     """Two-vector tensor n_pq(g; t1, t2), the mixed Hessian of the
-    image-space scalar product |t1||t2| cos(alpha). A collinear pair
-    returns the one-vector tensor n_metric(t1) with u = 0."""
+    image-space scalar product |t1||t2| cos(alpha). A parallel pair
+    returns the one-vector tensor n_metric(t1) with u = 0, and so does an
+    antipodal pair at g = 0, where n_pq = r_pq for every pair. An antipodal
+    pair raises AntipodalSingular for g != 0, where the tensor has no limit:
+    near it the tensor grows as 1/u for N >= 3, and for N = 2 it tends to
+    two tensors, one from each side of the pair."""
     sp, pair = checked_pair(t1, t2, space)
     t1, t2 = pair.x, pair.y
     if pair.collinear:
+        if pair.a12 < 0.0 and p.g != 0.0:
+            raise AntipodalSingular("two-vector tensor unbounded at an antipodal pair "
+                                    "for g != 0")
         return TwoVectorTensor(components=n_metric(p, sp, t1).low,
                                A1=1.0 - 1.0 / p.h**2, A2=0.0, u=0.0)
     a11, a22, h = pair.a11, pair.a22, p.h
@@ -167,8 +175,9 @@ def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
 
     That product is the image scalar product of (sigma(R), sigma(S)), so
     G = sigma'(R) n2(sigma(R), sigma(S)) sigma'(S)^T. A pair whose images
-    are collinear gets n2's one-vector tensor, which pulls back to the
-    metric at R. Symmetry: G_pq(R, S) = G_qp(S, R). A vector on the axis
+    are parallel gets n2's one-vector tensor, which pulls back to the
+    metric at R; antipodal images raise AntipodalSingular for g != 0, as
+    n2 does. Symmetry: G_pq(R, S) = G_qp(S, R). A vector on the axis
     raises AxisSingular for g != 0, as sigma_jacobian does.
     """
     (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)

@@ -1,7 +1,6 @@
-"""Shared helpers: random geometry draws, finite-difference oracles,
-counters of the scalar_forms calls, of the evaluations of the forms, of
-the Space.gram calls and evaluations and of the passes of the text
-kernels, and the array leaves of a result."""
+"""Shared helpers: random geometry draws, finite-difference oracles, the
+counter of the calls and evaluations behind each memo, the counter of the
+passes of the text kernels, and the array leaves of a result."""
 
 import dataclasses
 import sys
@@ -9,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from finsleroid import Space, core, csvtext
+from finsleroid import Space, core, csvtext, tensors
 
 
 def rand_space(n, rng, identity=False):
@@ -79,67 +78,47 @@ def fd_jacobian(f, x, eps=1e-6):
     return out
 
 
-def count_scalar_forms(monkeypatch):
-    """Count the calls of core.scalar_forms made through every finsleroid
-    module that binds it; returns a one-item list holding the count."""
-    calls = [0]
-    fn = core.scalar_forms
+def count_memo(monkeypatch, name):
+    """Count the calls of the function behind the memo name, hits included,
+    and its evaluations, the calls that its memo does not answer, from an
+    empty memo; a call that raises before a hit counts as an evaluation.
+    name is "forms" (core.scalar_forms, through the package and every
+    module of it that binds it), "gram" (Space.gram, on every Space) or
+    "cartan" (tensors._cartan, behind cartan and curvature_S). Returns two
+    one-item lists, (calls, evaluations)."""
+    memo = {"forms": core._forms_memo, "gram": core._gram_memo,
+            "cartan": tensors._cartan_memo}[name]
+    calls, evaluations, hits = [0], [0], [0]
+    get = core._Memo.get
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("finsleroid.") and getattr(module, "scalar_forms", None) is fn:
-            monkeypatch.setattr(module, "scalar_forms", counted)
-    return calls
+    def counted_get(self, *args):
+        stored = get(self, *args)
+        if self is memo and stored is not None:
+            hits[0] += 1
+        return stored
 
-
-def count_forms_evaluations(monkeypatch):
-    """Count the evaluations of the scalar forms, the calls of scalar_forms
-    that its memo does not answer, from an empty memo: within core only
-    scalar_forms calls half_G_angle, once per evaluation that passes its
-    vector checks. Returns a one-item list holding the count."""
-    calls = [0]
-    fn = core.half_G_angle
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-    monkeypatch.setattr(core, "half_G_angle", counted)
-    monkeypatch.setattr(core, "_memo", ())
-    return calls
-
-
-def count_gram(monkeypatch):
-    """Count the calls of Space.gram, the pair kernel, on every Space, memo
-    hits included; returns a one-item list holding the count."""
-    calls = [0]
-    fn = Space.gram
-
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return fn(self, *args, **kwargs)
-    monkeypatch.setattr(Space, "gram", counted)
-    return calls
-
-
-def count_gram_evaluations(monkeypatch):
-    """Count the evaluations of Space.gram, the calls that its memo does not
-    answer, from an empty memo: a hit hands back the perp of the stored
-    record, an evaluation a new one. Calls that raise are not counted.
-    Returns a one-item list holding the count."""
-    calls = [0]
-    fn = Space.gram
-
-    def counted(self, *args, **kwargs):
-        stored = core._gram_memo
-        pair = fn(self, *args, **kwargs)
-        if not stored or pair.perp is not stored[2][0]:
+    def counting(fn):
+        def counted(*args, **kwargs):
             calls[0] += 1
-        return pair
-    monkeypatch.setattr(Space, "gram", counted)
-    monkeypatch.setattr(core, "_gram_memo", ())
-    return calls
+            before = hits[0]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                evaluations[0] += hits[0] == before
+        return counted
+    monkeypatch.setattr(core._Memo, "get", counted_get)
+    monkeypatch.setattr(memo, "entries", ())
+    if name == "forms":
+        fn = core.scalar_forms
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.partition(".")[0] == "finsleroid"
+                    and getattr(module, "scalar_forms", None) is fn):
+                monkeypatch.setattr(module, "scalar_forms", counting(fn))
+    elif name == "gram":
+        monkeypatch.setattr(Space, "gram", counting(Space.gram))
+    else:
+        monkeypatch.setattr(tensors, "_cartan", counting(tensors._cartan))
+    return calls, evaluations
 
 
 def count_kernel(monkeypatch, name):

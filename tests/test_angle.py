@@ -9,7 +9,7 @@ from finsleroid import (AntipodalSingular, CollinearVectors, Space,
                         make_param, parallelogram_diff, parallelogram_exact,
                         parallelogram_residuals, parallelogram_sum,
                         perpendicular_companion, qe_angle, sigma)
-from conftest import count_scalar_forms, rand_space, rand_vec
+from conftest import count_memo, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5)):
@@ -313,7 +313,7 @@ def test_solver_evaluation_counts(rng, monkeypatch):
     # the companion evaluates scalar_forms once for R and once for the seed,
     # counted in every module, core's checked_forms included; the sum
     # evaluates no residual
-    calls = count_scalar_forms(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "forms")
     residual_calls = [0]
     residuals = angle_mod.parallelogram_residuals
 

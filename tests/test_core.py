@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import functools
+import importlib
 import math
+import pathlib
 import sys
 import threading
 import warnings
@@ -10,9 +13,8 @@ import pytest
 
 import finsleroid as fd
 from finsleroid import (ConeLimit, DegenerateVector, OutOfRange, Param, Space, core,
-                        connect, fmf, make_param, scalar_forms)
-from conftest import (count_forms_evaluations, count_gram, count_gram_evaluations,
-                      count_scalar_forms, leaves, rand_space, rand_vec)
+                        connect, fmf, make_param, scalar_forms, tensors)
+from conftest import count_memo, leaves, rand_space, rand_vec
 
 
 def test_param_euclidean_case():
@@ -282,12 +284,14 @@ def test_fmf_batch_checks_every_row():
 
 def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
     # the one-vector tensor stack at R: its 10 scalar_forms calls evaluate
-    # the forms of R and of its costate once each
-    calls, evaluations = count_scalar_forms(monkeypatch), count_forms_evaluations(monkeypatch)
+    # the forms of R and of its costate once each, and curvature_S finds
+    # the Cartan tensors that cartan built
+    calls, evaluations = count_memo(monkeypatch, "forms")
+    cartan_calls, cartan_evaluations = count_memo(monkeypatch, "cartan")
     for n in (3, 5):
         p, sp = make_param(0.7), rand_space(n, rng)
         R = rand_vec(p, sp, rng)
-        calls[0] = evaluations[0] = 0
+        calls[0] = evaluations[0] = cartan_calls[0] = cartan_evaluations[0] = 0
         fd.fmf(p, sp, R)
         fd.metric(p, sp, R)
         fd.metric_inverse(p, sp, R)
@@ -299,88 +303,305 @@ def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
         fd.sigma_jacobian(p, sp, R)
         fd.n_metric(p, sp, fd.sigma(p, sp, R))
         assert (calls[0], evaluations[0]) == (10, 2)
+        assert (cartan_calls[0], cartan_evaluations[0]) == (2, 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_memo_hit_equals_a_fresh_evaluation(rng, monkeypatch, n):
-    # a hit hands back the forms a fresh, equal Param or Space evaluates
-    evaluations = count_forms_evaluations(monkeypatch)
-    for identity in (True, False):
-        sp = rand_space(n, rng, identity=identity)
+def _fields(x) -> list:
+    return ([getattr(x, f.name) for f in dataclasses.fields(x)]
+            if dataclasses.is_dataclass(x) else list(x))
+
+
+def _same(a, b) -> bool:
+    """Whether two results hold the same types, shapes and bits, field by field."""
+    fa, fb = _fields(a), _fields(b)
+    return ([(type(v), np.shape(v), np.asarray(v).tobytes()) for v in fa]
+            == [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in fb])
+
+
+def _cone_vectors(p, sp):
+    """Two vectors at g = 1.9999999 (the Param p) whose forms are doubles:
+    A / q = 1e-5 and 3e-5, so |G Phi / 2| is about 100 and 299. The Cartan
+    tensors, built on J^4, are doubles at the first and leave the double
+    range at the second."""
+    q = sp.spatial_norm(np.array([0.5, 0.5, 0.0]))
+    return [np.array([0.5, 0.5, (c - 0.5 * p.g) * q]) for c in (1e-5, 3e-5)]
+
+
+class _Forms:
+    """scalar_forms: two entries, keyed by p, sp and R."""
+
+    name = "forms"
+
+    @staticmethod
+    def memo():
+        return core._forms_memo
+
+    @staticmethod
+    def run(objects, args):
+        return core.scalar_forms(*objects, *args)
+
+    @staticmethod
+    def inputs(sp, rng):
         for g in (0.0, -1.3, 1.9):
             p = make_param(g)
-            R = rand_vec(p, sp, rng)
+            yield (p, sp), (rand_vec(p, sp, rng),)
+
+    @staticmethod
+    def equal_objects(objects):
+        p, sp = objects
+        return [(make_param(p.g), sp), (p, Space(sp.dim, sp.r_spatial))]
+
+    @staticmethod
+    def copy(args):
+        return (list(args[0]),)  # a list is converted as check_vector would
+
+    @staticmethod
+    def shares(hit, first, args) -> bool:
+        return hit is first
+
+    @staticmethod
+    def check_hit(hit, objects, args):
+        p, sp = objects
+        assert [type(v) for v in hit] == [float] * 7
+        # the key is the Param, not its g: a replaced h is evaluated anew
+        assert scalar_forms(dataclasses.replace(p, h=p.h + 1e-3), sp, *args).Phi != hit.Phi
+        assert fd.metric(p, sp, *args).tobytes() == fd.metric(make_param(p.g), sp, *args).tobytes()
+
+    @staticmethod
+    def failures():
+        p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+        cone = make_param(1.9999999)
+        R = np.array([0.3, 0.5, 1.0])
+        # near A = Z + g q / 2 = 0 the cone limit is still far off
+        S = np.array([0.3, 0.5, -sp.spatial_norm(R)])
+        good = [((p, sp), (R,)), ((cone, sp), (S,))]
+        bad = [((p, sp), (np.zeros(3),), DegenerateVector),
+               ((p, sp), (np.array([0.3, np.nan, 1.0]),), ValueError),
+               ((p, sp), (np.array([0.3, 1.0]),), ValueError), ((cone, sp), (R,), ConeLimit)]
+        return good, bad
+
+    @staticmethod
+    def one():
+        return (make_param(-0.6), Space.euclidean(3)), (np.array([0.3, 0.5, 1.0]),)
+
+    @staticmethod
+    def stacks():
+        p, sp = make_param(0.4), Space.euclidean(3)
+        X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+        return [((p, sp), (X,)), ((p, sp), (X[:1],))]
+
+    @staticmethod
+    def shared(rng):
+        p, sp = make_param(0.8), rand_space(3, rng)
+        return (p, sp), [(rand_vec(p, sp, rng),) for _ in range(12)]
+
+    @staticmethod
+    def holds_callers_arrays(result, args) -> bool:
+        return True
+
+
+class _Gram(_Forms):
+    """Space.gram: one entry, keyed by the Space and the pair."""
+
+    name = "gram"
+
+    @staticmethod
+    def memo():
+        return core._gram_memo
+
+    @staticmethod
+    def run(objects, args):
+        return objects[0].gram(*args)
+
+    @staticmethod
+    def inputs(sp, rng):
+        # a generic pair, and near-collinear, near-antipodal, collinear and
+        # antipodal ones
+        x, e = rng.normal(size=sp.dim), rng.normal(size=sp.dim)
+        for y in (rng.normal(size=sp.dim), 1.7 * x + 1e-9 * e, -x + 1e-9 * e, 2.0 * x, -x):
+            yield (sp,), (x, y)
+
+    @staticmethod
+    def equal_objects(objects):
+        sp = objects[0]
+        return [(Space(sp.dim, sp.r_spatial),)]
+
+    @staticmethod
+    def copy(args):
+        return tuple(a.copy() for a in args)
+
+    @staticmethod
+    def shares(hit, first, args) -> bool:
+        # the stored record, with the caller's own x and y
+        return hit.perp is first.perp and _Gram.holds_callers_arrays(hit, args)
+
+    @staticmethod
+    def check_hit(hit, objects, args):
+        assert [type(v) for v in hit[3:]] == [float] * 5 + [bool]
+        if not hit.collinear:
+            fresh = _Gram.run(_Gram.equal_objects(objects)[0], args)
+            assert hit.d1.tobytes() == fresh.d1.tobytes()
+            assert hit.d2.tobytes() == fresh.d2.tobytes()
+
+    @staticmethod
+    def failures():
+        sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+        x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+        bad = [((sp,), (np.zeros(3), y), DegenerateVector),
+               ((sp,), (x, np.zeros(3)), DegenerateVector),
+               ((sp,), (x, np.array([0.3, np.nan, 1.0])), ValueError),
+               ((sp,), (np.array([np.inf, 0.5, 1.0]), y), ValueError),
+               ((sp,), (x, np.array([0.3, 1.0])), ValueError),
+               ((sp,), (np.array([0.3, 0.5, 1.0, 2.0]), y), ValueError)]
+        return [((sp,), (x, y))], bad
+
+    @staticmethod
+    def one():
+        return (Space.euclidean(3),), (np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7]))
+
+    @staticmethod
+    def stacks():
+        sp = Space.euclidean(3)
+        X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+        # one x against a stack of y too
+        return [((sp,), (X, X[::-1])), ((sp,), (X[:1], X[1:])), ((sp,), (X[0], X))]
+
+    @staticmethod
+    def shared(rng):
+        sp = rand_space(3, rng)
+        return (sp,), [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+
+    @staticmethod
+    def holds_callers_arrays(result, args) -> bool:
+        return result.x is args[0] and result.y is args[1]
+
+
+class _Cartan(_Forms):
+    """The Cartan tensors of cartan and curvature_S: one entry, keyed by p,
+    sp and R."""
+
+    name = "cartan"
+
+    @staticmethod
+    def memo():
+        return tensors._cartan_memo
+
+    @staticmethod
+    def run(objects, args):
+        return fd.cartan(*objects, *args)
+
+    @staticmethod
+    def shares(hit, first, args) -> bool:
+        return all(a is b for a, b in zip(_fields(hit), _fields(first)))
+
+    @staticmethod
+    def check_hit(hit, objects, args):
+        p, sp = objects
+        for a in _fields(hit):
+            assert type(a) is np.ndarray and not a.flags.writeable
+        # curvature_S runs on the stored tensors
+        fresh = fd.curvature_S(make_param(p.g), sp, *args)
+        assert _same(fd.curvature_S(p, sp, *args), fresh)
+
+    @staticmethod
+    def failures():
+        p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+        cone = make_param(1.9999999)
+        S, T = _cone_vectors(cone, sp)
+        bad = [((p, sp), (np.array([0.0, 0.0, 1.3]),), fd.AxisSingular),
+               ((cone, sp), (T,), ConeLimit),
+               ((p, sp), (np.zeros(3),), DegenerateVector),
+               ((p, sp), (np.array([0.3, np.nan, 1.0]),), ValueError)]
+        return [((cone, sp), (S,))], bad
+
+    @staticmethod
+    def one():
+        return (make_param(-0.6), Space.euclidean(3)), (np.array([0.3, 0.5, 1.0]),)
+
+
+MEMO_CASES = [_Forms, _Gram, _Cartan]
+memo_cases = pytest.mark.parametrize("case", MEMO_CASES, ids=[c.name for c in MEMO_CASES])
+
+
+@memo_cases
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_memo_hit_equals_a_fresh_evaluation(rng, monkeypatch, case, n):
+    # a hit hands back what a fresh evaluation on equal, new objects gives,
+    # bit for bit
+    evaluations = count_memo(monkeypatch, case.name)[1]
+    for identity in (True, False):
+        sp = rand_space(n, rng, identity=identity)
+        for objects, args in case.inputs(sp, rng):
             evaluations[0] = 0
-            first = scalar_forms(p, sp, R)
-            hit = scalar_forms(p, sp, list(R))
-            assert evaluations[0] == 1 and hit is first
-            fresh = [scalar_forms(make_param(g), sp, R),
-                     scalar_forms(p, Space(n, sp.r_spatial), R)]
-            assert evaluations[0] == 3
+            first = case.run(objects, args)
+            again = case.copy(args)
+            hit = case.run(objects, again)
+            assert evaluations[0] == 1 and case.shares(hit, first, again)
+            equal = case.equal_objects(objects)
+            fresh = [case.run(other, args) for other in equal]
+            assert evaluations[0] == 1 + len(equal)
             for f in fresh:
-                assert tuple(f) == tuple(hit)
-                assert [type(v) for v in f] == [type(v) for v in hit] == [float] * 7
-            # the key is the Param, not its g: a replaced h is evaluated anew
-            assert scalar_forms(dataclasses.replace(p, h=p.h + 1e-3), sp, R).Phi != hit.Phi
-            assert fd.metric(p, sp, R).tobytes() == fd.metric(make_param(g), sp, R).tobytes()
+                assert _same(f, hit) and _same(first, hit)
+            case.check_hit(hit, objects, args)
 
 
-def test_memo_keeps_no_failure(monkeypatch):
-    # every refused vector is refused again, and leaves the memo as it was
-    evaluations = count_forms_evaluations(monkeypatch)
-    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
-    cone = make_param(1.9999999)
-    R = np.array([0.3, 0.5, 1.0])
-    # near A = Z + g q / 2 = 0 the cone limit is still far off
-    S = np.array([0.3, 0.5, -sp.spatial_norm(R)])
-    scalar_forms(p, sp, R)
-    scalar_forms(cone, sp, S)
-    cases = [(p, np.zeros(3), DegenerateVector), (p, np.array([0.3, np.nan, 1.0]), ValueError),
-             (p, np.array([0.3, 1.0]), ValueError), (cone, R, ConeLimit)]
-    for q, X, err in cases:
+@memo_cases
+def test_memo_keeps_no_failure(monkeypatch, case):
+    # every refused input is refused again, and leaves the memo as it was
+    calls, evaluations = count_memo(monkeypatch, case.name)
+    good, bad = case.failures()
+    for objects, args in good:
+        case.run(objects, args)
+    stored = case.memo().entries
+    calls[0] = evaluations[0] = 0
+    for objects, args, err in bad:
         for _ in range(2):
             with pytest.raises(err):
-                scalar_forms(q, sp, X)
-    assert evaluations[0] == 2 + 2  # the two at the cone limit passed the vector checks
-    scalar_forms(p, sp, R)
-    scalar_forms(cone, sp, S)
-    assert evaluations[0] == 4
+                case.run(objects, args)
+        assert case.memo().entries is stored
+    assert evaluations[0] == calls[0]  # no refused call is a hit
+    for objects, args in good:
+        case.run(objects, args)
+    assert evaluations[0] == calls[0] - len(good)
 
 
-def test_memo_sees_a_vector_changed_in_place(monkeypatch):
-    evaluations = count_forms_evaluations(monkeypatch)
-    p, sp = make_param(-0.6), Space.euclidean(3)
-    R = np.array([0.3, 0.5, 1.0])
-    before = scalar_forms(p, sp, R)
-    R[1] = 0.9
-    after = scalar_forms(p, sp, R)
-    assert evaluations[0] == 2 and after.q != before.q
-    assert after == scalar_forms(make_param(-0.6), sp, np.array([0.3, 0.9, 1.0]))
+@memo_cases
+def test_memo_sees_a_vector_changed_in_place(monkeypatch, case):
+    evaluations = count_memo(monkeypatch, case.name)[1]
+    objects, args = case.one()
+    before = case.run(objects, args)
+    args[-1][1] = 0.9
+    after = case.run(objects, args)
+    assert evaluations[0] == 2 and not _same(after, before)
+    fresh = case.run(case.equal_objects(objects)[0], tuple(a.copy() for a in args))
+    assert _same(after, fresh)
 
 
-def test_stacks_bypass_the_memo(monkeypatch):
-    evaluations = count_forms_evaluations(monkeypatch)
-    p, sp = make_param(0.4), Space.euclidean(3)
-    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+@memo_cases
+def test_stacks_bypass_the_memo(monkeypatch, case):
+    evaluations = count_memo(monkeypatch, case.name)[1]
+    stacks = case.stacks()
     for k in range(3):
-        scalar_forms(p, sp, X)
-        scalar_forms(p, sp, X[:1])
-        assert evaluations[0] == 2 * (k + 1)
-    assert core._memo == ()
+        for objects, args in stacks:
+            case.run(objects, args)
+        assert evaluations[0] == len(stacks) * (k + 1)
+    assert case.memo().entries == ()
 
 
-def test_memo_under_concurrent_threads(rng):
-    # threads sharing p and sp, each cycling over its own vectors with a
-    # short switch interval: every result is the forms of its own vector
-    p, sp = make_param(0.8), rand_space(3, rng)
-    vectors = [rand_vec(p, sp, rng) for _ in range(12)]
-    want = [tuple(scalar_forms(make_param(0.8), sp, R)) for R in vectors]
+@memo_cases
+def test_memo_under_concurrent_threads(rng, case):
+    # threads sharing the key objects, each cycling over its own inputs with
+    # a short switch interval: every result is the one of its own input
+    objects, inputs = case.shared(rng)
+    fresh = case.equal_objects(objects)[0]
+    want = [case.run(fresh, args) for args in inputs]
     wrong = []
 
     def work(k):
         for i in range(600):
-            j = (3 * k + i % 3) % len(vectors)
-            if tuple(scalar_forms(p, sp, vectors[j])) != want[j]:
+            j = (3 * k + i % 3) % len(inputs)
+            result = case.run(objects, inputs[j])
+            if not _same(result, want[j]) or not case.holds_callers_arrays(result, inputs[j]):
                 wrong.append(j)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -396,43 +617,34 @@ def test_memo_under_concurrent_threads(rng):
     assert wrong == []
 
 
-def _memo_pairs(sp, rng):
-    """A generic pair, and near-collinear, near-antipodal, collinear and
-    antipodal ones, in sp."""
-    x = rng.normal(size=sp.dim)
-    e = rng.normal(size=sp.dim)
-    return [(x, rng.normal(size=sp.dim)), (x, 1.7 * x + 1e-9 * e),
-            (x, -x + 1e-9 * e), (x, 2.0 * x), (x, -x)]
+def test_memo_keeps_the_newest_entries():
+    a, b = object(), object()
+    memo = core._Memo(2)
+    for data in (b"1", b"2", b"3"):
+        memo.put(a, None, data, data.decode())
+    assert [entry[2] for entry in memo.entries] == [b"3", b"2"]
+    assert memo.get(a, None, b"1") is None and memo.get(a, None, b"2") == "2"
+    # objects are compared by identity, both of them
+    assert memo.get(b, None, b"3") is None and memo.get(a, b, b"3") is None
+    memo.put(a, b, b"4", "4")
+    assert memo.get(a, b, b"4") == "4" and memo.get(b, a, b"4") is None
 
 
-def _same_gram(a, b) -> bool:
-    return (all(np.asarray(u).tobytes() == np.asarray(v).tobytes()
-                for u, v in zip(a[:3], b[:3]))
-            and tuple(a[3:]) == tuple(b[3:])
-            and [type(v) for v in a[3:]] == [type(v) for v in b[3:]])
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_gram_memo_hit_equals_a_fresh_evaluation(rng, monkeypatch, n):
-    # a hit hands back the record a fresh evaluation on an equal Space gives,
-    # bit for bit, with the caller's own x and y
-    evaluations = count_gram_evaluations(monkeypatch)
-    for identity in (True, False):
-        sp = rand_space(n, rng, identity=identity)
-        for x, y in _memo_pairs(sp, rng):
-            evaluations[0] = 0
-            first = sp.gram(x, y)
-            x2, y2 = x.copy(), y.copy()
-            hit = sp.gram(x2, y2)
-            assert evaluations[0] == 1
-            assert hit.x is x2 and hit.y is y2 and hit.perp is first.perp
-            fresh = Space(n, sp.r_spatial).gram(x, y)
-            assert evaluations[0] == 2
-            assert _same_gram(hit, fresh) and _same_gram(hit, first)
-            assert [type(v) for v in hit[3:]] == [float] * 5 + [bool]
-            if not hit.collinear:
-                assert hit.d1.tobytes() == fresh.d1.tobytes()
-                assert hit.d2.tobytes() == fresh.d2.tobytes()
+def test_every_memo_is_the_helper():
+    # no module keeps state through a global statement, and every
+    # module-level memo is a core._Memo: a hand-written one fails here
+    root = pathlib.Path(fd.__file__).parent
+    memos = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)], path.name
+        module = importlib.import_module(f"finsleroid.{path.stem}" if path.stem != "__init__"
+                                         else "finsleroid")
+        for name, value in vars(module).items():
+            if "memo" in name.lower() and value is not core._Memo:
+                assert isinstance(value, core._Memo), (path.name, name)
+                memos.append(f"{path.stem}.{name}")
+    assert sorted(set(memos)) == ["core._forms_memo", "core._gram_memo", "tensors._cartan_memo"]
 
 
 def test_gram_memo_hit_returns_the_callers_arrays():
@@ -448,7 +660,7 @@ def test_gram_memo_hit_returns_the_callers_arrays():
 
 
 def test_gram_memo_keys_the_space_by_identity(monkeypatch):
-    evaluations = count_gram_evaluations(monkeypatch)
+    evaluations = count_memo(monkeypatch, "gram")[1]
     r = [[1.5, 0.2], [0.2, 0.8]]
     x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
     for _ in range(2):
@@ -460,85 +672,47 @@ def test_gram_memo_keys_the_space_by_identity(monkeypatch):
     assert evaluations[0] == 3
 
 
-def test_gram_memo_sees_a_vector_changed_in_place(monkeypatch):
-    evaluations = count_gram_evaluations(monkeypatch)
-    sp = Space.euclidean(3)
-    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
-    before = sp.gram(x, y)
-    y[1] = 0.9
-    after = sp.gram(x, y)
-    assert evaluations[0] == 2 and after.a12 != before.a12
-    assert _same_gram(after, Space(3).gram(x, np.array([0.2, 0.9, 0.7])))
-
-
-def test_gram_stacks_bypass_the_memo(monkeypatch):
-    evaluations = count_gram_evaluations(monkeypatch)
-    sp = Space.euclidean(3)
-    X = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
-    for k in range(3):
-        sp.gram(X, X[::-1])
-        sp.gram(X[:1], X[1:])
-        sp.gram(X[0], X)  # one x against a stack of y
-        assert evaluations[0] == 3 * (k + 1)
-    assert core._gram_memo == ()
-
-
-def test_gram_memo_keeps_no_failure(monkeypatch):
-    # every refused pair is refused again, and leaves the memo as it was
-    evaluations = count_gram_evaluations(monkeypatch)
-    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
-    x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
-    sp.gram(x, y)
-    stored = core._gram_memo
-    cases = [(np.zeros(3), y, DegenerateVector), (x, np.zeros(3), DegenerateVector),
-             (x, np.array([0.3, np.nan, 1.0]), ValueError),
-             (np.array([np.inf, 0.5, 1.0]), y, ValueError),
-             (x, np.array([0.3, 1.0]), ValueError), (np.array([0.3, 0.5, 1.0, 2.0]), y, ValueError)]
-    for a, b, err in cases:
-        for _ in range(2):
-            with pytest.raises(err):
-                sp.gram(a, b)
-        assert core._gram_memo is stored
-    sp.gram(x, y)
-    assert evaluations[0] == 1
-
-
 def test_gram_memo_perp_is_read_only():
     sp = Space.euclidean(3)
     x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
     for pair in (sp.gram(x, y), sp.gram(x, y)):
         with pytest.raises(ValueError):
             pair.perp[0] = 1.0
-    assert core._gram_memo[2][0].flags.writeable is False
+    assert core._gram_memo.entries[0][3][0].flags.writeable is False
 
 
-def test_gram_memo_under_concurrent_threads(rng):
-    # threads sharing sp, each cycling over its own pairs with a short
-    # switch interval: every result is the record of its own pair
-    sp = rand_space(3, rng)
-    pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
-    fresh = Space(3, sp.r_spatial)
-    want = [fresh.gram(x, y) for x, y in pairs]
-    wrong = []
+@pytest.mark.parametrize("g", [0.0, 0.7])
+def test_cartan_memo_serves_curvature_S(rng, monkeypatch, g):
+    # curvature_S after cartan on the same vector builds no tensor anew;
+    # the arrays cartan returns are the stored, read-only ones, zero at g = 0
+    calls, evaluations = count_memo(monkeypatch, "cartan")
+    p, sp = make_param(g), rand_space(4, rng)
+    R = rand_vec(p, sp, rng)
+    ct = fd.cartan(p, sp, R)
+    curv = fd.curvature_S(p, sp, R)
+    assert (calls[0], evaluations[0]) == (2, 1)
+    stored_ct, stored_h = tensors._cartan_memo.entries[0][3]
+    assert stored_ct is ct and not stored_h.flags.writeable
+    assert _same(curv, fd.curvature_S(make_param(g), sp, R))
+    for a in _fields(ct):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert (np.count_nonzero(ct.full) == 0) == (g == 0.0)
 
-    def work(k):
-        for i in range(600):
-            j = (3 * k + i % 3) % len(pairs)
-            pair = sp.gram(*pairs[j])
-            if not _same_gram(pair, want[j]) or pair.x is not pairs[j][0]:
-                wrong.append(j)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+
+def test_stacked_cartan_returns_writable_arrays(rng):
+    p, sp = make_param(-0.9), rand_space(3, rng)
+    X = np.stack([rand_vec(p, sp, rng) for _ in range(3)])
+    stored = tensors._cartan_memo.entries
+    ct = fd.cartan(p, sp, X)
+    for a in _fields(ct):
+        assert a.flags.writeable
+        a[0] = 0.0
+    assert tensors._cartan_memo.entries is stored
+    # each row equals the one-vector tensors, bit for bit
+    ct = fd.cartan(p, sp, X)
+    for i in range(3):
+        assert _same(fd.CartanTensors(*(a[i] for a in _fields(ct))), fd.cartan(p, sp, X[i]))
 
 
 def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
@@ -546,7 +720,7 @@ def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
     # sigma(R) / J, g2 the sigma images and perpendicular_companion R with
     # its seed; connect, n2, covector_pair and parallelogram_exact on the
     # sigma images are hits, as qe_geodesic_at makes no call
-    calls, evaluations = count_gram(monkeypatch), count_gram_evaluations(monkeypatch)
+    calls, evaluations = count_memo(monkeypatch, "gram")
     sp = Space.euclidean(3)
     R, S = np.array([0.3, 0.5, 1.0]), np.array([0.6, -0.2, 0.9])
     for g in (-1.3, 0.0, 0.4, 1.7):

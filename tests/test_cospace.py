@@ -7,7 +7,7 @@ import scipy.optimize
 from finsleroid import (Space, co_metric, co_scalar_forms, curvature_S, fhf,
                         fmf, from_costate, make_param, metric, metric_inverse,
                         scalar_forms, to_costate)
-from conftest import count_scalar_forms, rand_space, rand_vec
+from conftest import count_memo, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5)):
@@ -136,7 +136,7 @@ def test_co_metric_at_g_zero_is_the_background_exactly(rng):
 
 
 def test_co_metric_evaluates_the_forms_once(rng, monkeypatch):
-    calls = count_scalar_forms(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "forms")
     for _ in range(20):
         p, sp, X = draw(rng)
         calls[0] = 0

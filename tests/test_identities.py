@@ -9,7 +9,7 @@ import pytest
 
 from finsleroid import Space, identities
 from finsleroid.cli import main
-from conftest import count_gram, count_scalar_forms, rand_space
+from conftest import count_memo, rand_space
 
 NAMES_AND_TOLS = [
     ("form_identities", 1e-12), ("homogeneity", 1e-12), ("euler_identity", 1e-11),
@@ -105,7 +105,7 @@ def test_battery_scalar_forms_calls(monkeypatch):
     # (fins_angle over the stacked pairs), plane_identities 1 (the metric
     # under landsberg_check, over every g), and the two co-form evaluations
     # of duality (fhf at the mirror): 28 in all, against 628 one-vector calls
-    calls = count_scalar_forms(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "forms")
     identities.run_battery(np.random.default_rng(5))
     assert calls[0] == 28
 
@@ -115,6 +115,6 @@ def test_battery_gram_calls(monkeypatch):
     # connect accepts, and one stacked connect; angle_laws makes one stacked
     # fins_angle, qe_angle and connect call each: 5, against 22 with one
     # connect call per pair and 40 with per-pair angles too
-    calls = count_gram(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "gram")
     identities.run_battery(np.random.default_rng(5))
     assert calls[0] == 5

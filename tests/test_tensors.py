@@ -4,7 +4,7 @@ import pytest
 from finsleroid import (AxisSingular, DegenerateVector, Space, angular, cartan, curvature_S,
                         fmf, grad_covector, make_param, metric, metric_det,
                         metric_inverse, scalar_forms)
-from conftest import count_scalar_forms, fd_hessian, rand_space, rand_vec
+from conftest import count_memo, fd_hessian, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5), g_lo=-1.8, g_hi=1.8, min_q=0.25):
@@ -266,7 +266,7 @@ def test_cartan_unit_point_value():
 @pytest.mark.parametrize("fn", [angular, cartan, curvature_S])
 def test_scalar_forms_evaluated_once(rng, monkeypatch, fn):
     # one evaluation of the forms per call, handed to the private builders
-    calls = count_scalar_forms(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "forms")
     for _ in range(20):
         p, sp, R = draw(rng)
         calls[0] = 0

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid import (BadFrame, NegativeRadicand, Space,
+from finsleroid import (AntipodalSingular, BadFrame, NegativeRadicand, Space,
                         covector_pair, fins_angle, fmf, g2, grad_covector,
-                        invert_covector_pair, make_param, metric, n2,
+                        invert_covector_pair, make_param, metric, mu, n2,
                         n2_frame, n_metric, qe_angle, scalar_grad,
                         sigma, sigma_jacobian)
-from conftest import count_scalar_forms, rand_space, rand_vec
+from conftest import count_memo, rand_space, rand_vec
 
 
 def draw_pair(rng, dims=(2, 3, 5), alpha_cap=2.4, min_sep=0.15):
@@ -88,13 +88,49 @@ def test_n2_determinant_law(rng):
 
 
 def test_n2_coincidence_routing(rng):
-    # exactly proportional arguments route to the one-vector tensor
+    # exactly proportional arguments route to the one-vector tensor; an
+    # antipodal pair is refused for g != 0 (test_n2_antipodal_pair)
     p = make_param(0.9)
     sp = Space.euclidean(3)
     t = rand_vec(p, sp, rng)
     tv = n2(p, t, 1.01 * t, space=sp)
     assert tv.u == 0.0
     assert np.allclose(tv.components, n_metric(p, sp, t).low, atol=1e-14)
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_n2_antipodal_pair(rng, identity):
+    # near an antipodal pair n2 has no limit for g != 0: it grows as 1/u for
+    # N >= 3 (-1.5e8 at g = 0.6, delta = 1e-9), and for N = 2 the two sides
+    # of the pair give two tensors. So a pair that is antipodal by the
+    # kernel's test raises AntipodalSingular, and so does g2 for antipodal
+    # images. A parallel pair still routes to the one-vector tensor, and at
+    # g = 0 n2 = r for every pair, the antipodal one included
+    p, zero = make_param(0.6), make_param(0.0)
+    for n in (2, 3, 5):
+        sp = rand_space(n, rng, identity=identity)
+        t, e = rand_vec(p, sp, rng), rng.normal(size=n)
+        if n == 2:
+            sides = [n2(p, t, -t + 1e-9 * s * e, space=sp).components for s in (1.0, -1.0)]
+            assert np.max(np.abs(sides[0] - sides[1])) >= 1e-3 * np.max(np.abs(sides[0]))
+        else:
+            near = [np.max(np.abs(n2(p, t, -t + delta * e, space=sp).components))
+                    for delta in (1e-6, 1e-9)]
+            assert 500 <= near[1] / near[0] <= 2000
+        for k in (-2.0, -1.0, -0.3):
+            with pytest.raises(AntipodalSingular):
+                n2(p, t, k * t, space=sp)
+            tv = n2(zero, t, k * t, space=sp)
+            assert np.array_equal(tv.components, sp.r_full) and tv.u == 0.0
+        tv = n2(p, t, 2.5 * t, space=sp)
+        assert tv.u == 0.0
+        assert np.array_equal(tv.components, n_metric(p, sp, t).low)
+        # images sigma(S) = -2 sigma(R): refused at g != 0, r at g = 0
+        R = rand_vec(p, sp, rng)
+        S = mu(p, sp, -2.0 * sigma(p, sp, R))
+        with pytest.raises(AntipodalSingular):
+            g2(p, sp, R, S)
+        assert np.array_equal(g2(zero, sp, R, -2.0 * R), sp.r_full)
 
 
 def test_n2_coincidence_limit_linear(rng):
@@ -427,7 +463,7 @@ def test_g2_pullback_law(rng):
 @pytest.mark.parametrize("fn", [g2, scalar_grad])
 def test_pair_pullback_evaluates_forms_once_per_vector(rng, monkeypatch, fn):
     # sigma and its Jacobian share one evaluation of the forms per vector
-    calls = count_scalar_forms(monkeypatch)
+    calls, _ = count_memo(monkeypatch, "forms")
     for _ in range(20):
         p, sp, R, S = draw_rs(rng)
         calls[0] = 0
