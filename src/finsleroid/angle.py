@@ -218,5 +218,4 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     n1, n2 = math.sqrt(pair.a11), math.sqrt(pair.a22)
     x, y = n1 + n2 * math.cos(alpha), n2 * math.sin(alpha)
     n3, beta = math.hypot(x, y), p.h * math.atan2(y, x)
-    return ((n3 * math.cos(beta) / n1) * pair.x
-            + (n3 * math.sin(beta) * n1 / pair.u) * pair.perp)
+    return (n3 / n1) * (math.cos(beta) * pair.x + math.sin(beta) * pair.d1)

@@ -112,6 +112,16 @@ def _emit(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_record(args, record: dict) -> int:
+    """A record of eval or angle: sorted JSON with --json, else one
+    "key: value" line per entry in record order."""
+    if args.json:
+        _emit(args.out, json.dumps(record, sort_keys=True) + "\n")
+    else:
+        _emit(args.out, "".join(f"{k}: {_fmt(v)}\n" for k, v in record.items()))
+    return EXIT_OK
+
+
 def _csv_head(header: List[str], comments: Optional[List[str]] = None) -> str:
     """The comment lines and the header line of a CSV file."""
     return "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
@@ -168,11 +178,7 @@ def cmd_eval(args) -> int:
         "metric_det": tensors.metric_det(p, sp, vec),
         "indicatrix_curvature": p.h**2,
     }
-    if args.json:
-        _emit(args.out, json.dumps(record, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, "".join(f"{k}: {_fmt(v)}\n" for k, v in record.items()))
-    return EXIT_OK
+    return _emit_record(args, record)
 
 
 def cmd_angle(args) -> int:
@@ -183,11 +189,7 @@ def cmd_angle(args) -> int:
     pair = angle_mod.fins_angle(p, sp, v1, v2)
     record = {"alpha": pair.alpha, "scalar_product": pair.scalar_product,
               "ominus_sq": pair.ominus_sq, "alpha_max": math.pi / p.h}
-    if args.json:
-        _emit(args.out, json.dumps(record, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, "".join(f"{k}: {_fmt(v)}\n" for k, v in record.items()))
-    return EXIT_OK
+    return _emit_record(args, record)
 
 
 def cmd_geodesic(args) -> int:

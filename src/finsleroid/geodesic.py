@@ -4,10 +4,18 @@ to the anisotropic picture.
 A geodesic between image-space points t1, t2 is a plane curve through
 span{t1, t2}; its squared radial norm follows the quadratic law
 S^2(s) = a^2 + 2 b s + s^2 with a = |t1| and b determined by the swept
-angle. All inverse-trigonometric steps use the two-argument arctangent so
-the formulas stay valid when a^2 + b s changes sign along the curve.
-connect, qe_geodesic_at, qe_velocity and endpoint_velocities take one pair
-or stacked pairs, and run one formula per row for both.
+angle, and it turns by the image angle h nu(s) from t1:
+
+    t(s) = (S/a) (cos(h nu) t1 + sin(h nu) d1),
+    nu(s) = atan2(sqrt(a^2 - b^2) s, a^2 + b s),
+
+with d1 the vector t1 turned a right angle toward the other end, |d1| = a.
+This one formula, in _turn, gives the two-point curve and its velocity
+(d1 from the Gram record of t1 and t2) and the initial-value curve (d1
+from t1 and v1). The two-argument arctangent keeps it valid when a^2 + b s
+changes sign along the curve. connect, qe_geodesic_at, qe_velocity and
+endpoint_velocities take one pair or stacked pairs, and run the formula
+row by row for both.
 
 Validity: the closed two-point form represents the connecting geodesic
 for swept angles alpha < pi. At alpha = pi the curve degenerates through
@@ -59,16 +67,20 @@ class GeodesicBoundary:
     S_end    |t2|
     alpha    swept angle: the Space.gram angle of t1 and t2, divided by h
     radial   t2 lies on the ray of t1 (Gram.collinear, alpha = 0)
+    d1       t1 turned a right angle toward t2 in their plane, |d1| = a:
+             the Space.gram d1, and 0 on the radial rows. The curve is
+             t = (S/a) (cos(h nu) t1 + sin(h nu) d1).
 
     For one pair the scalar fields are Python floats and radial a bool; for
     stacked pairs they are arrays over the rows, radial is the row mask,
-    and t1, t2 have the pairs' shape (..., N).
+    and t1, t2, d1 have the pairs' shape (..., N).
     """
 
     param: Param
     space: Space
     t1: np.ndarray
     t2: np.ndarray
+    d1: np.ndarray
     a: Union[float, np.ndarray]
     b: Union[float, np.ndarray]
     delta_s: Union[float, np.ndarray]
@@ -103,44 +115,66 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
                                 "no smooth connecting geodesic")
     radial = pair.collinear
     # a radial row runs along the ray: alpha = 0, delta_s below is
-    # hypot(a - S_end, 0) = |S_end - a|, and b is +-a (+a when the ends
-    # coincide), over a divisor of 1 so that coincident ends make no 0/0
+    # hypot(a - S_end, 0) = |S_end - a|, b is +-a (+a when the ends
+    # coincide), over a divisor of 1 so that coincident ends make no 0/0,
+    # and d1 = (a11 / u) perp is 0, u read as infinite (it may be 0 there)
     alpha = _rows(radial, 0.0, alpha)
+    d1 = per_row(pair.a11 / _rows(radial, math.inf, pair.u)) * pair.perp
     # cosine theorem and b = a (S_end cos(alpha) - a) / delta_s, written
     # with 1 - cos(alpha) = 2 sin^2(alpha/2) so neither cancels
     half = m.sin(0.5 * alpha)
     delta_s = m.hypot(a - S_end, 2.0 * m.sqrt(a * S_end) * half)
     b = _rows(radial, a * m.copysign(1.0, S_end - a),
               a * ((S_end - a) - 2.0 * S_end * half * half) / _rows(radial, 1.0, delta_s))
-    return GeodesicBoundary(p, sp, pair.x, pair.y, a, b, delta_s, S_end, alpha, radial)
+    return GeodesicBoundary(p, sp, pair.x, pair.y, d1, a, b, delta_s, S_end, alpha, radial)
 
 
-def _curve(bd: GeodesicBoundary, s):
-    """The curve at arc lengths s, row by row: (t, nu, s, S, hroot, rows)
-    with t = c1 t1 + c2 t2, the swept angle nu, s as an array, the norm S,
-    hroot = h sqrt(a^2 - b^2), 0 on the radial rows (a |t2| sin(alpha) /
-    delta_s, which does not cancel), and rows = (a, b, h, S_end, alpha,
-    sin(h alpha), t1, t2), broadcast over the axes of s past the rows."""
-    s = np.asarray(s, dtype=float)
-    fields = bd.a, bd.b, bd.param.h, bd.radial, bd.S_end, bd.alpha, bd.delta_s, bd.t1, bd.t2
-    k = s.ndim - bd.t1.ndim + 1
-    if k > 0:  # the per-row fields broadcast over the axes of s past the rows
-        fields = [per_row(v, k) for v in fields[:-2]] + [
-            t.reshape(t.shape[:-1] + (1,) * k + t.shape[-1:]) for t in fields[-2:]]
-    a, b, h, ray, S_end, alpha, delta_s, t1, t2 = fields
+def _turn(a, b, h, root, s, t1, d1, velocity=False):
+    """The one geodesic formula: the point, or the velocity, of the plane
+    turn at arc lengths s, with the swept angle nu. The norm law and the
+    turn are
+
+        S = sqrt(a^2 + 2 b s + s^2),  nu = atan2(root s, a^2 + b s),
+        t = (S/a) (cos(h nu) t1 + sin(h nu) d1),
+        v = ((b + s)/S^2) t + (h root/(a S)) (cos(h nu) d1 - sin(h nu) t1)
+
+    with root = sqrt(a^2 - b^2) and d1 of norm a. A float s (one arc length
+    of one pair, every field a float) runs in floats and math; otherwise
+    the fields broadcast against s and t1, d1 carry a last axis of N."""
+    m = math if isinstance(s, float) else np
+    S = m.sqrt(a * a + 2.0 * b * s + s * s)
+    nu = m.atan2(root * s, a * a + b * s)
+    cos, sin = m.cos(h * nu), m.sin(h * nu)
+    if velocity:  # ((b + s)/S^2) t is ((b + s)/(a S)) (cos t1 + sin d1)
+        along, turn = (b + s) / (a * S), h * root / (a * S)
+        c1, c2 = along * cos - turn * sin, along * sin + turn * cos
+    else:
+        c1, c2 = S / a * cos, S / a * sin
+    if m is np:
+        c1, c2 = c1[..., None], c2[..., None]
+    return c1 * t1 + c2 * d1, nu
+
+
+def _along(bd: GeodesicBoundary, s, velocity=False):
+    """_turn along the curve of bd at arc lengths s, row by row, with
+    root = a |t2| sin(alpha) / delta_s, which does not cancel as
+    sqrt(a^2 - b^2) does. The radial rows read delta_s = 1: with alpha = 0
+    and d1 = 0 they run along the ray, t = (S/a) t1, and coincident ends
+    make no 0/0. The per-row fields broadcast over the axes of s past the
+    rows."""
+    ray, t1, d1 = bd.radial, bd.t1, bd.d1
     m = np if isinstance(ray, np.ndarray) else math  # floats for one pair
-    # the radial rows read alpha = delta_s = 1 here, no 0/0, and are set to
-    # the ray t = (S/a) t1 below
-    alpha, delta_s = _rows(ray, 1.0, alpha), _rows(ray, 1.0, delta_s)
-    root, sha = a * S_end * m.sin(alpha) / delta_s, m.sin(h * alpha)
-    S = np.sqrt(a * a + 2 * b * s + s * s)
-    nu = np.arctan2(root * s, a * a + b * s)
-    c1 = (S / a) * np.sin(h * (alpha - nu)) / sha
-    c2 = (S / S_end) * np.sin(h * nu) / sha
-    zero = np.zeros(s.shape)
-    nu, c1, c2 = _rows(ray, zero, nu), _rows(ray, S / a, c1), _rows(ray, zero, c2)
-    t = c1[..., None] * t1 + c2[..., None] * t2
-    return t, nu, s, S, _rows(ray, 0.0, root * h), (a, b, h, S_end, alpha, sha, t1, t2)
+    root = bd.a * bd.S_end * m.sin(bd.alpha) / _rows(ray, 1.0, bd.delta_s)
+    rows = [bd.a, bd.b, bd.param.h, root]
+    if m is math and np.ndim(s) == 0:
+        s = float(s)
+    else:
+        s = np.asarray(s, dtype=float)
+        k = s.ndim - t1.ndim + 1
+        if k > 0:
+            rows = [per_row(v, k) for v in rows]
+            t1, d1 = (x.reshape(x.shape[:-1] + (1,) * k + x.shape[-1:]) for x in (t1, d1))
+    return _turn(*rows, s, t1, d1, velocity)
 
 
 def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
@@ -156,17 +190,13 @@ def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
     shape M + (trailing axes), row i of s running along row i of bd; t has
     shape s.shape + (N,) and nu shape s.shape.
     """
-    t, nu = _curve(bd, s)[:2]
-    return t, (float(nu) if nu.ndim == 0 else nu)
+    return _along(bd, s)
 
 
 def qe_velocity(bd: GeodesicBoundary, s: Union[float, np.ndarray]) -> np.ndarray:
     """Velocity dt/ds at arc length s, of the shape of qe_geodesic_at's t
     for the same s; unit for the transported metric n."""
-    t, nu, s, S, hroot, (a, b, h, S_end, alpha, sha, t1, t2) = _curve(bd, s)
-    return (((b + s) / S**2)[..., None] * t
-            - (hroot / (a * S) * np.cos(h * (alpha - nu)) / sha)[..., None] * t1
-            + (hroot / (S * S_end) * np.cos(h * nu) / sha)[..., None] * t2)
+    return _along(bd, s, velocity=True)[0]
 
 
 def endpoint_velocities(bd: GeodesicBoundary) -> Tuple[np.ndarray, np.ndarray]:
@@ -183,15 +213,15 @@ _UNIT_SPEED_TOL = 1e-8
 
 def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
                         space: Optional[Space] = None) -> np.ndarray:
-    """Initial-value solution t(s) = m(s) t1 + n(s) v1 with
+    """Initial-value solution t(s): the plane turn of qe_geodesic_at,
 
-        m(s) = (S(s)/a) [cos(h nu) - (b / u) sin(h nu)]
-        n(s) = a S(s) sin(h nu) / u
+        t(s) = (S(s)/a) (cos(h nu) t1 + sin(h nu) d1),
 
-    where a = |t1|, b = (t1 . v1), u is the Gram root of (t1, v1), and
-    nu(s) is the swept angle. Requires unit speed n_pq(t1) v1^p v1^q = 1,
-    under which u = h sqrt(a^2 - b^2), to within _UNIT_SPEED_TOL. Takes
-    one point and one velocity: a stack raises ValueError.
+    with a = |t1|, b = (t1 . v1), root = u / h, and u and d1 the Gram root
+    and the turned t1 of the pair (t1, v1). Requires unit speed
+    n_pq(t1) v1^p v1^q = 1, under which u = h sqrt(a^2 - b^2), to within
+    _UNIT_SPEED_TOL. Takes one point and one velocity: a stack raises
+    ValueError.
     """
     require_one_vector(t1, v1)
     sp = space_for(t1, space)
@@ -203,12 +233,7 @@ def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
     if pair.collinear:
         # radial launch
         return t1 + s * v1
-    a, b, u, h = math.sqrt(pair.a11), pair.a12, pair.u, p.h
-    S = math.sqrt(a * a + 2 * b * s + s * s)
-    nu = math.atan2(u * s, h * (a * a + b * s))
-    m_c = (S / a) * (math.cos(h * nu) - b / u * math.sin(h * nu))
-    n_c = a * S * math.sin(h * nu) / u
-    return m_c * t1 + n_c * v1
+    return _turn(math.sqrt(pair.a11), pair.a12, p.h, pair.u / p.h, float(s), t1, pair.d1)[0]
 
 
 def finsleroid_geodesic(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray,

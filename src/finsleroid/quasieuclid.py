@@ -75,6 +75,14 @@ def _one_radial(sp: Space, t: np.ndarray, what: str):
     return _radial(sp, t, what)
 
 
+def _one_transverse(sp: Space, t: np.ndarray, what: str):
+    """_one_radial plus H_pq = r_pq - L_p L_q, the projector transverse to
+    the radial direction in the Christoffel symbols and the curvature."""
+    S, L = _one_radial(sp, t, what)
+    Llow = sp.r_full @ L
+    return S, L, sp.r_full - np.outer(Llow, Llow)
+
+
 def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
     """Unit radial vector L^p = t^p / S(t); broadcasts like snorm."""
     return _radial(sp, t, "unit vector")[1]
@@ -203,9 +211,7 @@ def qe_christoffel(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     Identities: t^p N_p^r_q = 0, trace-free, nilpotent product.
     """
-    S, L = _one_radial(sp, t, "Christoffel symbols")
-    Llow = sp.r_full @ L
-    H = sp.r_full - np.outer(Llow, Llow)
+    S, L, H = _one_transverse(sp, t, "Christoffel symbols")
     return -0.25 * p.G**2 * np.einsum("r,pq->prq", L, H) / S
 
 
@@ -214,9 +220,7 @@ def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     All contractions with the radial unit vector vanish.
     """
-    S, L = _one_radial(sp, t, "curvature")
-    Llow = sp.r_full @ L
-    H = sp.r_full - np.outer(Llow, Llow)
+    S, L, H = _one_transverse(sp, t, "curvature")
     return -0.25 * p.G**2 * (np.einsum("pq,rs->prqs", H, H)
                              - np.einsum("ps,qr->prqs", H, H)) / S**2
 

@@ -135,10 +135,34 @@ def test_norm_law_and_planarity(rng):
         for s in np.linspace(0, bd.delta_s, 9):
             t, nu = qe_geodesic_at(bd, float(s))
             S2 = bd.a**2 + 2 * bd.b * s + s * s
-            assert sp.dot(t, t) == pytest.approx(S2, rel=1e-10)
+            assert sp.dot(t, t) == pytest.approx(S2, rel=1e-13)
             # plane curve: t in span{t1, t2}
             coeff, res, *_ = np.linalg.lstsq(basis.T, t, rcond=None)
             assert np.max(np.abs(basis.T @ coeff - t)) < 1e-10 * max(1.0, np.max(np.abs(t)))
+
+
+def test_norm_law_near_the_antipodal_limit(rng):
+    # swept angles 1e-3 to 1e-2 short of pi: the curve passes the origin at
+    # S ~ (pi - alpha) a |t2| / delta_s, and |t| = S still holds to the last
+    # bits there, at one arc length and along an array of them
+    sp = rand_space(3, rng)
+    for _ in range(60):
+        p = make_param(float(rng.uniform(-1.9, 1.9)))
+        t1 = rand_vec(p, sp, rng, min_q=0.0)
+        e = rand_vec(p, sp, rng, min_q=0.0)
+        e = e - sp.dot(e, t1) / sp.dot(t1, t1) * t1
+        e *= sp.norm(t1) / sp.norm(e)
+        turn = p.h * (math.pi - 10.0 ** rng.uniform(-3.0, -2.0))
+        t2 = rng.uniform(0.3, 3.0) * (math.cos(turn) * t1 + math.sin(turn) * e)
+        bd = connect(p, t1, t2, space=sp)
+        assert 1e-3 * 0.99 <= math.pi - bd.alpha <= 1e-2 * 1.01
+        s = np.linspace(0.0, bd.delta_s, 33)
+        S2 = bd.a**2 + 2 * bd.b * s + s * s
+        t, _ = qe_geodesic_at(bd, s)
+        assert np.max(np.abs(sp.dot(t, t) - S2) / S2) <= 1e-14
+        for k in (8, 16, 24):
+            tk, _ = qe_geodesic_at(bd, float(s[k]))
+            assert abs(sp.dot(tk, tk) - S2[k]) <= 1e-14 * S2[k]
 
 
 def test_geodesic_ode_residual(rng):
@@ -167,7 +191,7 @@ def test_velocity_fd_and_unit_speed(rng):
             assert np.max(np.abs(v - (tp - tm) / (2 * eps))) <= 1e-7 * max(1.0, np.max(np.abs(v)))
             t, _ = qe_geodesic_at(bd, float(s))
             nm = n_metric(p, sp, t)
-            assert v @ nm.low @ v == pytest.approx(1.0, abs=1e-10)
+            assert v @ nm.low @ v == pytest.approx(1.0, abs=1e-12)
 
 
 def test_endpoint_velocity_products(rng):
@@ -177,9 +201,9 @@ def test_endpoint_velocity_products(rng):
         assert sp.dot(bd.t1, v1) == pytest.approx(bd.b, rel=1e-9, abs=1e-11)
         assert sp.dot(bd.t2, v2) == pytest.approx(bd.b + bd.delta_s, rel=1e-9, abs=1e-11)
         nm1 = n_metric(p, sp, bd.t1)
-        assert v1 @ nm1.low @ v1 == pytest.approx(1.0, abs=1e-9)
+        assert v1 @ nm1.low @ v1 == pytest.approx(1.0, abs=1e-12)
         nm2 = n_metric(p, sp, bd.t2)
-        assert v2 @ nm2.low @ v2 == pytest.approx(1.0, abs=1e-9)
+        assert v2 @ nm2.low @ v2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_value_roundtrip(rng):
@@ -189,7 +213,7 @@ def test_initial_value_roundtrip(rng):
         for s in np.linspace(0.0, bd.delta_s, 11):
             rec = qe_geodesic_initial(p, bd.t1, v1, float(s), space=sp)
             ref, _ = qe_geodesic_at(bd, float(s))
-            assert np.max(np.abs(rec - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(rec - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_initial_value_trivial_cases(rng):
