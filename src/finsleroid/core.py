@@ -14,8 +14,9 @@ a float g, keyed by the Param and the Space by identity and the bytes of R:
 two, for the two vectors of a pair (a vector and its costate, the ends of an
 angle). A hit returns the stored tuple of Python floats. ``Space.gram`` keeps
 its last one-pair record the same way. Both run through ``_Memo``, the one
-memo of the package (``tensors`` keeps its Cartan tensors in a third): stacks
-bypass it, as keying one would copy it, and an input that raises is not kept.
+memo of the package (``tensors`` keeps its Cartan tensors in a third and
+``twovector`` its last n2 in a fourth): stacks bypass it, as keying one
+would copy it, and an input that raises is not kept.
 
 The anisotropy is controlled by a single parameter ``g`` in (-2, 2), or by
 one ``g`` per row of a stack (``make_param`` of an array of g).
@@ -125,8 +126,8 @@ def any_row(mask) -> bool:
 
 class _Memo:
     """The last few successful evaluations of a function on one input,
-    newest first: the memo of scalar_forms, Space.gram and the Cartan
-    tensors. An entry is keyed by two objects, compared by identity (None
+    newest first: the memo of scalar_forms, Space.gram, the Cartan tensors
+    and n2. An entry is keyed by two objects, compared by identity (None
     in place of an unused one), and the bytes of the input arrays, a bytes
     object or a tuple of them. It holds its objects, so they live as long
     as it does.
@@ -329,7 +330,9 @@ class Space:
             raise ValueError(
                 f"spatial metric must be {(dim - 1, dim - 1)}, got {r_spatial.shape}"
             )
-        if not np.allclose(r_spatial, r_spatial.T, rtol=0, atol=1e-12):
+        # asymmetry at rounding level of the largest entry, at any scale of r
+        scale = np.max(np.abs(r_spatial))
+        if not np.allclose(r_spatial, r_spatial.T, rtol=0, atol=1e-12 * scale):
             raise ValueError("spatial metric must be symmetric")
         if np.any(np.linalg.eigvalsh(r_spatial) <= 0):
             raise ValueError("spatial metric must be positive definite")

@@ -110,16 +110,17 @@ def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     t is one image point of shape (N,) or points stacked along leading
     axes, shape (..., N); the result has the shape of t. The whole stack
     is checked: a non-finite entry or a wrong last axis raises ValueError,
-    a row at the origin DegenerateVector.
+    a row at the origin DegenerateVector. One point at a float g runs its
+    scalar steps on Python floats and math, a stack on numpy arrays.
     """
     t = sp.check_vector(t)
-    m = mnorm(sp, t)
-    tN = t[..., -1]
-    if np.count_nonzero((m == 0.0) & (tN == 0.0)):
+    m, tN = mnorm(sp, t), axial(t)
+    if any_row((m == 0.0) & (tN == 0.0)):
         raise DegenerateVector("inverse map undefined at the origin")
-    k = np.exp(half_G_angle(p, np.arctan2(tN, m)))
+    M = math if isinstance(m, float) and isinstance(p.g, float) else np
+    k = M.exp(half_G_angle(p, M.atan2(tN, m)))
     R = np.empty(t.shape)
-    R[..., :-1] = t[..., :-1] / (p.h * k)[..., None]
+    R[..., :-1] = t[..., :-1] / per_row(p.h * k)
     R[..., -1] = (tN - 0.5 * p.G * m) / k
     return R
 
@@ -148,7 +149,8 @@ def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     out[..., :-1, :-1] = ((per_row(B, 2) * np.eye(sp.dim - 1)
                            - (per_row(0.5 * g * Z / q) * rR)[..., :, None] * Rs[..., None, :])
                           * per_row(J * h / B, 2))
-    write_rows(z, R, out, np.eye(sp.dim))
+    if z is not False:
+        write_rows(z, R, out, np.eye(sp.dim))
     return out
 
 

@@ -10,6 +10,12 @@ scalar-product gradients are pullbacks of n_pq and of the covector pair
 of (sigma(R), sigma(S)) through the sigma Jacobians. n2 routes a pair that
 is parallel by the kernel's test to the one-vector tensor, and refuses an
 antipodal one for g != 0, where the tensor has no limit.
+
+g2 evaluates n2 on the sigma images, and a caller who wants both pictures
+of one pair calls n2 on the same images next, so n2 keeps its last result
+in a one-entry core._Memo, keyed by the Param and the Space by identity and
+the bytes of t1 and t2, with read-only components. n2 still checks the pair
+on every call, and keeps no pair that it refuses.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Param, Space, checked_forms, checked_pair
+from .core import Param, Space, _Memo, checked_forms, checked_pair
 from .errors import (AntipodalSingular, CollinearVectors, DegenerateW,
                      NegativeRadicand, SingularXi)
 from .quasieuclid import _sigma_jacobian, checked_base_frame, n_metric, sigma_over_j
@@ -39,7 +45,8 @@ __all__ = [
 @dataclass(frozen=True)
 class TwoVectorTensor:
     """components[p, q] plus the scalar data entering them: the two mixing
-    coefficients A1, A2 and the Gram root u(t1, t2)."""
+    coefficients A1, A2 and the Gram root u(t1, t2). n2 shares one result
+    among the calls on one pair, so components is read-only."""
 
     components: np.ndarray
     A1: float
@@ -61,6 +68,12 @@ def _mixing(p: Param, pair) -> Tuple[float, float, float, float, float]:
     return sa, ca, s, ca - pair.a12 * s / h, ca / h - pair.a12 * s
 
 
+# The n2 of the last pair, keyed by p, sp and the bytes of t1 and t2: one
+# entry, as g2's pullback and an n2 call on the same images come one after
+# another.
+_n2_memo = _Memo(1)
+
+
 def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
        space: Optional[Space] = None) -> TwoVectorTensor:
     """Two-vector tensor n_pq(g; t1, t2), the mixed Hessian of the
@@ -69,8 +82,23 @@ def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
     antipodal pair at g = 0, where n_pq = r_pq for every pair. An antipodal
     pair raises AntipodalSingular for g != 0, where the tensor has no limit:
     near it the tensor grows as 1/u for N >= 3, and for N = 2 it tends to
-    two tensors, one from each side of the pair."""
+    two tensors, one from each side of the pair.
+
+    The result of the last pair is kept, keyed by p and the space by
+    identity and the bytes of t1 and t2, and shared by every hit: its
+    components are read-only."""
     sp, pair = checked_pair(t1, t2, space)
+    key = pair.x.tobytes(), pair.y.tobytes()
+    stored = _n2_memo.get(p, sp, key)
+    if stored is None:
+        stored = _n2(p, sp, pair)
+        stored.components.setflags(write=False)  # shared by every hit
+        _n2_memo.put(p, sp, key, stored)
+    return stored
+
+
+def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
+    """n_pq of the checked pair, evaluated."""
     t1, t2 = pair.x, pair.y
     if pair.collinear:
         if pair.a12 < 0.0 and p.g != 0.0:
@@ -178,7 +206,8 @@ def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
     are parallel gets n2's one-vector tensor, which pulls back to the
     metric at R; antipodal images raise AntipodalSingular for g != 0, as
     n2 does. Symmetry: G_pq(R, S) = G_qp(S, R). A vector on the axis
-    raises AxisSingular for g != 0, as sigma_jacobian does.
+    raises AxisSingular for g != 0, as sigma_jacobian does. An n2 call on
+    the same images next finds the tensor pulled back here in its memo.
     """
     (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)
     return jR @ n2(p, tR, tS, space=sp).components @ jS.T

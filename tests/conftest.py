@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from finsleroid import Space, core, csvtext, tensors
+from finsleroid import Space, core, csvtext, tensors, twovector
 
 
 def rand_space(n, rng, identity=False):
@@ -82,12 +82,15 @@ def count_memo(monkeypatch, name):
     """Count the calls of the function behind the memo name, hits included,
     and its evaluations, the calls that its memo does not answer, from an
     empty memo; a call that raises before a hit counts as an evaluation.
-    name is "forms" (core.scalar_forms, through the package and every
-    module of it that binds it), "gram" (Space.gram, on every Space) or
-    "cartan" (tensors._cartan, behind cartan and curvature_S). Returns two
-    one-item lists, (calls, evaluations)."""
-    memo = {"forms": core._forms_memo, "gram": core._gram_memo,
-            "cartan": tensors._cartan_memo}[name]
+    name is "forms" (core.scalar_forms), "gram" (Space.gram, on every
+    Space), "cartan" (tensors._cartan, behind cartan and curvature_S) or
+    "n2" (twovector.n2, behind n2 and g2); a function is counted through
+    every module of the package that binds it. Returns two one-item lists,
+    (calls, evaluations)."""
+    memo, fn = {"forms": (core._forms_memo, core.scalar_forms),
+                "gram": (core._gram_memo, Space.gram),
+                "cartan": (tensors._cartan_memo, tensors._cartan),
+                "n2": (twovector._n2_memo, twovector.n2)}[name]
     calls, evaluations, hits = [0], [0], [0]
     get = core._Memo.get
 
@@ -108,16 +111,13 @@ def count_memo(monkeypatch, name):
         return counted
     monkeypatch.setattr(core._Memo, "get", counted_get)
     monkeypatch.setattr(memo, "entries", ())
-    if name == "forms":
-        fn = core.scalar_forms
-        for module_name, module in list(sys.modules.items()):
-            if (module_name.partition(".")[0] == "finsleroid"
-                    and getattr(module, "scalar_forms", None) is fn):
-                monkeypatch.setattr(module, "scalar_forms", counting(fn))
-    elif name == "gram":
-        monkeypatch.setattr(Space, "gram", counting(Space.gram))
-    else:
-        monkeypatch.setattr(tensors, "_cartan", counting(tensors._cartan))
+    if name == "gram":
+        monkeypatch.setattr(Space, "gram", counting(fn))
+        return calls, evaluations
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.partition(".")[0] == "finsleroid"
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, counting(fn))
     return calls, evaluations
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import finsleroid as fd
 from finsleroid import (ConeLimit, DegenerateVector, OutOfRange, Param, Space, core,
-                        connect, fmf, make_param, scalar_forms, tensors)
+                        connect, fmf, make_param, scalar_forms, tensors, twovector)
 from conftest import count_memo, leaves, rand_space, rand_vec
 
 
@@ -84,6 +84,20 @@ def test_space_validation():
     sp = Space(3, np.array([[2.0, 0.3], [0.3, 1.0]]))
     assert sp.r_full[-1, -1] == 1.0
     assert np.all(sp.r_full[-1, :-1] == 0.0)
+
+
+def test_space_symmetry_check_is_relative():
+    # the asymmetry is measured against the largest entry: a tiny matrix
+    # with an indefinite symmetric part (eigenvalues -1.5e-13 and 3.5e-13)
+    # is refused, a large one asymmetric at rounding level is taken
+    with pytest.raises(ValueError, match="symmetric"):
+        Space(3, [[1e-13, 5e-13], [0.0, 1e-13]])
+    sp = Space(3, [[1e6, 0.3], [0.3 + 1e-9, 2e6]])
+    assert sp.r_spatial[1, 0] == 0.3 + 1e-9
+    for scale in (1e-100, 1.0, 1e100):
+        with pytest.raises(ValueError, match="symmetric"):
+            Space(3, scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+        Space(3, scale * np.array([[1.5, 0.2], [0.2 + 1e-13, 0.8]]))
 
 
 def test_scalar_forms_worked_example():
@@ -519,8 +533,80 @@ class _Cartan(_Forms):
         return (make_param(-0.6), Space.euclidean(3)), (np.array([0.3, 0.5, 1.0]),)
 
 
-MEMO_CASES = [_Forms, _Gram, _Cartan]
+class _N2(_Forms):
+    """twovector.n2: one entry, keyed by p, sp and the pair. It takes one
+    pair only, so a stacked pair is a failure."""
+
+    name = "n2"
+
+    @staticmethod
+    def memo():
+        return twovector._n2_memo
+
+    @staticmethod
+    def run(objects, args):
+        p, sp = objects
+        return fd.n2(p, *args, space=sp)
+
+    @staticmethod
+    def inputs(sp, rng):
+        # a generic pair, and near-collinear, near-antipodal and parallel
+        # ones at each g; the antipodal pair at g = 0 only
+        x, e = rng.normal(size=sp.dim), rng.normal(size=sp.dim)
+        for g in (0.0, -1.3, 1.9):
+            p = make_param(g)
+            for y in (rng.normal(size=sp.dim), 1.7 * x + 1e-9 * e, -x + 1e-9 * e, 2.0 * x):
+                yield (p, sp), (x, y)
+        yield (make_param(0.0), sp), (x, -x)
+
+    @staticmethod
+    def copy(args):
+        return tuple(a.copy() for a in args)
+
+    @staticmethod
+    def check_hit(hit, objects, args):
+        p, sp = objects
+        assert type(hit.components) is np.ndarray and not hit.components.flags.writeable
+        assert [type(v) for v in (hit.A1, hit.A2, hit.u)] == [float] * 3
+        # the key holds the Param, not its g, and the Space: a replaced h and
+        # a scaled metric are evaluated anew
+        for other in ((dataclasses.replace(p, h=p.h + 1e-3), sp),
+                      (p, Space(sp.dim, 2.0 * sp.r_spatial))):
+            assert _same(_N2.run(objects, args), hit)  # stored for (p, sp)
+            assert _N2.run(other, args).components.tobytes() != hit.components.tobytes()
+
+    @staticmethod
+    def failures():
+        p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+        x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])
+        X = np.stack([x, y])
+        bad = [((p, sp), (x, -2.0 * x), fd.AntipodalSingular),
+               ((make_param(-1.3), sp), (x, -x), fd.AntipodalSingular),
+               ((p, sp), (x, np.array([0.3, np.nan, 1.0])), ValueError),
+               ((p, sp), (x, np.zeros(3)), DegenerateVector),
+               ((p, sp), (X, X[::-1]), ValueError),
+               ((p, sp), (x, X), ValueError)]
+        # a parallel pair is kept, in the branch that refuses antipodal ones
+        return [((p, sp), (x, 2.0 * x))], bad
+
+    @staticmethod
+    def one():
+        return (make_param(-0.6), Space.euclidean(3)), (np.array([0.3, 0.5, 1.0]),
+                                                        np.array([0.2, -0.4, 0.7]))
+
+    @staticmethod
+    def stacks():
+        return []
+
+    @staticmethod
+    def shared(rng):
+        p, sp = make_param(0.8), rand_space(3, rng)
+        return (p, sp), [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+
+
+MEMO_CASES = [_Forms, _Gram, _Cartan, _N2]
 memo_cases = pytest.mark.parametrize("case", MEMO_CASES, ids=[c.name for c in MEMO_CASES])
+STACKED_CASES = [c for c in MEMO_CASES if c.stacks()]
 
 
 @memo_cases
@@ -577,7 +663,7 @@ def test_memo_sees_a_vector_changed_in_place(monkeypatch, case):
     assert _same(after, fresh)
 
 
-@memo_cases
+@pytest.mark.parametrize("case", STACKED_CASES, ids=[c.name for c in STACKED_CASES])
 def test_stacks_bypass_the_memo(monkeypatch, case):
     evaluations = count_memo(monkeypatch, case.name)[1]
     stacks = case.stacks()
@@ -644,7 +730,8 @@ def test_every_memo_is_the_helper():
             if "memo" in name.lower() and value is not core._Memo:
                 assert isinstance(value, core._Memo), (path.name, name)
                 memos.append(f"{path.stem}.{name}")
-    assert sorted(set(memos)) == ["core._forms_memo", "core._gram_memo", "tensors._cartan_memo"]
+    assert sorted(set(memos)) == ["core._forms_memo", "core._gram_memo", "tensors._cartan_memo",
+                                  "twovector._n2_memo"]
 
 
 def test_gram_memo_hit_returns_the_callers_arrays():
@@ -719,13 +806,15 @@ def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
     # the calls of one pair_geometry op: fins_angle evaluates the pair of
     # sigma(R) / J, g2 the sigma images and perpendicular_companion R with
     # its seed; connect, n2, covector_pair and parallelogram_exact on the
-    # sigma images are hits, as qe_geodesic_at makes no call
+    # sigma images are hits, as qe_geodesic_at makes no call. The n2 call
+    # on the sigma images finds the tensor that g2 pulled back
     calls, evaluations = count_memo(monkeypatch, "gram")
+    n2_calls, n2_evaluations = count_memo(monkeypatch, "n2")
     sp = Space.euclidean(3)
     R, S = np.array([0.3, 0.5, 1.0]), np.array([0.6, -0.2, 0.9])
     for g in (-1.3, 0.0, 0.4, 1.7):
         p = make_param(g)
-        calls[0] = evaluations[0] = 0
+        calls[0] = evaluations[0] = n2_calls[0] = n2_evaluations[0] = 0
         fd.fins_angle(p, sp, R, S)
         fd.g2(p, sp, R, S)
         t1, t2 = fd.sigma(p, sp, R), fd.sigma(p, sp, S)
@@ -737,6 +826,7 @@ def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
         fd.perpendicular_companion(p, sp, R)
         # at g = 0, J = 1: sigma(R) / J is sigma(R), and g2's pair is a hit too
         assert (calls[0], evaluations[0]) == (7, 2 if g == 0.0 else 3)
+        assert (n2_calls[0], n2_evaluations[0]) == (2, 1)
         assert bd.t1 is t1 and bd.t2 is t2
 
 

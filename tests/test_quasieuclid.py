@@ -433,3 +433,20 @@ def test_mu_batch_checks_every_row():
         mu(p, sp, T)
     with pytest.raises(ValueError):
         mu(p, sp, np.ones((2, 4)))
+
+
+def test_mu_of_one_point_checks_it():
+    p = make_param(0.4)
+    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    with pytest.raises(DegenerateVector):
+        mu(p, sp, np.zeros(3))
+    with pytest.raises(ValueError):
+        mu(p, sp, np.array([0.3, np.inf, 1.0]))
+    # on the axis (m = 0, tN != 0) the point maps to the axis, as its row
+    # of a stack does
+    for tN in (1.3, -0.7):
+        t = np.array([0.0, 0.0, tN])
+        R = mu(p, sp, t)
+        assert R.shape == (3,) and np.all(np.isfinite(R)) and not R[:-1].any()
+        assert np.allclose(R, mu(p, sp, np.stack([t, t]))[0], rtol=1e-15, atol=0.0)
+        assert abs(fmf(p, sp, R) - abs(tN)) <= 1e-15 * abs(tN)
