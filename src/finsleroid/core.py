@@ -201,30 +201,25 @@ def require_off_axis(p: Param, f: "ScalarForms", what: str) -> None:
 
 
 def g_zero_rows(p: Param, q):
-    """The g = 0 shortcut of a tensor builder, row by row: (z, q). z is a
-    bool when every row or none has g = 0 (a float g included), else the
-    boolean mask of those rows. q is the spatial norm for the builder's 1/q
-    terms: with a mask its axis rows, which have g = 0 once the axis check
-    has passed, read 1 and stay finite until write_rows sets them."""
+    """The g = 0 rows of a tensor builder: (z, q). z is False when no row has
+    g = 0, else p.g == 0.0: a bool for a float g, a row mask for per-row g.
+    The builder runs its one formula on every row and ends in write_rows,
+    which sets the g = 0 rows to their exact value. q is the spatial norm
+    for the formula's 1/q terms: its axis rows, which have g = 0 once the
+    axis check has passed, read 1, so they stay finite until write_rows sets
+    them."""
     z = p.g == 0.0
-    if isinstance(z, bool):
-        return z, q
-    n = np.count_nonzero(z)
-    if 0 < n < z.size:
-        return z, np.where(q == 0.0, 1.0, q)
-    return bool(n), q
+    if not any_row(z):
+        return False, q
+    return z, (q or 1.0) if isinstance(q, float) else np.where(q == 0.0, 1.0, q)
 
 
 def write_rows(z, R: np.ndarray, out: np.ndarray, value) -> None:
-    """Write value on the rows of out where the g = 0 mask z of
-    g_zero_rows holds; nothing when z is a bool."""
-    if isinstance(z, np.ndarray):
+    """Write value on the rows of out where the z of g_zero_rows holds, and
+    nothing when z is False: one vector, a float-g stack and a row mask
+    alike."""
+    if z is not False:
         out[np.broadcast_to(z, R.shape[:-1])] = value
-
-
-def fill_rows(R: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """value at every row of R: a new array of shape R.shape[:-1] + value.shape."""
-    return np.broadcast_to(value, R.shape[:-1] + value.shape).copy()
 
 
 def per_row(x, k: int = 1):
@@ -330,6 +325,8 @@ class Space:
             raise ValueError(
                 f"spatial metric must be {(dim - 1, dim - 1)}, got {r_spatial.shape}"
             )
+        if not np.all(np.isfinite(r_spatial)):
+            raise ValueError("spatial metric must be finite")
         # asymmetry at rounding level of the largest entry, at any scale of r
         scale = np.max(np.abs(r_spatial))
         if not np.allclose(r_spatial, r_spatial.T, rtol=0, atol=1e-12 * scale):

@@ -19,9 +19,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Param, Space, any_row, axial, fill_rows, g_zero_rows,
-                   half_G_angle, per_row, require_off_axis, require_one_vector,
-                   scalar_forms, write_rows)
+from .core import (Param, Space, any_row, axial, g_zero_rows, half_G_angle,
+                   per_row, require_off_axis, require_one_vector, scalar_forms,
+                   write_rows)
 from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -137,8 +137,6 @@ def sigma_jacobian(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     require_off_axis(p, f, "sigma Jacobian")
     z, q = g_zero_rows(p, f.q)
-    if z is True:
-        return fill_rows(R, np.eye(sp.dim))
     g, h, J, B, A, Z = p.g, p.h, f.J, f.B, f.A, axial(R)
     Rs = R[..., :-1]
     rR = Rs @ sp.r_spatial
@@ -149,7 +147,7 @@ def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     out[..., :-1, :-1] = ((per_row(B, 2) * np.eye(sp.dim - 1)
                            - (per_row(0.5 * g * Z / q) * rR)[..., :, None] * Rs[..., None, :])
                           * per_row(J * h / B, 2))
-    if z is not False:
+    if z is not False:  # so that no np.eye is built when no row has g = 0
         write_rows(z, R, out, np.eye(sp.dim))
     return out
 
@@ -244,13 +242,15 @@ class QEFrames:
 def checked_base_frame(sp: Space, base_frame: Optional[np.ndarray]) -> np.ndarray:
     """base_frame as a float array, or the Cholesky-derived frame of sp when
     it is None. Raises BadFrame unless it is N x N and orthonormal for the
-    background metric: sum_P base[P, p] base[P, q] = r_pq."""
+    background metric: sum_P base[P, p] base[P, q] = r_pq, entry by entry to
+    1e-10 sqrt(r_pp r_qq), at any scale of r."""
     if base_frame is None:
         return sp.base_frame
     base = np.asarray(base_frame, dtype=float)
     if base.shape != (sp.dim, sp.dim):
         raise BadFrame(f"frame must be {sp.dim}x{sp.dim}, got shape {base.shape}")
-    if not np.allclose(base.T @ base, sp.r_full, rtol=0, atol=1e-10):
+    d = np.sqrt(np.diagonal(sp.r_full))
+    if not np.all(abs(base.T @ base - sp.r_full) <= 1e-10 * np.outer(d, d)):
         raise BadFrame("frame is not orthonormal for the background metric")
     return base
 

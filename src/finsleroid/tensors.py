@@ -14,9 +14,10 @@ row (make_param of an array of g). One vector at a float g gives (N,) and
 Each public function evaluates the scalar forms of its vector once and
 hands them to private builders, which take the checked vector R and its
 forms f. The Cartan tensor is built from the algebraic form that the
-constant curvature of the indicatrix implies (see cartan). The g = 0
-shortcuts (r_pq, zero Cartan tensors) hold row by row, and a row on the
-axis raises AxisSingular unless its g is 0.
+constant curvature of the indicatrix implies (see cartan). Each builder
+runs its one formula on every row and ends in core.write_rows, which sets
+the g = 0 rows to their exact values: r_pq, r^pq and zero Cartan tensors.
+A row on the axis raises AxisSingular unless its g is 0.
 
 cartan and curvature_S build on the same Cartan tensors, so the tensors of
 the last single vector are kept in a one-entry core._Memo, keyed by the
@@ -33,9 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (Param, Space, _Memo, axial, fill_rows, g_zero_rows, half_G_angle,
-                   per_row, require_off_axis, require_tensor_range, scalar_forms,
-                   write_rows)
+from .core import (Param, Space, _Memo, axial, g_zero_rows, half_G_angle, per_row,
+                   require_off_axis, require_tensor_range, scalar_forms, write_rows)
 
 __all__ = [
     "grad_covector",
@@ -81,8 +81,6 @@ def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     """g_pq of shape R.shape + (N,) at the checked R off the axis; r_pq on
     the g = 0 rows."""
     z, q = g_zero_rows(p, f.q)
-    if z is True:
-        return fill_rows(R, sp.r_full)
     # products, not **2: float ** 2 can differ from numpy's square by an ulp
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     k = K2 / (B * B)
@@ -108,8 +106,6 @@ def _metric_inverse(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     """g^pq of shape R.shape + (N,) at the checked R off the axis; r^pq on
     the g = 0 rows."""
     z, q = g_zero_rows(p, f.q)
-    if z is True:
-        return fill_rows(R, sp.r_full_inv)
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     Rs = R[..., :-1]
     out = np.empty(R.shape + R.shape[-1:])
@@ -195,9 +191,6 @@ def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
     Rlow = _grad_covector(p, sp, R, f)
     h = _angular(p, sp, R, f, Rlow)
     z, q = g_zero_rows(p, f.q)
-    if z is True:
-        z3 = np.zeros(R.shape + (n, n))
-        return CartanTensors(z3, z3.copy(), np.zeros(R.shape), np.zeros(R.shape)), h
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     h_mixed = np.eye(n) - Rlow[..., :, None] * R[..., None, :] / per_row(K2, 2)
     v_low = np.empty(R.shape)
@@ -206,20 +199,15 @@ def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
     v_up = np.empty(R.shape)
     v_up[..., :-1] = R[..., :-1] * per_row(-(Z + g * q) / (q * K2))
     v_up[..., -1] = q / K2
-    # index swaps of the last three axes: [p, q, r] -> [p, r, q], [q, r, p]
-    # and [r, q, p]
-    lead = tuple(range(R.ndim - 1))
-    d = len(lead)
-    swap_qr, cycle = lead + (d, d + 2, d + 1), lead + (d + 2, d, d + 1)
-    swap_pr = lead + (d + 2, d + 1, d)
     c, K2_2 = per_row(0.5 * g, 3), per_row(K2, 2)
     v_r = v_low[..., None, None, :]
     # C_pqr = c (X_pqr + X_prq + X_qrp) with X_pqr = (h_pq - (K^2/3) v_p v_q) v_r
     X = (h - K2_2 / 3.0 * (v_low[..., :, None] * v_low[..., None, :]))[..., None] * v_r
-    full = c * (X + X.transpose(swap_qr) + X.transpose(cycle))
+    X_prq = X.swapaxes(-1, -2)
+    full = c * (X + X_prq + X_prq.swapaxes(-2, -3))
     # C_p^q_r = c (Y_pqr + Y_rqp + h_pr v^q) with Y_pqr = (h_p^q - (K^2/2) v_p v^q) v_r
     Y = (h_mixed - 0.5 * K2_2 * (v_low[..., :, None] * v_up[..., None, :]))[..., None] * v_r
-    mixed = c * (Y + Y.transpose(swap_pr) + h[..., :, None, :] * v_up[..., None, :, None])
+    mixed = c * (Y + Y.swapaxes(-1, -3) + h[..., :, None, :] * v_up[..., None, :, None])
     cn = per_row(0.5 * n * g)
     ct = CartanTensors(full=full, mixed=mixed, covector=cn * v_low, vector=cn * v_up)
     for part in (ct.full, ct.mixed, ct.covector, ct.vector):
@@ -264,15 +252,12 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     R, f = _checked(p, sp, R, 4, "Cartan tensor")
     ct, h = _cartan(p, sp, R, f)
     T = np.einsum("...tqr,...pts->...pqrs", ct.full, ct.mixed)  # S_pqrs = T_pqrs - T_pqsr
-    lead = tuple(range(R.ndim - 1))
-    d = len(lead)
-    swap_rs = lead + (d, d + 1, d + 3, d + 2)
-    S = T - T.transpose(swap_rs)
+    S = T - T.swapaxes(-1, -2)
     n, K2 = sp.dim, f.K * f.K
     if n == 2:
         s_star = -np.vecdot(ct.covector, ct.vector) * K2 / n**2
     else:
         hh = h[..., :, None, :, None] * h[..., None, :, None, :]  # h_pr h_qs
-        M = ((hh - hh.transpose(swap_rs)) / per_row(K2, 4)).reshape(R.shape[:-1] + (-1,))
+        M = ((hh - hh.swapaxes(-1, -2)) / per_row(K2, 4)).reshape(R.shape[:-1] + (-1,))
         s_star = np.vecdot(S.reshape(M.shape), M) / np.vecdot(M, M)
     return CurvatureS(tensor=S, s_star=float(s_star) if R.ndim == 1 else s_star)

@@ -81,6 +81,11 @@ def test_space_validation():
         Space(3, np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
         Space(3, np.array([[1.0, 0.0], [0.0, -1.0]]))  # not positive definite
+    for bad in (np.inf, -np.inf, np.nan):
+        # refused before the symmetry test, whose tolerance a non-finite entry
+        # would make non-finite (warnings are errors)
+        with pytest.raises(ValueError, match="spatial metric must be finite"):
+            Space(3, [[1.0, 0.0], [0.0, bad]])
     sp = Space(3, np.array([[2.0, 0.3], [0.3, 1.0]]))
     assert sp.r_full[-1, -1] == 1.0
     assert np.all(sp.r_full[-1, :-1] == 0.0)
@@ -955,11 +960,14 @@ def test_one_vector_functions_take_lists(name):
 @pytest.mark.parametrize("name", ONE_VECTOR)
 def test_one_vector_functions_refuse_stacks(name):
     # a (2, N) or (1, N) stack gives the rows' results from the functions of
-    # STACKED and, from every other one, the ValueError of the one-vector check
+    # STACKED, bit for bit, and, from every other one, the ValueError of the
+    # one-vector check; at g = 0 the second row lies on the axis
     fn = getattr(fd, name)
-    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
-    X2 = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
-    for X in (X2, X2[:1]):
+    sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    X04 = np.array([[0.3, 0.5, 1.0], [0.2, -0.4, 0.7]])
+    X00 = np.array([[0.3, 0.5, 1.0], [0.0, 0.0, 0.7]])
+    for p, X in ((make_param(0.4), X04), (make_param(0.4), X04[:1]),
+                 (make_param(0.0), X00), (make_param(0.0), X00[:1])):
         if name not in STACKED:
             with pytest.raises(ValueError, match="expected one (vector|pair)"):
                 fn(p, sp, X)
@@ -970,7 +978,8 @@ def test_one_vector_functions_refuse_stacks(name):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 # a 0-d leaf is shared by every row (n_metric's det at a float g)
-                assert np.array_equal(a if a.ndim == 0 else a[i], b)
+                a = a if a.ndim == 0 else a[i]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signs of zeros too
 
 
 @pytest.mark.parametrize("g", [np.array([0.4]), np.array([0.4, 0.5])])

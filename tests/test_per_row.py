@@ -61,20 +61,44 @@ def test_per_row_g_matches_one_vector_calls(rng, n, identity):
                     assert np.max(np.abs(a[i] - b)) <= 1e-14 * scale, (name, i)
 
 
+def _g_zero_layout(rng, layout):
+    """(P, X, zero) for a layout of g with g = 0 rows: zero masks those rows
+    of X, and one vector counts as a stack of one row."""
+    if layout == "per-row g, mixed":
+        g, X = _per_row_stack(rng, 3)
+        return make_param(g), X, g == 0.0
+    X = rng.normal(size=(6, 3))
+    X[2, :-1] = 0.0
+    if layout == "one vector off the axis":
+        return make_param(0.0), X[0], np.array([True])
+    if layout == "one vector on the axis":
+        return make_param(0.0), X[2], np.array([True])
+    if layout == "float g, axis row":
+        return make_param(0.0), X, np.full(6, True)
+    return make_param(np.zeros(6)), X, np.full(6, True)  # per-row g, all 0
+
+
 def test_g_zero_rows_are_exact(rng):
+    # every builder runs its one formula and write_rows sets the g = 0 rows:
+    # r_pq, r^pq, I and zero Cartan and curvature tensors, exactly
     sp = rand_space(3, rng)
-    g, X = _per_row_stack(rng, 3)
-    P = make_param(g)
-    zero = g == 0.0
-    eye = np.eye(3)
-    assert np.array_equal(fd.metric(P, sp, X)[zero], np.broadcast_to(sp.r_full, (zero.sum(), 3, 3)))
-    assert np.array_equal(fd.metric_inverse(P, sp, X)[zero],
-                          np.broadcast_to(sp.r_full_inv, (zero.sum(), 3, 3)))
-    assert np.array_equal(fd.sigma_jacobian(P, sp, X)[zero], np.broadcast_to(eye, (zero.sum(), 3, 3)))
-    ct = fd.cartan(P, sp, X)
-    for part in (ct.full, ct.mixed, ct.covector, ct.vector):
-        assert not np.any(part[zero])
-        assert np.all(np.isfinite(part))
+    for layout in ("one vector off the axis", "one vector on the axis",
+                   "float g, axis row", "per-row g, all 0", "per-row g, mixed"):
+        P, X, zero = _g_zero_layout(rng, layout)
+
+        def rows(a):
+            a = np.asarray(a)
+            return (a[None] if X.ndim == 1 else a)[zero]
+
+        k = np.count_nonzero(zero)
+        for fn, want in ((fd.metric, sp.r_full), (fd.metric_inverse, sp.r_full_inv),
+                         (fd.sigma_jacobian, np.eye(3))):
+            assert np.array_equal(rows(fn(P, sp, X)), np.broadcast_to(want, (k, 3, 3))), layout
+        ct = fd.cartan(P, sp, X)
+        cs = fd.curvature_S(P, sp, X)
+        for part in (ct.full, ct.mixed, ct.covector, ct.vector, cs.tensor, cs.s_star):
+            assert not np.any(rows(part)), layout
+            assert np.all(np.isfinite(part)), layout
 
 
 def test_axis_rows_raise_only_off_g_zero(rng):

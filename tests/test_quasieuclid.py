@@ -6,7 +6,7 @@ import pytest
 from finsleroid import (AxisSingular, BadFrame, ChartOutOfRange,
                         DegenerateVector, Space, conformal_check,
                         conformal_factor, fmf, make_param, metric, mu,
-                        mu_jacobian, n_metric, qe_christoffel,
+                        mu_jacobian, n2_frame, n_metric, qe_christoffel,
                         qe_curvature, qe_frames, sigma, sigma_jacobian, snorm,
                         sphere_curvature, scalar_forms, unit_l)
 from finsleroid.cospace import fhf, to_costate
@@ -330,6 +330,27 @@ def test_frames_custom_and_bad(rng):
     for bad in (2.0 * np.eye(3), np.ones((3, 3)), np.eye(2)):
         with pytest.raises(BadFrame):
             qe_frames(p, sp, t, base_frame=bad)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e6, 1e8])
+def test_frame_check_is_relative(scale):
+    # base^T base - r is measured entry by entry against sqrt(r_pp r_qq): the
+    # space's own frame is taken at every scale of r, and a frame with one
+    # entry off by 1e-3 sqrt(scale) is refused at every scale
+    p = make_param(0.5)
+    sp = Space(3, scale * np.array([[1.5, 0.2], [0.2, 0.8]]))
+    t, t2 = np.array([0.3, 0.5, 1.0]), np.array([0.6, -0.2, 0.9])
+    own = sp.base_frame.copy()
+    pairs = ((qe_frames(p, sp, t, base_frame=own).f, qe_frames(p, sp, t).f),
+             (n2_frame(p, t, t2, base_frame=own, space=sp), n2_frame(p, t, t2, space=sp)))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    bad = own.copy()
+    bad[0, 0] += 1e-3 * math.sqrt(scale)
+    with pytest.raises(BadFrame):
+        qe_frames(p, sp, t, base_frame=bad)
+    with pytest.raises(BadFrame):
+        n2_frame(p, t, t2, base_frame=bad, space=sp)
 
 
 def test_ricci_coefficients(rng):
