@@ -194,9 +194,10 @@ def require_tensor_range(p: Param, f: "ScalarForms", power: int) -> None:
         raise _cone_limit(power)
 
 
-def require_off_axis(p: Param, f: "ScalarForms", what: str) -> None:
-    """Raise AxisSingular when a row with g != 0 lies on the axis (q = 0)."""
-    if any_row((f.q == 0.0) & (p.g != 0.0)):
+def require_off_axis(p: Param, q, what: str) -> None:
+    """Raise AxisSingular when a row with g != 0 lies on the axis: its
+    spatial norm q (q of R, or m of an image point t) is 0."""
+    if any_row((q == 0.0) & (p.g != 0.0)):
         raise AxisSingular(f"{what} undefined on the axis (q = 0) for g != 0")
 
 

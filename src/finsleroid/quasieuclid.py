@@ -6,23 +6,23 @@ coefficients, conformal flatness, induced sphere geometry).
 
 Image-space points are plain arrays t with the axial slot last. Their
 Euclidean norm is S(t) = sqrt(r_pq t^p t^q); sigma satisfies
-S(sigma(R)) = K(R). sigma, mu, sigma_jacobian, n_metric, snorm, mnorm and
-unit_l also take points stacked along leading axes, (..., N), with one g
-or one g per row; the other functions take one point.
+S(sigma(R)) = K(R). Every function but sphere_curvature, which takes a
+chart point, takes one point (N,) or points stacked along leading axes,
+(..., N), with one g or one g per row, and runs one row formula for both:
+each row of a stack gets the bits of its one-point result. A tensor of
+shape T at one point comes back with shape t.shape[:-1] + T.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (Param, Space, any_row, axial, g_zero_rows, half_G_angle,
-                   per_row, require_off_axis, require_one_vector, scalar_forms,
-                   write_rows)
-from .errors import AxisSingular, BadFrame, ChartOutOfRange, DegenerateVector
+                   per_row, require_off_axis, scalar_forms, write_rows)
+from .errors import BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
     "snorm",
@@ -47,7 +47,7 @@ __all__ = [
 def snorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
     """S(t), the full Euclidean norm of an image-space point, as the hypot
     of m(t) and t^N; broadcasts over the leading axes of t like mnorm."""
-    t = np.asarray(t, dtype=float)
+    t = sp.check_vector(t)
     S = np.hypot(sp.spatial_norm(t), t[..., -1])
     return float(S) if S.ndim == 0 else S
 
@@ -55,37 +55,32 @@ def snorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
 def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
     """m(t), the spatial norm of an image-space point; broadcasts over the
     leading axes of t like Space.spatial_norm."""
-    return sp.spatial_norm(t)
+    return sp.spatial_norm(sp.check_vector(t))
 
 
 def _radial(sp: Space, t: np.ndarray, what: str):
-    """S(t) and L = t / S(t) of the checked image point t, one vector or a
-    stack (..., N); raises DegenerateVector on a row at the origin."""
-    t = sp.check_vector(t)
+    """The image point t as a float array, S(t) and L = t / S(t), for one
+    point or a stack (..., N): snorm checks t, and a row at the origin
+    raises DegenerateVector."""
+    t = np.asarray(t, dtype=float)
     S = snorm(sp, t)
     if any_row(S == 0.0):
         raise DegenerateVector(f"{what} undefined at the origin")
-    return S, t / per_row(S)
+    return t, S, t / per_row(S)
 
 
-def _one_radial(sp: Space, t: np.ndarray, what: str):
-    """_radial for the functions of one image point: a stack raises
-    ValueError."""
-    require_one_vector(t)
-    return _radial(sp, t, what)
-
-
-def _one_transverse(sp: Space, t: np.ndarray, what: str):
-    """_one_radial plus H_pq = r_pq - L_p L_q, the projector transverse to
-    the radial direction in the Christoffel symbols and the curvature."""
-    S, L = _one_radial(sp, t, what)
-    Llow = sp.r_full @ L
-    return S, L, sp.r_full - np.outer(Llow, Llow)
+def _transverse(sp: Space, t: np.ndarray, what: str):
+    """S and L of _radial plus H_pq = r_pq - L_p L_q, the projector
+    transverse to the radial direction in the Christoffel symbols and the
+    curvature, of shape t.shape + (N,)."""
+    t, S, L = _radial(sp, t, what)
+    Llow = np.matvec(sp.r_full, L)
+    return S, L, sp.r_full - Llow[..., :, None] * Llow[..., None, :]
 
 
 def unit_l(sp: Space, t: np.ndarray) -> np.ndarray:
     """Unit radial vector L^p = t^p / S(t); broadcasts like snorm."""
-    return _radial(sp, t, "unit vector")[1]
+    return _radial(sp, t, "unit vector")[2]
 
 
 def sigma_over_j(p: Param, R: np.ndarray, A) -> np.ndarray:
@@ -104,21 +99,26 @@ def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     return sigma_over_j(p, R, f.A) * per_row(f.J)
 
 
+def _inverse(p: Param, sp: Space, t: np.ndarray, what: str):
+    """The checked image point t, m(t), t^N and k = exp(G atan2(t^N, m) / 2)
+    of one point or of every row of a stack, for mu and its Jacobian; a row
+    at the origin raises DegenerateVector."""
+    t = sp.check_vector(t)
+    m, tN = sp.spatial_norm(t), axial(t)
+    if any_row((m == 0.0) & (tN == 0.0)):
+        raise DegenerateVector(f"{what} undefined at the origin")
+    return t, m, tN, np.exp(half_G_angle(p, np.arctan2(tN, m)))
+
+
 def mu(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Inverse map. mu(sigma(R)) = R identically.
 
     t is one image point of shape (N,) or points stacked along leading
     axes, shape (..., N); the result has the shape of t. The whole stack
     is checked: a non-finite entry or a wrong last axis raises ValueError,
-    a row at the origin DegenerateVector. One point at a float g runs its
-    scalar steps on Python floats and math, a stack on numpy arrays.
+    a row at the origin DegenerateVector.
     """
-    t = sp.check_vector(t)
-    m, tN = mnorm(sp, t), axial(t)
-    if any_row((m == 0.0) & (tN == 0.0)):
-        raise DegenerateVector("inverse map undefined at the origin")
-    M = math if isinstance(m, float) and isinstance(p.g, float) else np
-    k = M.exp(half_G_angle(p, M.atan2(tN, m)))
+    t, m, tN, k = _inverse(p, sp, t, "inverse map")
     R = np.empty(t.shape)
     R[..., :-1] = t[..., :-1] / per_row(p.h * k)
     R[..., -1] = (tN - 0.5 * p.G * m) / k
@@ -135,11 +135,11 @@ def sigma_jacobian(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 
 def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
-    require_off_axis(p, f, "sigma Jacobian")
+    require_off_axis(p, f.q, "sigma Jacobian")
     z, q = g_zero_rows(p, f.q)
     g, h, J, B, A, Z = p.g, p.h, f.J, f.B, f.A, axial(R)
     Rs = R[..., :-1]
-    rR = Rs @ sp.r_spatial
+    rR = np.vecmat(Rs, sp.r_spatial)
     out = np.empty(R.shape + R.shape[-1:])
     out[..., -1, -1] = (B + 0.5 * g * q * A) * J / B
     out[..., :-1, -1] = per_row(-g * (Z * A - B) / (2 * q) * J / B) * rR
@@ -156,27 +156,22 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Jacobian jac[q, p] = d mu^p / d t^q; the matrix inverse of
     sigma_jacobian at matched points.
 
-    Requires m(t) > 0 unless g = 0 (identity); a stack raises ValueError.
+    Requires m(t) > 0 unless g = 0 (identity).
     """
-    require_one_vector(t)
-    t = sp.check_vector(t)
-    m = mnorm(sp, t)
-    if m == 0.0:
-        if p.g == 0.0:
-            return np.eye(sp.dim)
-        raise AxisSingular("mu Jacobian undefined on the axis (m = 0) for g != 0")
-    h, G = p.h, p.G
-    tN = float(t[-1])
-    S2 = snorm(sp, t) ** 2
-    phi = math.atan2(tN, m)
-    k = math.exp(half_G_angle(p, phi))
-    I = tN - 0.5 * G * m
-    rt = sp.r_spatial @ t[:-1]
-    out = np.empty((sp.dim, sp.dim))
-    out[-1, -1] = 1.0 / k - 0.5 * G * m * I / (k * S2)
-    out[:-1, -1] = -0.5 * G * (m + 0.5 * G * tN) * rt / (k * S2)
-    out[-1, :-1] = -0.5 * G * m * t[:-1] / (h * k * S2)
-    out[:-1, :-1] = np.eye(sp.dim - 1) / (h * k) + 0.5 * G * tN * np.outer(rt, t[:-1]) / (h * k * m * S2)
+    t, m, tN, k = _inverse(p, sp, t, "mu Jacobian")
+    require_off_axis(p, m, "mu Jacobian")
+    z, m = g_zero_rows(p, m)
+    h, G, S2 = p.h, p.G, m * m + tN * tN
+    ts = t[..., :-1]
+    rt = np.matvec(sp.r_spatial, ts)
+    out = np.empty(t.shape + t.shape[-1:])
+    out[..., -1, -1] = 1.0 / k - 0.5 * G * m * (tN - 0.5 * G * m) / (k * S2)
+    out[..., :-1, -1] = per_row(-0.5 * G * (m + 0.5 * G * tN)) * rt / per_row(k * S2)
+    out[..., -1, :-1] = per_row(-0.5 * G * m) * ts / per_row(h * k * S2)
+    out[..., :-1, :-1] = (np.eye(sp.dim - 1) / per_row(h * k, 2)
+                          + per_row(0.5 * G * tN, 2) * (rt[..., :, None] * ts[..., None, :])
+                          / per_row(h * k * m * S2, 2))
+    write_rows(z, t, out, np.eye(sp.dim))
     return out
 
 
@@ -195,7 +190,7 @@ def n_metric(p: Param, sp: Space, t: np.ndarray) -> NMetric:
     n_rs = r_rs / h^2 - (G^2/4) L_r L_s; det(n_rs) = h^(2(1-N)) det(r_ab).
     The det does not depend on t: it is an array only for per-row g."""
     L = unit_l(sp, t)
-    Llow = L @ sp.r_full
+    Llow = np.vecmat(L, sp.r_full)
     h2 = per_row(p.h * p.h, 2)
     up = (h2 * sp.r_full_inv
           + per_row(0.25 * p.g * p.g, 2) * (L[..., :, None] * L[..., None, :]))
@@ -206,13 +201,14 @@ def n_metric(p: Param, sp: Space, t: np.ndarray) -> NMetric:
 
 
 def qe_christoffel(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of n: chris[p, r, q] = N_p^r_q
+    """Christoffel symbols of n: chris[..., p, r, q] = N_p^r_q
     = -(G^2/4) L^r H_pq / S with H_pq = r_pq - L_p L_q.
 
     Identities: t^p N_p^r_q = 0, trace-free, nilpotent product.
     """
-    S, L, H = _one_transverse(sp, t, "Christoffel symbols")
-    return -0.25 * p.G**2 * np.einsum("r,pq->prq", L, H) / S
+    S, L, H = _transverse(sp, t, "Christoffel symbols")
+    return (per_row(-0.25 * p.G**2, 3) * (L[..., None, :, None] * H[..., :, None, :])
+            / per_row(S, 3))
 
 
 def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
@@ -220,9 +216,11 @@ def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
 
     All contractions with the radial unit vector vanish.
     """
-    S, L, H = _one_transverse(sp, t, "curvature")
-    return -0.25 * p.G**2 * (np.einsum("pq,rs->prqs", H, H)
-                             - np.einsum("ps,qr->prqs", H, H)) / S**2
+    S, L, H = _transverse(sp, t, "curvature")
+    Hqr = H.swapaxes(-1, -2)[..., None, :, :, None]  # [p, r, q, s] = H_qr
+    return (per_row(-0.25 * p.G**2, 4)
+            * (H[..., :, None, :, None] * H[..., None, :, None, :]
+               - H[..., :, None, None, :] * Hqr) / per_row(S * S, 4))
 
 
 @dataclass(frozen=True)
@@ -260,45 +258,42 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
     """Frames adapted to n from an orthonormal base frame of r_pq.
 
     base_frame[P, q] must satisfy sum_P base[P, p] base[P, q] = r_pq;
-    default is the Cholesky-derived frame of the space.
+    default is the Cholesky-derived frame of the space. One base frame
+    serves every row of a stack.
     """
-    S, L = _one_radial(sp, t, "frames")
+    t, S, L = _radial(sp, t, "frames")
     base = checked_base_frame(sp, base_frame)
     base_inv = sp.base_frame_inv if base_frame is None else np.linalg.inv(base).T
-    h = p.h
-    Llow = sp.r_full @ L
-    L_P = base @ L            # frame components L^P
-    L_P_low = base_inv @ Llow
-    f = base / h + (h - 1.0) / h * np.outer(L_P, Llow)
-    m = h * base_inv + (1.0 - h) * np.outer(L_P_low, L)
-    ricci = (h - 1.0) * (np.einsum("P,Qp->PQp", L_P, f)
-                         - np.einsum("Q,Pp->PQp", L_P, f)) / S
+    h2, h3 = per_row(p.h, 2), per_row(p.h, 3)
+    Llow = np.matvec(sp.r_full, L)
+    L_P = np.matvec(base, L)            # frame components L^P
+    L_P_low = np.matvec(base_inv, Llow)
+    f = base / h2 + (h2 - 1.0) / h2 * (L_P[..., :, None] * Llow[..., None, :])
+    m = h2 * base_inv + (1.0 - h2) * (L_P_low[..., :, None] * L[..., None, :])
+    ricci = (h3 - 1.0) * (L_P[..., :, None, None] * f[..., None, :, :]
+                          - L_P[..., None, :, None] * f[..., :, None, :]) / per_row(S, 3)
     return QEFrames(f=f, m=m, ricci=ricci)
 
 
-def conformal_factor(p: Param, sp: Space, t: np.ndarray) -> float:
-    """Conformal scale xi = (S^2/2)^((h-1)/2); equals 1 at S = sqrt(2)."""
-    S = _one_radial(sp, t, "conformal factor")[0]
-    return (0.5 * S * S) ** (0.5 * (p.h - 1.0))
+def conformal_factor(p: Param, sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
+    """Conformal scale xi = (S^2/2)^((h-1)/2); equals 1 at S = sqrt(2). A
+    float for one point, an array of shape t.shape[:-1] for a stack."""
+    S = _radial(sp, t, "conformal factor")[1]
+    xi = np.power(0.5 * S * S, 0.5 * (p.h - 1.0))
+    return float(xi) if xi.ndim == 0 else xi
 
 
 def conformal_check(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Transport n^rs through the radial rescaling map and return the
     result c^pq, which equals xi^2 r^pq (conformal flatness)."""
-    S2 = _one_radial(sp, t, "conformal transport")[0] ** 2
-    h = p.h
-    xi = (0.5 * S2) ** (0.5 * (h - 1.0))
-    a_prime = 0.5 * (h - 1.0) * (0.5 * S2) ** (0.5 * (h - 3.0))
-    tlow = sp.r_full @ t
-    k = (xi * np.eye(sp.dim) + a_prime * np.outer(t, tlow)) / h  # k[p, q] = dtilde^p/dt^q pattern
-    nm = n_metric(p, sp, t)
-    return np.einsum("pr,qs,rs->pq", k, k, nm.up)
-
-
-def _sphere_q(h: float, rs: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
-    ul = rs @ u
-    w2 = radius * radius - float(u @ ul)
-    return (rs + np.outer(ul, ul) / w2) / h**2
+    t, S = _radial(sp, t, "conformal transport")[:2]
+    h, half_S2 = per_row(p.h, 2), per_row(0.5 * S * S, 2)
+    xi = np.power(half_S2, 0.5 * (h - 1.0))
+    a_prime = 0.5 * (h - 1.0) * np.power(half_S2, 0.5 * (h - 3.0))
+    tlow = np.matvec(sp.r_full, t)
+    # k[p, q] = dtilde^p/dt^q pattern
+    k = (xi * np.eye(sp.dim) + a_prime * (t[..., :, None] * tlow[..., None, :])) / h
+    return np.einsum("...pr,...qs,...rs->...pq", k, k, n_metric(p, sp, t).up)
 
 
 def sphere_curvature(p: Param, r_radius: float, u: np.ndarray,
@@ -307,13 +302,16 @@ def sphere_curvature(p: Param, r_radius: float, u: np.ndarray,
     quasi-Euclidean space, evaluated on the graph chart
     t^a = u^a, t^N = sqrt(r^2 - |u|^2). Equals h^2 / r^2.
 
-    The chart point u is an (N-1)-vector with |u| < r, and N - 1 >= 2 is
-    required for the curvature tensor fit to be meaningful.
+    The radius r must be finite and > 0 and the chart point u one finite
+    (N-1)-vector with |u| < r; N - 1 >= 2 is required for the curvature
+    tensor fit to be meaningful.
     """
     u = np.asarray(u, dtype=float)
     nm = len(u)
     if nm < 2:
         raise ValueError("sphere curvature needs a chart of dimension >= 2")
+    if not (0.0 < r_radius < np.inf and np.all(np.isfinite(u))):  # NaN fails too
+        raise ValueError("sphere curvature needs a finite radius > 0 and a finite chart point")
     rs = np.eye(nm) if space is None else space.r_spatial
     ul = rs @ u
     u2 = float(u @ ul)
@@ -321,19 +319,19 @@ def sphere_curvature(p: Param, r_radius: float, u: np.ndarray,
         raise ChartOutOfRange("chart point outside the sphere patch |u| < r")
     h = p.h
     w2 = r_radius * r_radius - u2
-    q = _sphere_q(h, rs, u, r_radius)
-    # Christoffels I_a^e_b = (h^2/r^2) u^e q_ab, differentiated analytically
-    dq = np.empty((nm, nm, nm))  # dq[a, c, b] = d q_ac / d u^b
-    for b in range(nm):
-        dq[:, :, b] = ((np.outer(rs[:, b], ul) + np.outer(ul, rs[:, b])) / w2
-                       + 2.0 * ul[b] * np.outer(ul, ul) / w2**2) / h**2
+    uu = np.outer(ul, ul)
+    q = (rs + uu / w2) / h**2
+    # Christoffels I_a^e_b = (h^2/r^2) u^e q_ab, differentiated analytically:
+    # dq[a, c, b] = d q_ac / d u^b
+    dq = (((rs[:, None, :] * ul[None, :, None] + ul[:, None, None] * rs[None, :, :]) / w2
+           + (2.0 * ul)[None, None, :] * uu[:, :, None] / w2**2) / h**2)
     pref = h * h / (r_radius * r_radius)
     I = pref * np.einsum("e,ab->aeb", u, q)          # I[a, e, b] = I_a^e_b
     # dI[a, e, b, c] = d I_a^e_b / d u^c
     dI = pref * (np.einsum("ec,ab->aebc", np.eye(nm), q)
                  + np.einsum("e,abc->aebc", u, dq))
     # R_e^c_ab = d_b I_e^c_a - d_a I_e^c_b + I_e^d_a I_d^c_b - I_e^d_b I_d^c_a
-    R4 = (np.einsum("ecab->ecab", dI) - np.einsum("ecba->ecab", dI)
+    R4 = (dI - np.einsum("ecba->ecab", dI)
           + np.einsum("eda,dcb->ecab", I, I) - np.einsum("edb,dca->ecab", I, I))
     low = np.einsum("ecab,fc->efab", R4, q)          # R_efab
     M = np.einsum("ea,cb->ecab", q, q) - np.einsum("eb,ac->ecab", q, q)

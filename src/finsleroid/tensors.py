@@ -56,7 +56,7 @@ def _checked(p: Param, sp: Space, R: np.ndarray, power: int, what: str):
     raised where the tensor would leave the normal doubles."""
     R = np.asarray(R, dtype=float)
     f = scalar_forms(p, sp, R)
-    require_off_axis(p, f, what)
+    require_off_axis(p, f.q, what)
     require_tensor_range(p, f, power)
     return R, f
 

@@ -934,7 +934,8 @@ def test_covector_side_builds_one_dual_per_space(monkeypatch):
 STACKED = {"scalar_forms", "fmf", "grad_covector", "metric", "metric_inverse",
            "metric_det", "angular", "cartan", "curvature_S", "to_costate",
            "from_costate", "fhf", "co_scalar_forms", "co_metric", "sigma",
-           "sigma_jacobian", "mu", "n_metric"}
+           "sigma_jacobian", "mu", "mu_jacobian", "n_metric", "qe_christoffel",
+           "qe_curvature", "qe_frames", "conformal_factor", "conformal_check"}
 ONE_VECTOR = ["scalar_forms", "fmf", "grad_covector", "metric",
               "metric_inverse", "metric_det", "angular", "cartan",
               "curvature_S", "to_costate", "from_costate", "fhf",

@@ -31,7 +31,9 @@ STACKED = {"scalar_forms": "R", "fmf": "R", "grad_covector": "R", "metric": "R",
            "metric_inverse": "R", "metric_det": "R", "angular": "R",
            "cartan": "R", "curvature_S": "R", "to_costate": "R", "fhf": "co",
            "co_scalar_forms": "co", "from_costate": "co", "co_metric": "co",
-           "sigma": "R", "sigma_jacobian": "R", "mu": "t", "n_metric": "t"}
+           "sigma": "R", "sigma_jacobian": "R", "mu": "t", "n_metric": "t",
+           "mu_jacobian": "t", "qe_christoffel": "t", "qe_curvature": "t",
+           "qe_frames": "t", "conformal_factor": "t", "conformal_check": "t"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -80,7 +82,8 @@ def _g_zero_layout(rng, layout):
 
 def test_g_zero_rows_are_exact(rng):
     # every builder runs its one formula and write_rows sets the g = 0 rows:
-    # r_pq, r^pq, I and zero Cartan and curvature tensors, exactly
+    # r_pq, r^pq, I for both Jacobians (X read as image points for mu's) and
+    # zero Cartan and curvature tensors, exactly
     sp = rand_space(3, rng)
     for layout in ("one vector off the axis", "one vector on the axis",
                    "float g, axis row", "per-row g, all 0", "per-row g, mixed"):
@@ -92,8 +95,9 @@ def test_g_zero_rows_are_exact(rng):
 
         k = np.count_nonzero(zero)
         for fn, want in ((fd.metric, sp.r_full), (fd.metric_inverse, sp.r_full_inv),
-                         (fd.sigma_jacobian, np.eye(3))):
-            assert np.array_equal(rows(fn(P, sp, X)), np.broadcast_to(want, (k, 3, 3))), layout
+                         (fd.sigma_jacobian, np.eye(3)), (fd.mu_jacobian, np.eye(3))):
+            want = np.broadcast_to(want, (k, 3, 3))
+            assert rows(fn(P, sp, X)).tobytes() == want.tobytes(), layout  # signs of zeros too
         ct = fd.cartan(P, sp, X)
         cs = fd.curvature_S(P, sp, X)
         for part in (ct.full, ct.mixed, ct.covector, ct.vector, cs.tensor, cs.s_star):
@@ -105,7 +109,7 @@ def test_axis_rows_raise_only_off_g_zero(rng):
     sp = rand_space(3, rng)
     X = np.array([[0.3, 0.5, 1.0], [0.0, 0.0, -2.0], [0.2, -0.1, 0.7]])
     fns = (fd.metric, fd.metric_inverse, fd.angular, fd.cartan, fd.curvature_S,
-           fd.sigma_jacobian)
+           fd.sigma_jacobian, fd.mu_jacobian)
     for fn in fns:
         with pytest.raises(AxisSingular):
             fn(make_param(np.array([0.0, 0.4, 0.0])), sp, X)
@@ -147,6 +151,7 @@ def test_float_g_keeps_one_vector_types(rng):
     assert type(fd.curvature_S(p, sp, R).s_star) is float
     assert type(fd.n_metric(p, sp, t).det) is float
     assert type(fd.snorm(sp, t)) is float
+    assert type(fd.conformal_factor(p, sp, t)) is float
     assert all(type(v) is float for v in fd.co_scalar_forms(p, sp, R))
     report = fd.shape_report(p)
     assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report))
@@ -159,6 +164,12 @@ def test_float_g_keeps_one_vector_types(rng):
     assert ct.covector.shape == ct.vector.shape == (3,)
     nm = fd.n_metric(p, sp, t)
     assert nm.low.shape == nm.up.shape == (3, 3)
+    for fn in (fd.mu_jacobian, fd.conformal_check):
+        assert fn(p, sp, t).shape == (3, 3)
+    assert fd.qe_christoffel(p, sp, t).shape == (3, 3, 3)
+    assert fd.qe_curvature(p, sp, t).shape == (3, 3, 3, 3)
+    fr = fd.qe_frames(p, sp, t)
+    assert fr.f.shape == fr.m.shape == (3, 3) and fr.ricci.shape == (3, 3, 3)
 
 
 def test_shape_report_per_row_g():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import finsleroid
 from finsleroid import (AxisSingular, BadFrame, ChartOutOfRange,
                         DegenerateVector, Space, conformal_check,
                         conformal_factor, fmf, make_param, metric, mu,
@@ -10,7 +11,7 @@ from finsleroid import (AxisSingular, BadFrame, ChartOutOfRange,
                         qe_curvature, qe_frames, sigma, sigma_jacobian, snorm,
                         sphere_curvature, scalar_forms, unit_l)
 from finsleroid.cospace import fhf, to_costate
-from conftest import fd_jacobian, rand_space, rand_vec
+from conftest import fd_jacobian, leaves, rand_space, rand_vec
 
 
 def draw(rng, dims=(2, 3, 5)):
@@ -121,6 +122,16 @@ def test_jacobians_axis_raises():
         sigma_jacobian(p, sp, axis)
     with pytest.raises(AxisSingular):
         mu_jacobian(p, sp, axis)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.4])
+def test_mu_jacobian_refuses_the_origin(g):
+    # as mu and sigma_jacobian do: one point, and a stack with an origin row
+    p, sp = make_param(g), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    T = np.array([[0.3, 0.5, 1.0], [0.0, 0.0, 0.0]])
+    for t in (T[1], T):
+        with pytest.raises(DegenerateVector):
+            mu_jacobian(p, sp, t)
 
 
 def test_covector_transport(rng):
@@ -417,6 +428,14 @@ def test_sphere_curvature_out_of_range():
         sphere_curvature(make_param(0.4), 1.0, np.array([0.8, 0.7]))
 
 
+def test_sphere_curvature_refuses_bad_input():
+    p, u = make_param(0.4), np.array([0.3, -0.2])
+    for radius, chart in ((np.nan, u), (np.inf, u), (-1.0, u), (0.0, u), (1.0, [np.nan, 0.1]),
+                          (1.0, [0.2, np.inf]), (1.0, [-np.inf, 0.0])):
+        with pytest.raises(ValueError, match="finite radius > 0 and a finite chart point"):
+            sphere_curvature(p, radius, np.array(chart))
+
+
 def test_sphere_matches_indicatrix_curvature(rng):
     # pullback note: the transported unit sphere carries h^2, matching
     # the constant 1 + S* of the vector picture
@@ -471,3 +490,44 @@ def test_mu_of_one_point_checks_it():
         assert R.shape == (3,) and np.all(np.isfinite(R)) and not R[:-1].any()
         assert np.allclose(R, mu(p, sp, np.stack([t, t]))[0], rtol=1e-15, atol=0.0)
         assert abs(fmf(p, sp, R) - abs(tN)) <= 1e-15 * abs(tN)
+
+
+@pytest.mark.parametrize("fn", [snorm, finsleroid.mnorm, unit_l])
+def test_norms_check_their_point(fn):
+    # a non-finite entry or a wrong last axis raises the ValueError of
+    # check_vector, with no warning on the way (warnings are errors)
+    for sp in (Space.euclidean(3), Space(3, [[1.5, 0.2], [0.2, 0.8]])):
+        for t in ([np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [[0.3, 0.5, 1.0], [0.0, -np.inf, 0.2]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(sp, np.array(t))
+        for t in (np.ones(2), np.ones(4), np.ones((2, 4))):
+            with pytest.raises(ValueError, match="expected vectors of length 3"):
+                fn(sp, t)
+
+
+# every function of image points (sigma of vectors), and those among them
+# that take no Param
+QE_STACKED = ["snorm", "mnorm", "unit_l", "sigma", "mu", "sigma_jacobian", "mu_jacobian",
+              "n_metric", "qe_christoffel", "qe_curvature", "qe_frames", "conformal_factor",
+              "conformal_check"]
+NORMS = ("snorm", "mnorm", "unit_l")
+
+
+@pytest.mark.parametrize("sp", [Space(3, [[1.5, 0.2], [0.2, 0.8]]),
+                                Space(4, np.diag([1.0, 2.0, 0.5]) + 0.1)], ids=["N3", "N4"])
+def test_stacked_rows_equal_one_point_calls(rng, sp):
+    # one row formula for one point and for a stack, and products with r
+    # that sum each row as one vector is summed: every row of a stack gets
+    # the bits of its one-point result
+    p = make_param(0.7)
+    T = rng.normal(size=(300, sp.dim))
+    for name in QE_STACKED:
+        fn = getattr(finsleroid, name)
+        args = (sp,) if name in NORMS else (p, sp)
+        got = leaves(fn(*args, T))
+        for i, t in enumerate(T):
+            want = leaves(fn(*args, t))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                a = a if a.ndim == 0 else a[i]  # n_metric's det at a float g
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, i)
