@@ -223,6 +223,15 @@ def write_rows(z, R: np.ndarray, out: np.ndarray, value) -> None:
         out[np.broadcast_to(z, R.shape[:-1])] = value
 
 
+def check_finite(x, what: str):
+    """x, a float or an array, once it is finite in every entry (ValueError
+    otherwise): the check of a caller's scalars (arc lengths, an angle) that
+    check_vector makes of a vector."""
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 def per_row(x, k: int = 1):
     """A per-row scalar with k trailing axes, so that it broadcasts over the
     components of each row of a stack; a float stays a float."""
@@ -357,6 +366,11 @@ class Space:
         self.base_frame_inv = np.linalg.inv(chol)
         for a in (r_spatial, inv, r_full, r_full_inv, self.base_frame, self.base_frame_inv):
             a.setflags(write=False)
+        # row a of the spatial frame U = base_frame[:-1, :-1] from its diagonal
+        # on, U_ab for b >= a, as Python floats (U_aa, [U_ab for b > a]):
+        # U^T U = r_ab
+        U = self.base_frame[:-1, :-1].tolist()
+        self._frame_rows = [(row[a], row[a + 1:]) for a, row in enumerate(U)]
         self._dual: Optional[Space] = None
 
     @staticmethod
@@ -376,10 +390,17 @@ class Space:
             d._dual, self._dual = self, d
         return self._dual
 
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """r_pq x^q of one vector (N,) or of every row of a stack (..., N):
+        the one product of a vector with the background metric. np.matvec
+        sums each row as it sums one vector, where a stacked @ runs through
+        BLAS gemm, whose sums differ in the last bit."""
+        return np.matvec(self.r_full, x)
+
     def dot(self, x: np.ndarray, y: np.ndarray) -> Union[float, np.ndarray]:
         """Full background product r_pq x^p y^q of one pair (N,), a float,
         or of every row of stacked pairs (..., N), an array over the rows."""
-        d = np.vecdot(np.matvec(self.r_full, x), y)
+        d = np.vecdot(self.lower(x), y)
         return float(d) if d.ndim == 0 else d
 
     def norm(self, x: np.ndarray) -> Union[float, np.ndarray]:
@@ -408,9 +429,9 @@ class Space:
             stored = _gram_memo.get(self, None, key)
             if stored is not None:
                 return Gram(x, y, *stored)
-        x, y, r = self.check_vector(x), self.check_vector(y), self.r_full
-        rx = np.matvec(r, x)
-        a11, a12, a22 = np.vecdot(rx, x), np.vecdot(rx, y), np.vecdot(np.matvec(r, y), y)
+        x, y = self.check_vector(x), self.check_vector(y)
+        rx = self.lower(x)
+        a11, a12, a22 = np.vecdot(rx, x), np.vecdot(rx, y), np.vecdot(self.lower(y), y)
         if a12.ndim:
             m = np
         else:  # one pair: Python floats, and math for its scalar steps
@@ -447,11 +468,22 @@ class Space:
     def spatial_norm(self, R: np.ndarray) -> Union[float, np.ndarray]:
         """q = sqrt(r_ab R^a R^b) of the spatial part, over the leading axes
         of R: a float for one vector, an array of shape R.shape[:-1] for a
-        stack of them."""
-        Rs = np.asarray(R, dtype=float)[..., :-1]
-        # abs: rounding can leave the form of a near-null vector at -eps
-        q = np.sqrt(abs(np.vecdot(Rs @ self.r_spatial, Rs)))
-        return float(q) if q.ndim == 0 else q
+        stack of them. R is checked as check_vector checks it.
+
+        q^2 is a sum of squares in the frame of the Cholesky factor U of r_ab,
+        w_a = sum_{b >= a} U_ab R^b and q^2 = sum_a w_a^2, summed in that fixed
+        order by elementwise products and sums: on the Python floats of one
+        vector and on the columns of a stack alike, so that each row of a
+        stack gets the bits of its one-vector q. It is never below 0."""
+        R = self.check_vector(R)
+        x = R[:-1].tolist() if R.ndim == 1 else [R[..., b] for b in range(self.dim - 1)]
+        q2 = 0.0
+        for a, (diagonal, rest) in enumerate(self._frame_rows):
+            w = diagonal * x[a]
+            for u, xb in zip(rest, x[a + 1:]):
+                w += u * xb
+            q2 += w * w
+        return math.sqrt(q2) if R.ndim == 1 else np.sqrt(q2)
 
     def check_vector(self, R: np.ndarray) -> np.ndarray:
         """R as a float array of shape (..., N): one vector, or vectors
@@ -550,9 +582,8 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
         stored = _forms_memo.get(p, sp, key)
         if stored is not None:
             return stored
-    R = sp.check_vector(R)
     one = R.ndim == 1
-    q = sp.spatial_norm(R)
+    q = sp.spatial_norm(R)  # checks R
     Z = axial(R)
     if any_row((q == 0.0) & (Z == 0.0)):
         raise DegenerateVector("scalar forms are undefined at the origin")

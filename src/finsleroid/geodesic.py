@@ -32,7 +32,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, any_row, checked_pair, per_row, require_one_vector, space_for
+from .core import (Param, Space, any_row, check_finite, checked_pair, per_row,
+                   require_one_vector, space_for)
 from .errors import AntipodalSingular, CollinearVectors, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
 from .twovector import covector_pair
@@ -174,6 +175,7 @@ def _along(bd: GeodesicBoundary, s, velocity=False):
         if k > 0:
             rows = [per_row(v, k) for v in rows]
             t1, d1 = (x.reshape(x.shape[:-1] + (1,) * k + x.shape[-1:]) for x in (t1, d1))
+    check_finite(s, "arc length")
     return _turn(*rows, s, t1, d1, velocity)
 
 
@@ -188,7 +190,8 @@ def qe_geodesic_at(bd: GeodesicBoundary, s: Union[float, np.ndarray]
     float nu, or an array of them, which gives t of shape s.shape + (N,) and
     nu of shape s.shape. For a stacked boundary with rows of shape M, s has
     shape M + (trailing axes), row i of s running along row i of bd; t has
-    shape s.shape + (N,) and nu shape s.shape.
+    shape s.shape + (N,) and nu shape s.shape. A non-finite s raises
+    ValueError.
     """
     return _along(bd, s)
 
@@ -221,9 +224,10 @@ def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
     and the turned t1 of the pair (t1, v1). Requires unit speed
     n_pq(t1) v1^p v1^q = 1, under which u = h sqrt(a^2 - b^2), to within
     _UNIT_SPEED_TOL. Takes one point and one velocity: a stack raises
-    ValueError.
+    ValueError, and so does a non-finite s.
     """
     require_one_vector(t1, v1)
+    s = check_finite(float(s), "arc length")
     sp = space_for(t1, space)
     t1, v1 = sp.check_vector(t1), sp.check_vector(v1)
     speed = float(v1 @ n_metric(p, sp, t1).low @ v1)
@@ -233,7 +237,7 @@ def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
     if pair.collinear:
         # radial launch
         return t1 + s * v1
-    return _turn(math.sqrt(pair.a11), pair.a12, p.h, pair.u / p.h, float(s), t1, pair.d1)[0]
+    return _turn(math.sqrt(pair.a11), pair.a12, p.h, pair.u / p.h, s, t1, pair.d1)[0]
 
 
 def finsleroid_geodesic(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray,

@@ -190,7 +190,7 @@ def _geodesic_norm_law(s: Sample) -> float:
     t, _ = geodesic.qe_geodesic_at(bd, sv)
     a, b = bd.a[:, None], bd.b[:, None]
     S2 = a * a + 2 * b * sv + sv * sv
-    return _worst(np.abs(np.vecdot(t @ s.sp.r_full, t) - S2) / S2)
+    return _worst(np.abs(s.sp.dot(t, t) - S2) / S2)
 
 
 def _angle_laws(s: Sample) -> float:

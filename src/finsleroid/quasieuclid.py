@@ -15,6 +15,7 @@ shape T at one point comes back with shape t.shape[:-1] + T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -47,15 +48,15 @@ __all__ = [
 def snorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
     """S(t), the full Euclidean norm of an image-space point, as the hypot
     of m(t) and t^N; broadcasts over the leading axes of t like mnorm."""
-    t = sp.check_vector(t)
-    S = np.hypot(sp.spatial_norm(t), t[..., -1])
+    t = np.asarray(t, dtype=float)
+    S = np.hypot(sp.spatial_norm(t), t[..., -1])  # spatial_norm checks t
     return float(S) if S.ndim == 0 else S
 
 
 def mnorm(sp: Space, t: np.ndarray) -> Union[float, np.ndarray]:
     """m(t), the spatial norm of an image-space point; broadcasts over the
     leading axes of t like Space.spatial_norm."""
-    return sp.spatial_norm(sp.check_vector(t))
+    return sp.spatial_norm(t)
 
 
 def _radial(sp: Space, t: np.ndarray, what: str):
@@ -74,7 +75,7 @@ def _transverse(sp: Space, t: np.ndarray, what: str):
     transverse to the radial direction in the Christoffel symbols and the
     curvature, of shape t.shape + (N,)."""
     t, S, L = _radial(sp, t, what)
-    Llow = np.matvec(sp.r_full, L)
+    Llow = sp.lower(L)
     return S, L, sp.r_full - Llow[..., :, None] * Llow[..., None, :]
 
 
@@ -103,8 +104,8 @@ def _inverse(p: Param, sp: Space, t: np.ndarray, what: str):
     """The checked image point t, m(t), t^N and k = exp(G atan2(t^N, m) / 2)
     of one point or of every row of a stack, for mu and its Jacobian; a row
     at the origin raises DegenerateVector."""
-    t = sp.check_vector(t)
-    m, tN = sp.spatial_norm(t), axial(t)
+    t = np.asarray(t, dtype=float)
+    m, tN = sp.spatial_norm(t), axial(t)  # spatial_norm checks t
     if any_row((m == 0.0) & (tN == 0.0)):
         raise DegenerateVector(f"{what} undefined at the origin")
     return t, m, tN, np.exp(half_G_angle(p, np.arctan2(tN, m)))
@@ -139,7 +140,7 @@ def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     z, q = g_zero_rows(p, f.q)
     g, h, J, B, A, Z = p.g, p.h, f.J, f.B, f.A, axial(R)
     Rs = R[..., :-1]
-    rR = np.vecmat(Rs, sp.r_spatial)
+    rR = sp.lower(R)[..., :-1]
     out = np.empty(R.shape + R.shape[-1:])
     out[..., -1, -1] = (B + 0.5 * g * q * A) * J / B
     out[..., :-1, -1] = per_row(-g * (Z * A - B) / (2 * q) * J / B) * rR
@@ -163,7 +164,7 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     z, m = g_zero_rows(p, m)
     h, G, S2 = p.h, p.G, m * m + tN * tN
     ts = t[..., :-1]
-    rt = np.matvec(sp.r_spatial, ts)
+    rt = sp.lower(t)[..., :-1]
     out = np.empty(t.shape + t.shape[-1:])
     out[..., -1, -1] = 1.0 / k - 0.5 * G * m * (tN - 0.5 * G * m) / (k * S2)
     out[..., :-1, -1] = per_row(-0.5 * G * (m + 0.5 * G * tN)) * rt / per_row(k * S2)
@@ -190,13 +191,14 @@ def n_metric(p: Param, sp: Space, t: np.ndarray) -> NMetric:
     n_rs = r_rs / h^2 - (G^2/4) L_r L_s; det(n_rs) = h^(2(1-N)) det(r_ab).
     The det does not depend on t: it is an array only for per-row g."""
     L = unit_l(sp, t)
-    Llow = np.vecmat(L, sp.r_full)
+    Llow = sp.lower(L)
     h2 = per_row(p.h * p.h, 2)
     up = (h2 * sp.r_full_inv
           + per_row(0.25 * p.g * p.g, 2) * (L[..., :, None] * L[..., None, :]))
     low = (sp.r_full / h2
            - per_row(0.25 * p.G * p.G, 2) * (Llow[..., :, None] * Llow[..., None, :]))
-    det = p.h ** (2 * (1 - sp.dim)) * sp.r_spatial_det
+    # (h^2)^(N-1) as products: float ** k and numpy's power can differ by an ulp
+    det = sp.r_spatial_det / math.prod((p.h * p.h,) * (sp.dim - 1))
     return NMetric(low=low, up=up, det=det)
 
 
@@ -207,7 +209,7 @@ def qe_christoffel(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     Identities: t^p N_p^r_q = 0, trace-free, nilpotent product.
     """
     S, L, H = _transverse(sp, t, "Christoffel symbols")
-    return (per_row(-0.25 * p.G**2, 3) * (L[..., None, :, None] * H[..., :, None, :])
+    return (per_row(-0.25 * (p.G * p.G), 3) * (L[..., None, :, None] * H[..., :, None, :])
             / per_row(S, 3))
 
 
@@ -218,7 +220,7 @@ def qe_curvature(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """
     S, L, H = _transverse(sp, t, "curvature")
     Hqr = H.swapaxes(-1, -2)[..., None, :, :, None]  # [p, r, q, s] = H_qr
-    return (per_row(-0.25 * p.G**2, 4)
+    return (per_row(-0.25 * (p.G * p.G), 4)
             * (H[..., :, None, :, None] * H[..., None, :, None, :]
                - H[..., :, None, None, :] * Hqr) / per_row(S * S, 4))
 
@@ -265,7 +267,7 @@ def qe_frames(p: Param, sp: Space, t: np.ndarray,
     base = checked_base_frame(sp, base_frame)
     base_inv = sp.base_frame_inv if base_frame is None else np.linalg.inv(base).T
     h2, h3 = per_row(p.h, 2), per_row(p.h, 3)
-    Llow = np.matvec(sp.r_full, L)
+    Llow = sp.lower(L)
     L_P = np.matvec(base, L)            # frame components L^P
     L_P_low = np.matvec(base_inv, Llow)
     f = base / h2 + (h2 - 1.0) / h2 * (L_P[..., :, None] * Llow[..., None, :])
@@ -290,7 +292,7 @@ def conformal_check(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     h, half_S2 = per_row(p.h, 2), per_row(0.5 * S * S, 2)
     xi = np.power(half_S2, 0.5 * (h - 1.0))
     a_prime = 0.5 * (h - 1.0) * np.power(half_S2, 0.5 * (h - 3.0))
-    tlow = np.matvec(sp.r_full, t)
+    tlow = sp.lower(t)
     # k[p, q] = dtilde^p/dt^q pattern
     k = (xi * np.eye(sp.dim) + a_prime * (t[..., :, None] * tlow[..., None, :])) / h
     return np.einsum("...pr,...qs,...rs->...pq", k, k, n_metric(p, sp, t).up)

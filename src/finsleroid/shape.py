@@ -75,11 +75,12 @@ def shape_report(p: Param) -> ShapeReport:
 
 def indicatrix_point(p: Param, sp: Space, f: float, n: np.ndarray) -> np.ndarray:
     """Unit vector on the level set K = 1 at polar parameter f in [0, pi]
-    along the unit spatial direction n (r_ab n^a n^b = 1)."""
+    along the unit spatial direction n (r_ab n^a n^b = 1). A non-finite n
+    raises ValueError, as check_vector does."""
     n = np.asarray(n, dtype=float)
     if n.shape != (sp.dim - 1,):
         raise BadDirection(f"direction must have {sp.dim - 1} components")
-    nn = float(n @ sp.r_spatial @ n)
+    nn = sp.spatial_norm(np.append(n, 0.0)) ** 2
     if abs(nn - 1.0) > 1e-10:
         raise BadDirection(f"direction is not unit for the spatial metric: |n|^2 = {nn}")
     if not 0.0 <= f <= math.pi:

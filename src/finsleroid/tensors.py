@@ -29,6 +29,7 @@ memo and return writable arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -63,8 +64,7 @@ def _checked(p: Param, sp: Space, R: np.ndarray, power: int, what: str):
 
 def _grad_covector(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     k = f.K * f.K / f.B
-    out = np.empty(R.shape)
-    out[..., :-1] = (R[..., :-1] @ sp.r_spatial) * per_row(k)
+    out = sp.lower(R) * per_row(k)
     out[..., -1] = (axial(R) + p.g * f.q) * k
     return out
 
@@ -85,7 +85,7 @@ def _metric(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     k = K2 / (B * B)
     Zgq = Z + g * q
-    rR = R[..., :-1] @ sp.r_spatial
+    rR = sp.lower(R)[..., :-1]
     out = np.empty(R.shape + R.shape[-1:])
     out[..., -1, -1] = (Zgq * Zgq + q * q) * k
     out[..., -1, :-1] = out[..., :-1, -1] = per_row(g * q * k) * rR
@@ -129,7 +129,8 @@ def metric_det(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
     ConeLimit where J^(2N) would leave the normal doubles."""
     f = scalar_forms(p, sp, R)
     half_G_angle(p, f.Phi, 2 * sp.dim)  # for its range check only
-    return f.J ** (2 * sp.dim) * sp.r_spatial_det
+    # (J^2)^N as products: float ** k and numpy's power can differ by an ulp
+    return math.prod((f.J * f.J,) * sp.dim) * sp.r_spatial_det
 
 
 def _angular(p: Param, sp: Space, R: np.ndarray, f, Rlow: np.ndarray) -> np.ndarray:
@@ -193,8 +194,7 @@ def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
     z, q = g_zero_rows(p, f.q)
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     h_mixed = np.eye(n) - Rlow[..., :, None] * R[..., None, :] / per_row(K2, 2)
-    v_low = np.empty(R.shape)
-    v_low[..., :-1] = (R[..., :-1] @ sp.r_spatial) * per_row(-Z / (q * B))
+    v_low = Rlow * per_row(-Z / (q * K2))  # spatial part r_ab R^b (-Z / (q B))
     v_low[..., -1] = q / B
     v_up = np.empty(R.shape)
     v_up[..., :-1] = R[..., :-1] * per_row(-(Z + g * q) / (q * K2))

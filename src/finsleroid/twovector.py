@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Param, Space, _Memo, checked_forms, checked_pair
+from .core import Param, Space, _Memo, checked_forms, checked_pair, check_finite
 from .errors import (AntipodalSingular, CollinearVectors, DegenerateW,
                      NegativeRadicand, SingularXi)
 from .quasieuclid import _sigma_jacobian, checked_base_frame, n_metric, sigma_over_j
@@ -108,11 +108,10 @@ def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
                                A1=1.0 - 1.0 / p.h**2, A2=0.0, u=0.0)
     a11, a22, h = pair.a11, pair.a22, p.h
     _, _, s, A1, A2 = _mixing(p, pair)
-    r = sp.r_full
     n1n2 = math.sqrt(a11) * math.sqrt(a22)
-    comp = (a11 * a22 / (h * n1n2) * s * r
-            + A1 * np.outer(r @ t1, r @ t2) / n1n2
-            - A2 * np.outer(r @ pair.d1, r @ pair.d2) / (h * n1n2))
+    comp = (a11 * a22 / (h * n1n2) * s * sp.r_full
+            + A1 * np.outer(sp.lower(t1), sp.lower(t2)) / n1n2
+            - A2 * np.outer(sp.lower(pair.d1), sp.lower(pair.d2)) / (h * n1n2))
     return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=pair.u)
 
 
@@ -148,9 +147,8 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
         raise NegativeRadicand("frame radicand negative for this configuration")
     br1 = h * A1 / (z + math.sqrt(rad1))
     br2 = A2 / (z + math.sqrt(rad2))
-    r = sp.r_full
-    f = (z * base + br1 * np.outer(base @ pair.y, r @ pair.x)
-         - br2 * np.outer(base @ pair.d1, r @ pair.d2))
+    f = (z * base + br1 * np.outer(base @ pair.y, sp.lower(pair.x))
+         - br2 * np.outer(base @ pair.d1, sp.lower(pair.d2)))
     return f / math.sqrt(h * math.sqrt(a11) * math.sqrt(a22))
 
 
@@ -169,7 +167,9 @@ def covector_pair(p: Param, t1: np.ndarray, t2: np.ndarray,
 def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
                          alpha: float,
                          space: Optional[Space] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Recover (t1, t2) from (T1, T2) at the known pair angle alpha."""
+    """Recover (t1, t2) from (T1, T2) at the known pair angle alpha, which
+    must be finite (ValueError otherwise)."""
+    alpha = check_finite(float(alpha), "pair angle")
     sp, pair = checked_pair(T1, T2, space)
     if pair.collinear:
         raise SingularXi("inversion coefficient vanishes for collinear covectors")
@@ -224,5 +224,4 @@ def scalar_grad(p: Param, sp: Space, R: np.ndarray,
         T1, T2 = covector_pair(p, tR, tS, space=sp)
     except CollinearVectors as exc:
         raise DegenerateW("two-vector root vanished; gradients undefined") from exc
-    r = sp.r_full
-    return jR @ (r @ T1), jS @ (r @ T2)
+    return jR @ sp.lower(T1), jS @ sp.lower(T2)

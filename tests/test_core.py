@@ -739,6 +739,50 @@ def test_every_memo_is_the_helper():
                                   "twovector._n2_memo"]
 
 
+# The functions outside core.py that multiply a vector by r: the chart
+# point of sphere_curvature is an (N-1)-vector of a graph chart, not a
+# vector of its Space, which may be None.
+R_PRODUCTS_OUTSIDE_CORE = {"quasieuclid.sphere_curvature"}
+
+
+def test_every_product_with_r_goes_through_space():
+    # a vector meets r_full or r_spatial only in core.Space (lower,
+    # spatial_norm, dot and gram), where each row of a stack is summed as
+    # one vector is: an @, or a product function such as np.matvec,
+    # np.vecmat, np.einsum or np.dot, with r or a local name bound to it
+    # fails here outside core.py
+    r_attrs = {"r_full", "r_spatial"}
+    products = {"matvec", "vecmat", "einsum", "dot", "matmul", "inner", "tensordot"}
+
+    def names_r(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in r_attrs for n in ast.walk(node))
+
+    root = pathlib.Path(fd.__file__).parent
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            bound = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and names_r(n.value)
+                     for t in n.targets if isinstance(t, ast.Name)}
+
+            def is_r(node):
+                return names_r(node) or any(isinstance(n, ast.Name) and n.id in bound
+                                            for n in ast.walk(node))
+            for n in ast.walk(fn):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
+                    operands = [n.left, n.right]
+                elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in products):
+                    operands = [n.func.value, *n.args]
+                else:
+                    continue
+                if any(is_r(x) for x in operands):
+                    found.add(f"{path.stem}.{fn.name}")
+    assert found == R_PRODUCTS_OUTSIDE_CORE
+
+
 def test_gram_memo_hit_returns_the_callers_arrays():
     sp = Space(3, [[1.5, 0.2], [0.2, 0.8]])
     x, y = np.array([0.3, 0.5, 1.0]), np.array([0.2, -0.4, 0.7])

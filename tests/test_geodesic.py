@@ -263,6 +263,26 @@ def test_radial_velocity_runs_along_the_ray(rng):
             assert v[k] @ n_metric(p, sp, t).low @ v[k] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_non_finite_arc_lengths_raise():
+    # a NaN or infinite arc length is refused as a non-finite vector is, for
+    # one float, an array of them and a stacked boundary, with no warning on
+    # the way (warnings are errors)
+    p, sp = make_param(0.6), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    t1, t2 = np.array([0.3, -0.5, 1.0]), np.array([0.8, 0.4, 0.6])
+    one = connect(p, t1, t2, space=sp)
+    stacked = connect(make_param(np.array([0.6, -0.4])), np.stack([t1, t2]),
+                      np.stack([t2, t1]), space=sp)
+    for bd, bad in ((one, math.nan), (one, math.inf), (one, np.float64(-math.inf)),
+                    (one, np.array([0.1, math.nan])), (stacked, np.array([0.1, math.inf]))):
+        for fn in (qe_geodesic_at, qe_velocity):
+            with pytest.raises(ValueError, match="arc length must be finite"):
+                fn(bd, bad)
+    v1 = endpoint_velocities(one)[0]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="arc length must be finite"):
+            qe_geodesic_initial(p, t1, v1, bad, space=sp)
+
+
 def test_initial_value_rejects_bad_speed(rng):
     p = make_param(0.5)
     sp = Space.euclidean(2)

@@ -514,7 +514,10 @@ NORMS = ("snorm", "mnorm", "unit_l")
 
 
 @pytest.mark.parametrize("sp", [Space(3, [[1.5, 0.2], [0.2, 0.8]]),
-                                Space(4, np.diag([1.0, 2.0, 0.5]) + 0.1)], ids=["N3", "N4"])
+                                Space(4, np.diag([1.0, 2.0, 0.5]) + 0.1),
+                                Space(5, np.diag([1.0, 2.0, 0.5, 1.5]) + 0.1),
+                                Space(6, np.diag([1.0, 2.0, 0.5, 1.5, 0.8]) + 0.1)],
+                         ids=["N3", "N4", "N5", "N6"])
 def test_stacked_rows_equal_one_point_calls(rng, sp):
     # one row formula for one point and for a stack, and products with r
     # that sum each row as one vector is summed: every row of a stack gets

@@ -113,6 +113,11 @@ def test_point_rejects_bad_direction():
     sp = Space.euclidean(3)
     with pytest.raises(BadDirection):
         indicatrix_point(p, sp, 1.0, np.array([1.0, 1.0]))
+    # a non-finite direction is refused as a non-finite vector is, with no
+    # warning on the way (warnings are errors): NaN fails no bound test
+    for n in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            indicatrix_point(p, sp, 1.0, np.array(n))
 
 
 def test_profile_on_unit_level_and_convex():

@@ -362,6 +362,14 @@ def test_covector_pair_coincidence(rng):
         assert np.max(np.abs(T2 - t)) < 2e-2 * math.sqrt(eps) * sp.norm(t)
 
 
+def test_invert_refuses_a_non_finite_angle():
+    p, sp = make_param(0.4), Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    T1, T2 = covector_pair(p, np.array([0.3, -0.5, 1.0]), np.array([0.8, 0.4, 0.6]), space=sp)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="pair angle must be finite"):
+            invert_covector_pair(p, T1, T2, alpha, space=sp)
+
+
 def test_invert_singular_xi(rng):
     from finsleroid import SingularXi
     p = make_param(0.4)
