@@ -19,6 +19,11 @@ runs its one formula on every row and ends in core.write_rows, which sets
 the g = 0 rows to their exact values: r_pq, r^pq and zero Cartan tensors.
 A row on the axis raises AxisSingular unless its g is 0.
 
+The angular tensor h_pq and the Cartan tensors are built from the forms and
+one lowering rho = sp.lower(R), not from g_pq and R_p: metric, cartan,
+curvature_S and to_costate on one vector build g_pq once (_metric, in
+metric) and R_p once (_grad_covector, in to_costate).
+
 cartan and curvature_S build on the same Cartan tensors, so the tensors of
 the last single vector are kept in a one-entry core._Memo, keyed by the
 Param and the Space by identity and the bytes of R, with every array made
@@ -133,15 +138,28 @@ def metric_det(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
     return math.prod((f.J * f.J,) * sp.dim) * sp.r_spatial_det
 
 
-def _angular(p: Param, sp: Space, R: np.ndarray, f, Rlow: np.ndarray) -> np.ndarray:
-    return (_metric(p, sp, R, f)
-            - Rlow[..., :, None] * Rlow[..., None, :] / per_row(f.K * f.K, 2))
+def _angular(p: Param, sp: Space, R: np.ndarray, f, rho: np.ndarray) -> np.ndarray:
+    """h_pq of shape R.shape + (N,) at the checked R off the axis or at g = 0,
+    from the forms and rho = sp.lower(R). With R_p = (K^2/B)(rho_a; Z + g q),
+    g_pq - R_p R_q / K^2 reads (K^2/B^2)(B r_ab - ((q + g Z)/q) rho_a rho_b;
+    -Z rho_a; q^2). Only the 1/q takes the q of g_zero_rows, so an axis row
+    at g = 0 gets r_pq - R_p R_q / K^2 (h_NN = 0)."""
+    q = g_zero_rows(p, f.q)[1]
+    g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
+    k = K2 / (B * B)
+    rs = rho[..., :-1]
+    out = np.empty(R.shape + R.shape[-1:])
+    out[..., -1, -1] = f.q * f.q * k
+    out[..., -1, :-1] = out[..., :-1, -1] = per_row(-Z * k) * rs
+    out[..., :-1, :-1] = (per_row(K2 / B, 2) * sp.r_spatial
+                          - (per_row((f.q + g * Z) / q * k) * rs)[..., :, None] * rs[..., None, :])
+    return out
 
 
 def angular(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Angular tensor h_pq = g_pq - R_p R_q / K^2; annihilates R^q."""
     R, f = _checked(p, sp, R, 4, "angular tensor")
-    return _angular(p, sp, R, f, _grad_covector(p, sp, R, f))
+    return _angular(p, sp, R, f, sp.lower(R))
 
 
 @dataclass(frozen=True)
@@ -189,12 +207,14 @@ def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
     C_pqr = (g / 2)(h_pq v_r + h_pr v_q + h_qr v_p - K^2 v_p v_q v_r);
     raising q turns h_pq into h_p^q = delta_p^q - R_p R^q / K^2."""
     n = sp.dim
-    Rlow = _grad_covector(p, sp, R, f)
-    h = _angular(p, sp, R, f, Rlow)
+    rho = sp.lower(R)
+    h = _angular(p, sp, R, f, rho)
     z, q = g_zero_rows(p, f.q)
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
-    h_mixed = np.eye(n) - Rlow[..., :, None] * R[..., None, :] / per_row(K2, 2)
-    v_low = Rlow * per_row(-Z / (q * K2))  # spatial part r_ab R^b (-Z / (q B))
+    u = rho.copy()  # R_p = (K^2 / B) u_p
+    u[..., -1] = Z + g * q
+    h_mixed = np.eye(n) - u[..., :, None] * R[..., None, :] / per_row(B, 2)
+    v_low = rho * per_row(-Z / (q * B))
     v_low[..., -1] = q / B
     v_up = np.empty(R.shape)
     v_up[..., :-1] = R[..., :-1] * per_row(-(Z + g * q) / (q * K2))
@@ -245,15 +265,21 @@ def curvature_S(p: Param, sp: Space, R: np.ndarray) -> CurvatureS:
     """S_pqrs = C_tqr C_p^t_s - C_tqs C_p^t_r and the proportionality
     scalar of its representation S* (h_pr h_qs - h_ps h_qr) / K^2.
 
+    The contraction T_pqrs = C_tqr C_p^t_s is one matrix product per row.
     For N = 2 the angular tensor has rank one, so the pair product
     vanishes identically and the fit is empty; S* is then taken from the
     trace identity (equal to -g^2/4 either way).
     """
     R, f = _checked(p, sp, R, 4, "Cartan tensor")
     ct, h = _cartan(p, sp, R, f)
-    T = np.einsum("...tqr,...pts->...pqrs", ct.full, ct.mixed)  # S_pqrs = T_pqrs - T_pqsr
-    S = T - T.swapaxes(-1, -2)
     n, K2 = sp.dim, f.K * f.K
+    # T_pqrs = C_p^t_s C_tqr as one product of (ps, t) by (t, qr) per row,
+    # which gives U[p, s, q, r] = T_pqrs
+    lead = R.shape[:-1]
+    U = (ct.mixed.swapaxes(-1, -2).reshape(lead + (n * n, n))
+         @ ct.full.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
+    T = U.swapaxes(-3, -2).swapaxes(-2, -1)
+    S = np.subtract(T, T.swapaxes(-1, -2), order="C")  # S_pqrs = T_pqrs - T_pqsr
     if n == 2:
         s_star = -np.vecdot(ct.covector, ct.vector) * K2 / n**2
     else:

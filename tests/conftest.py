@@ -1,6 +1,7 @@
 """Shared helpers: random geometry draws, finite-difference oracles, the
 counter of the calls and evaluations behind each memo, the counter of the
-passes of the text kernels, and the array leaves of a result."""
+calls of a private builder, the counter of the passes of the text kernels,
+and the array leaves of a result."""
 
 import dataclasses
 import sys
@@ -113,12 +114,31 @@ def count_memo(monkeypatch, name):
     monkeypatch.setattr(memo, "entries", ())
     if name == "gram":
         monkeypatch.setattr(Space, "gram", counting(fn))
-        return calls, evaluations
+    else:
+        bind_everywhere(monkeypatch, fn, counting(fn))
+    return calls, evaluations
+
+
+def bind_everywhere(monkeypatch, fn, wrapped):
+    """Bind wrapped in place of the package function fn in every module of
+    the package that binds fn, as cospace binds tensors._metric."""
     for module_name, module in list(sys.modules.items()):
         if (module_name.partition(".")[0] == "finsleroid"
                 and getattr(module, fn.__name__, None) is fn):
-            monkeypatch.setattr(module, fn.__name__, counting(fn))
-    return calls, evaluations
+            monkeypatch.setattr(module, fn.__name__, wrapped)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of the package function fn, a private builder such as
+    tensors._metric, through every module that binds it; returns a one-item
+    list holding the count."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    bind_everywhere(monkeypatch, fn, counted)
+    return calls
 
 
 def count_kernel(monkeypatch, name):

@@ -14,7 +14,7 @@ import pytest
 import finsleroid as fd
 from finsleroid import (ConeLimit, DegenerateVector, OutOfRange, Param, Space, core,
                         connect, fmf, make_param, scalar_forms, tensors, twovector)
-from conftest import count_memo, leaves, rand_space, rand_vec
+from conftest import count_calls, count_memo, leaves, rand_space, rand_vec
 
 
 def test_param_euclidean_case():
@@ -303,14 +303,19 @@ def test_fmf_batch_checks_every_row():
 
 def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
     # the one-vector tensor stack at R: its 10 scalar_forms calls evaluate
-    # the forms of R and of its costate once each, and curvature_S finds
-    # the Cartan tensors that cartan built
+    # the forms of R and of its costate once each, curvature_S finds the
+    # Cartan tensors that cartan built, and cartan builds h_pq from the forms,
+    # so the metric and the covector of R are each built once, by metric and
+    # to_costate
     calls, evaluations = count_memo(monkeypatch, "forms")
     cartan_calls, cartan_evaluations = count_memo(monkeypatch, "cartan")
+    metric_calls = count_calls(monkeypatch, tensors._metric)
+    covector_calls = count_calls(monkeypatch, tensors._grad_covector)
     for n in (3, 5):
         p, sp = make_param(0.7), rand_space(n, rng)
         R = rand_vec(p, sp, rng)
         calls[0] = evaluations[0] = cartan_calls[0] = cartan_evaluations[0] = 0
+        metric_calls[0] = covector_calls[0] = 0
         fd.fmf(p, sp, R)
         fd.metric(p, sp, R)
         fd.metric_inverse(p, sp, R)
@@ -323,6 +328,7 @@ def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
         fd.n_metric(p, sp, fd.sigma(p, sp, R))
         assert (calls[0], evaluations[0]) == (10, 2)
         assert (cartan_calls[0], cartan_evaluations[0]) == (2, 1)
+        assert (metric_calls[0], covector_calls[0]) == (1, 1)
 
 
 def _fields(x) -> list:

@@ -3,7 +3,7 @@ import pytest
 
 from finsleroid import (AxisSingular, DegenerateVector, Space, angular, cartan, curvature_S,
                         fmf, grad_covector, make_param, metric, metric_det,
-                        metric_inverse, scalar_forms)
+                        metric_inverse, scalar_forms, tensors)
 from conftest import count_memo, fd_hessian, rand_space, rand_vec
 
 
@@ -186,6 +186,29 @@ def test_angular_det_identity(rng):
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_angular_on_g_zero_rows_is_the_background_one(rng, n):
+    # at g = 0, R_p = r_pq R^q and h_pq = r_pq - R_p R_q / K^2, on the axis
+    # (h_NN = 0, h_ab = r_ab) and the equator as elsewhere: the q that
+    # g_zero_rows puts in place of 0 on the axis may only divide
+    sp = rand_space(n, rng)
+    X = rng.normal(size=(6, n))
+    X[0, :-1] = 0.0  # the axis
+    X[1, -1] = 0.0  # the equator
+    g = rng.uniform(-1.9, 1.9, size=6)
+    g[:3] = 0.0
+    low = X @ sp.r_full
+    want = sp.r_full - low[:, :, None] * low[:, None, :] / np.vecdot(low, X)[:, None, None]
+    cases = [(make_param(g), X, np.flatnonzero(g == 0.0)), (make_param(0.0), X, np.arange(6))]
+    cases += [(make_param(0.0), X[i], [i]) for i in range(3)]
+    for P, Y, rows in cases:
+        R, f = tensors._checked(P, sp, Y, 4, "angular tensor")
+        for h in (angular(P, sp, Y), tensors._cartan(P, sp, R, f)[1]):
+            h = h.reshape(-1, n, n)
+            got = h[rows] if Y.ndim == 2 else h
+            assert np.max(np.abs(got - want[rows])) <= 1e-14 * np.max(np.abs(want[rows]))
+
+
 # ----------------------------------------------------------------- cartan
 
 def test_cartan_vanishes_at_zero_g(rng):
@@ -343,6 +366,26 @@ def test_curvature_representation_componentwise(rng):
                                    - cv.s_star * M[pp, qq, rr, ss]) <= 1e-9 * scale
         assert cv.s_star == pytest.approx(-p.g**2 / 4, abs=1e-12)
         assert 1 + cv.s_star == pytest.approx(p.h**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_curvature_contraction_is_the_einsum_one(rng, n):
+    # S_pqrs = T_pqrs - T_pqsr with T_pqrs = C_tqr C_p^t_s, for one vector
+    # and for a stack with one g per row. At N = 2 S vanishes identically and
+    # holds rounding alone, so the bound there is the size of a term of T.
+    sp = rand_space(n, rng)
+    g = rng.uniform(-1.9, 1.9, size=8)
+    X = rng.normal(size=(8, n))
+    cases = [(make_param(g), X)] + [(make_param(float(g[i])), X[i]) for i in range(3)]
+    for P, Y in cases:
+        ct = cartan(P, sp, Y)
+        T = np.einsum("...tqr,...pts->...pqrs", ct.full, ct.mixed)
+        want = T - T.swapaxes(-1, -2)
+        got = curvature_S(P, sp, Y).tensor
+        scale = (np.max(np.abs(got)) if n > 2
+                 else np.max(np.abs(ct.full)) * np.max(np.abs(ct.mixed)))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 def test_curvature_symmetries(rng):
