@@ -8,7 +8,8 @@ Configuration comes from flags or from a single JSON document
 (--config FILE); flags win on conflict. Each subcommand accepts only the
 flags it reads: any other flag, or config key, is a usage error. CSV
 numbers are Python's "%.17g" (17 significant digits, so they round-trip),
-written by one exact vectorised pass over each block of rows of a table;
+written by one exact vectorised pass over each block of rows of a table,
+and each block's ASCII bytes go to the file as they are;
 figures formats the columns its files share once, in one pass over the
 columns of its six body files and one over those of its two curves. The
 SVG coordinates of figures are Python's "%.6f", written by one exact
@@ -86,17 +87,22 @@ def _build_space(dim: Optional[int], r_text: Optional[str],
     return Space.euclidean(dim)
 
 
-def _write(path, text: str) -> None:
-    """Write text to the file at path, overwriting it in place: no O_TRUNC,
-    whose freeing of the old blocks and allocating them again costs more
-    than the write. A regular file is then trimmed to the bytes written,
-    also after a failed write, so no tail of the old file is left."""
-    data = memoryview(text.encode())
+def _write(path, pieces: Sequence[bytes]) -> None:
+    """Write the pieces one after the other to the file at path, each as it
+    is (the CSV text block by block: no whole-file string is built),
+    overwriting the file in place: no O_TRUNC, whose freeing of the old
+    blocks and allocating them again costs more than the write. A regular
+    file is then trimmed to the bytes written, also after a failed write, so
+    no tail of the old file is left."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    done = 0
+    done = 0  # the bytes written, over all the pieces
     try:
-        while done < len(data):
-            done += os.write(fd, data[done:])
+        for piece in pieces:
+            data = memoryview(piece)
+            while data:
+                n = os.write(fd, data)
+                done += n
+                data = data[n:]
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -105,33 +111,38 @@ def _write(path, text: str) -> None:
             os.close(fd)
 
 
-def _emit(path: Optional[str], text: str) -> None:
+def _emit(path: Optional[str], pieces: Sequence[bytes]) -> None:
+    """Write the pieces to the file at path, or else to standard output,
+    one piece at a time."""
     if path:
-        _write(path, text)
+        _write(path, pieces)
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece.decode())
 
 
 def _emit_record(args, record: dict) -> int:
     """A record of eval or angle: sorted JSON with --json, else one
     "key: value" line per entry in record order."""
     if args.json:
-        _emit(args.out, json.dumps(record, sort_keys=True) + "\n")
+        text = json.dumps(record, sort_keys=True) + "\n"
     else:
-        _emit(args.out, "".join(f"{k}: {_fmt(v)}\n" for k, v in record.items()))
+        text = "".join(f"{k}: {_fmt(v)}\n" for k, v in record.items())
+    _emit(args.out, [text.encode()])
     return EXIT_OK
 
 
-def _csv_head(header: List[str], comments: Optional[List[str]] = None) -> str:
+def _csv_head(header: List[str], comments: Optional[List[str]] = None) -> bytes:
     """The comment lines and the header line of a CSV file."""
-    return "".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n"
+    return ("".join(f"# {c}\n" for c in comments or ()) + ",".join(header) + "\n").encode()
 
 
 def _csv(header: List[str], table: np.ndarray,
-         comments: Optional[List[str]] = None) -> str:
-    """Comment lines, the header and one line per row of the 2-D table, each
-    number written as "%.17g" % x, the bytes of _fmt."""
-    return _csv_head(header, comments) + csv_lines(table)
+         comments: Optional[List[str]] = None) -> List[bytes]:
+    """The pieces of a CSV file: its comment lines and header, then the
+    csv_lines blocks of the 2-D table, each number written as "%.17g" % x,
+    the bytes of _fmt."""
+    return [_csv_head(header, comments), *csv_lines(table)]
 
 
 def _svg(polylines: List[Tuple[str, np.ndarray, str]]) -> str:
@@ -241,20 +252,20 @@ def cmd_figures(args) -> int:
         name = f"indicatrix_g{g:+.1f}"
         if args.format == "svg":
             path = outdir / f"{name}.svg"
-            _write(path, _svg([("body", prof, bodies[i]), ("circle", circle, ring)]))
+            _write(path, [_svg([("body", prof, bodies[i]), ("circle", circle, ring)]).encode()])
         else:
             path = outdir / f"{name}.csv"
-            _write(path, _csv_head(["f", "q", "Z", "circle_q", "circle_Z"], [f"g={_fmt(g)}"])
-                   + bodies[i])
+            _write(path, [_csv_head(["f", "q", "Z", "circle_q", "circle_Z"], [f"g={_fmt(g)}"]),
+                          *bodies[i]])
         written.append(path)
     gs = np.linspace(-1.9, 1.9, 191)
     report = shape.shape_report(make_param(gs))
     # one "%.17g" pass over [g, q_star, Z_2star] for the two curves
     curves = csv_tables(np.column_stack([gs, report.q_star, report.Z_2star]), [(0, 1), (0, 2)])
-    for name, column, text in zip(("equator_radius_curve", "width_height_curve"),
-                                  ("q_star", "Z_2star"), curves):
+    for name, column, blocks in zip(("equator_radius_curve", "width_height_curve"),
+                                    ("q_star", "Z_2star"), curves):
         path = outdir / f"{name}.csv"
-        _write(path, _csv_head(["g", column]) + text)
+        _write(path, [_csv_head(["g", column]), *blocks])
         written.append(path)
     sys.stdout.write("".join(f"{p}\n" for p in written))
     return EXIT_OK
@@ -289,14 +300,14 @@ def cmd_check(args) -> int:
         report = {"seed": args.seed, "dim": sp.dim, "r": sp.r_spatial.tolist(),
                   "fault_injected": bool(args.inject_fault), "checks": checks,
                   "pass": bool(all_ok)}
-        _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(args.out, [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
     else:
         lines = [f"seed: {args.seed}"]
         for c in checks:
             status = "PASS" if c["pass"] else "FAIL"
             lines.append(f"{c['name']:<22} {c['residual']:.3e}  tol {c['tol']:.1e}  {status}")
         lines.append("overall: " + ("PASS" if all_ok else "FAIL"))
-        _emit(args.out, "\n".join(lines) + "\n")
+        _emit(args.out, [("\n".join(lines) + "\n").encode()])
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

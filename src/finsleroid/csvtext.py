@@ -7,7 +7,10 @@ array with numpy: one exact Dekker two-product (core.two_product) gives
 the decimal digits before rounding, and tables of digit groups turn them
 into text. Every number outside a kernel's fast range is passed to "%"
 itself. csv_tables formats a table once and writes several CSV tables
-from its columns, so a column they share is formatted once.
+from its columns, so a column they share is formatted once. The CSV text
+stays in the ASCII bytes blocks the kernel makes, one per CHUNK_ROWS
+rows, which the CLI hands to the file as they are: no whole-file string
+is built.
 """
 
 from __future__ import annotations
@@ -54,57 +57,90 @@ def _fixed6_table() -> np.ndarray:
     return t.view(np.uint32)[..., 0]
 
 
+def _decade_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """(_KEY_OF_E, _NEXT_OF_E) over the binary exponents E = _E_SLOW..50 of
+    np.frexp, that is over the binades 2^(E-1) <= a < 2^E. A binade spans a
+    factor 2 < 10, so it meets at most two decades: the decade k of 2^(E-1)
+    and k + 1. The tables hold the key k + 4 and the double nearest
+    10^(k+1), so that a has the key _KEY_OF_E[E] + (a >= _NEXT_OF_E[E]).
+    The double nearest 10^j, j = -4..15, is 10^j or just above it, so a
+    double a >= 10^j exactly when a >= that double. The binades below the
+    one that holds 1e-4 (k = -5) get _SLOW and inf: among them is that of
+    the sentinel _SLOW_A, the one value _decade_keys puts there."""
+    decades = np.array([float(f"1e{j}") for j in range(-5, 16)])
+    E = np.arange(_E_SLOW, 51)
+    k = np.searchsorted(decades, np.ldexp(1.0, E - 1), side="right") - 6
+    slow = np.ldexp(1.0, E) <= _FIXED_LO
+    key = np.where(slow, _SLOW, k + 4).astype(np.int8)
+    return key, np.where(slow, np.inf, decades.take(k + 6))
+
+
 _QUADS = _quad_table()
 _FIXED6 = _fixed6_table()
-# _DECADES[j + 5] is the double nearest 10^j, j = -5..16: each is 10^j or just
-# above it, so a double x >= 10^j exactly when x >= _DECADES[j + 5]
-_DECADES = np.array([float(f"1e{j}") for j in range(-5, 17)])
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact doubles
 # Veltkamp's split of 10^p into two halves, for the two-product
 _POW10_SPLIT = split(_POW10)
 _SLOW = 19  # the sort key of the values "%.17g" writes: after the 19 exponents
+# _decade_keys puts every value "%.17g" writes at 2^-20, in the binade
+# E = _E_SLOW, far below the fast range; a finite a, so the two-product
+# that runs over it raises no warning
+_SLOW_A = 2.0**-20
+_E_SLOW = int(np.frexp(_SLOW_A)[1])
+_KEY_OF_E, _NEXT_OF_E = _decade_tables()
 # points_text writes |x| < 999 itself: x 10^6 stays below 2^31, and the
 # integer part has at most 3 digits
 _FIXED6_HI = 999.0
 _SLOW_MARK = 1  # the byte that stands for a value written by "%.6f"
 
 
-def csv_lines(table: np.ndarray) -> str:
-    """The CSV lines of a 2-D float table: "%.17g" % x for every number,
-    "," between the numbers of a row and "\\n" after each row."""
+def csv_lines(table: np.ndarray) -> List[bytes]:
+    """The CSV lines of a 2-D float table, as ASCII bytes blocks of
+    CHUNK_ROWS rows each: "%.17g" % x for every number, "," between the
+    numbers of a row and "\\n" after each row."""
     return csv_tables(table, [slice(None)])[0]
 
 
 def csv_tables(table: np.ndarray, layouts: Sequence[Union[Sequence[int], slice]]
-               ) -> List[str]:
+               ) -> List[List[bytes]]:
     """The CSV lines of several tables made of the columns of one 2-D float
     table, from one pass of the "%.17g" kernel over it: for each layout, a
-    sequence of column indices (or a slice of the columns), the csv_lines of
-    table[:, layout]. A number that several layouts share is formatted once."""
+    sequence of column indices (or a slice of the columns), the csv_lines
+    blocks of table[:, layout]. A number that several layouts share is
+    formatted once."""
     table = np.asarray(table, dtype=float)
-    texts: List[List[str]] = [[] for _ in layouts]
+    blocks: List[List[bytes]] = [[] for _ in layouts]
     for i in range(0, len(table), CHUNK_ROWS):
-        for text, lines in zip(texts, _block(table[i:i + CHUNK_ROWS], layouts)):
-            text.append(lines)
-    return ["".join(text) for text in texts]
+        for out, lines in zip(blocks, _block(table[i:i + CHUNK_ROWS], layouts)):
+            out.append(lines)
+    return blocks
 
 
-def _block(rows: np.ndarray, layouts) -> List[str]:
+def _block(rows: np.ndarray, layouts) -> List[bytes]:
     """The CSV lines of each layout of a block of rows, from one _slots
     pass; the slots are freed on return."""
     slots, at = _slots(rows)
     return [_lines(slots, at[:, cols]) for cols in layouts]
 
 
-def _lines(slots: np.ndarray, at: np.ndarray) -> str:
+def _lines(slots: np.ndarray, at: np.ndarray) -> bytes:
     """The CSV lines of a block of rows whose values sit in slots at the
     row indices at, of shape (rows, columns)."""
     if at.shape[1] == 0:  # no numbers: an empty line per row
-        return "\n" * len(at)
+        return b"\n" * len(at)
     line = slots.take(at, axis=0)
     line[..., 24] = 44  # ','
     line[:, -1, 24] = 10  # '\n'
-    return line.tobytes().translate(None, b"\0").decode("ascii")
+    return line.tobytes().translate(None, b"\0")
+
+
+def _decade_keys(ax: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(key, a) of the absolute values ax: for 1e-4 <= |x| < 1e15, the key
+    k + 4 of the decade k = floor(log10 |x|) and a = |x|; for every other
+    value (0, subnormals, tiny, huge, inf, NaN), _SLOW and a = _SLOW_A."""
+    fast = (ax >= _FIXED_LO) & (ax < _FIXED_HI)  # False on NaN
+    a = np.where(fast, ax, _SLOW_A)
+    E = np.frexp(a)[1] - _E_SLOW
+    return _KEY_OF_E.take(E) + (a >= _NEXT_OF_E.take(E)), a
 
 
 def _slots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,16 +161,10 @@ def _slots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     x = rows.ravel()
     n = x.size
-    ax = np.abs(x)
-    fast = (ax >= _FIXED_LO) & (ax < _FIXED_HI)  # False on NaN
-    a = np.where(fast, ax, 1.0)  # no log10(0), no split of inf
-    k = np.floor(np.log10(a)).astype(np.intp)
-    k += a >= _DECADES.take(k + 6)
-    k -= a < _DECADES.take(k + 5)
-    key = np.where(fast, k + 4, _SLOW).astype(np.int8)
+    key, a = _decade_keys(np.abs(x))
     order = np.argsort(key, kind="stable")  # a radix sort on int8
     counts = np.bincount(key, minlength=_SLOW + 1)
-    a, xs = a.take(order), x.take(order)
+    a = a.take(order)
     # 10^(16 - k) of each sorted row, split
     b, bhi, blo = (np.repeat(t[20:0:-1], counts) for t in (_POW10, *_POW10_SPLIT))
     hi, lo = two_product(a, b, (bhi, blo))
@@ -162,7 +192,7 @@ def _slots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     digits = digits[:, 3:]
 
     out = np.zeros((n, 25), np.uint8)
-    out[:, 0] = np.signbit(xs).view(np.uint8) * np.uint8(45)  # '-'
+    out[:, 0] = np.signbit(x).view(np.uint8).take(order) * np.uint8(45)  # '-'
     start = 0
     for key_e in np.flatnonzero(counts[:_SLOW]):
         e, end = key_e - 4, start + counts[key_e]
@@ -178,7 +208,7 @@ def _slots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             o[:, 2 - e:19 - e] = d
         start = end
     if start < n:
-        slow = np.array(["%.17g" % v for v in xs[start:].tolist()], dtype="S24")
+        slow = np.array(["%.17g" % v for v in x.take(order[start:]).tolist()], dtype="S24")
         out[start:, :24] = slow.view(np.uint8).reshape(-1, 24)
     at = np.empty_like(order)
     at[order] = np.arange(n)

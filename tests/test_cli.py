@@ -519,7 +519,7 @@ def test_csv_table_bytes_match_fmt():
         rng.normal(size=30000) * 10.0 ** rng.integers(-6, 17, size=30000)])
     table = vals[:len(vals) // 3 * 3].reshape(-1, 3)
     args = (["x", "y", "z"], table, ["c", "100%"])
-    assert _csv(*args) == _fmt_csv(*args)
+    assert b"".join(_csv(*args)) == _fmt_csv(*args).encode()
 
 
 @pytest.mark.parametrize("cols", [0, 1, 5])
@@ -528,7 +528,11 @@ def test_csv_chunk_edges(rows, cols):
     from finsleroid.cli import _csv
     table = np.random.default_rng(rows + cols).normal(size=(rows, cols))
     header = [f"c{i}" for i in range(cols)]
-    assert _csv(header, table) == _fmt_csv(header, table)
+    pieces = _csv(header, table)
+    # the header, then one block per CHUNK_ROWS rows
+    assert [p.count(b"\n") for p in pieces[1:]] == [
+        min(CHUNK_ROWS, rows - i) for i in range(0, rows, CHUNK_ROWS)]
+    assert b"".join(pieces) == _fmt_csv(header, table).encode()
 
 
 @settings(deadline=None)
@@ -539,7 +543,7 @@ def test_csv_matches_fmt_on_any_table(cols, values):
     from finsleroid.cli import _csv
     table = np.array(values[:len(values) // cols * cols], dtype=float).reshape(-1, cols)
     header = ["v"] * cols
-    assert _csv(header, table) == _fmt_csv(header, table)
+    assert b"".join(_csv(header, table)) == _fmt_csv(header, table).encode()
 
 
 @settings(deadline=None)
@@ -556,7 +560,32 @@ def test_csv_tables_match_fmt_on_any_layouts(cols, values, layouts):
             if isinstance(cols_, tuple) else
             "".join(",".join("%.17g" % v for v in row) + "\n" for row in table)
             for cols_ in layouts]
-    assert csv_tables(table, layouts) == want
+    assert [b"".join(blocks) for blocks in csv_tables(table, layouts)] == [
+        w.encode() for w in want]
+
+
+def test_csv_every_fixed_binade_has_its_decade():
+    # each binade [2^(E-1), 2^E) that meets [1e-4, 1e15) takes its decade
+    # from its binary exponent: at both ends of the binade and on either
+    # side of each decade, [1e-4, 2^-13) too, the key is k + 4 of the
+    # fixed-notation exponent k, and no value falls to "%.17g"; every
+    # value outside the range gets _SLOW
+    from finsleroid import csvtext
+    ends = np.ldexp(1.0, np.arange(-13, 51))
+    decades = np.array([float(f"1e{k}") for k in range(-4, 16)])
+    vals = np.concatenate([ends / 2, np.nextafter(ends, 0), decades,
+                           np.nextafter(decades, 0), np.nextafter(decades, np.inf),
+                           [1.1e-4, 1.2e-4]])
+    fast = vals[(vals >= 1e-4) & (vals < 1e15)]
+    assert fast.min() == 1e-4 and np.nextafter(2.0**-13, 0) in fast
+    key, a = csvtext._decade_keys(fast)
+    assert key.tolist() == [int(("%.16e" % v).partition("e")[2]) + 4 for v in fast]
+    assert (a == fast).all()
+    slow = np.array([0.0, 5e-324, np.nextafter(1e-4, 0), 2.0**-14, 1e15, 1e300, np.inf, np.nan])
+    assert (csvtext._decade_keys(slow)[0] == csvtext._SLOW).all()
+    table = np.concatenate([fast, -fast, slow])[:, None]
+    assert b"".join(csvtext.csv_lines(table)) == "".join(
+        "%.17g\n" % v for v in table[:, 0]).encode()
 
 
 def test_geodesic_stdout_equals_out_file(tmp_path, capsys):
@@ -674,6 +703,33 @@ def test_out_read_only_file_is_left_unchanged(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, *GEODESIC, "--out", str(path))
     assert code == 4 and "i/o error" in err
     assert path.read_bytes() == b"old contents\n"
+
+
+def test_out_failed_write_after_a_block_keeps_the_blocks_written(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the file goes out as the header and then one piece per block of
+    # CHUNK_ROWS rows; the disk fills after the first block: the file holds
+    # exactly the header and that block, and nothing of the longer old file
+    args = (*GEODESIC, "--samples", str(2 * CHUNK_ROWS + 5))
+    _, out, _ = run(capsys, *args)
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"x" * (2 * len(out)))
+    real_write, calls = os.write, []
+
+    def filling_write(fd, data):
+        calls.append(len(data))
+        if len(calls) <= 2:
+            return real_write(fd, data)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "write", filling_write)
+    code, _, err = run(capsys, *args, "--out", str(path))
+    monkeypatch.undo()
+    assert code == 4 and "No space left" in err
+    assert len(calls) == 3
+    lines = out.encode().splitlines(keepends=True)
+    # four comment lines and the header line, then the first block
+    assert path.read_bytes() == b"".join(lines[:5 + CHUNK_ROWS])
 
 
 def test_out_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch):
