@@ -104,14 +104,15 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
     the same norm K as R.
 
     The image t = sigma(R) is turned by h pi/2 toward the image of seed in
-    their plane: w = cos(h pi/2) t + sin(h pi/2) d1, with d1 from the
-    Space.gram data of (t, sigma(seed)), so that |d1| = |t|. The result is
-    mu(w): its image angle to t is h pi/2 by construction, and K = |w| =
-    |t| = K(R). It lies in the image plane of (sigma(R), sigma(seed)), not
-    in the plane span{R, seed}. seed defaults to the unit vector along R's
-    smallest component. A seed whose image is collinear with sigma(R), such
-    as a positive multiple of R, raises CollinearVectors; a seed of -R is
-    accepted when g != 0.
+    their plane: w = cos(h pi/2) t + sin(h pi/2) d1, with d1 = c1 perp
+    from the Space.gram data of (t, sigma(seed)) (c1 = a11/u, the first of
+    its coefficients), so that |d1| = |t|, and w formed as coefficients on
+    t and perp. The result is mu(w): its image angle to t is h pi/2 by
+    construction, and K = |w| = |t| = K(R). It lies in the image plane of
+    (sigma(R), sigma(seed)), not in the plane span{R, seed}. seed defaults
+    to the unit vector along R's smallest component. A seed whose image is
+    collinear with sigma(R), such as a positive multiple of R, raises
+    CollinearVectors; a seed of -R is accepted when g != 0.
     """
     R, f = checked_forms(p, sp, R)
     if seed is None:
@@ -123,7 +124,8 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
     if pair.collinear:
         raise CollinearVectors("seed's image is parallel to sigma(R)")
     turn = 0.5 * math.pi * p.h
-    return mu(p, sp, math.cos(turn) * t + math.sin(turn) * pair.d1)
+    c1 = pair.coefficients[0]
+    return mu(p, sp, math.cos(turn) * t + math.sin(turn) * c1 * pair.perp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,9 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     with sides n1 = |t1|, n2 = |t2| and angle alpha, the pair angle. Its
     diagonal has length n3 = hypot(x, y) and angle atan2(y, x) to the side
     n1, where x = n1 + n2 cos(alpha) and y = n2 sin(alpha). So t3 has norm
-    n3 and image angle h atan2(y, x) from t1 toward t2 in their plane. For
+    n3 and image angle beta = h atan2(y, x) from t1 toward t2 in their
+    plane: t3 = (n3/n1)(cos(beta) t1 + sin(beta) d1), formed as coefficients
+    on t1 and perp with d1 = c1 perp from the pair's coefficients. For
     alpha >= pi no parallelogram exists, and AntipodalSingular is raised.
     """
     sp, pair = checked_pair(t1, t2, space)
@@ -218,4 +222,5 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     n1, n2 = math.sqrt(pair.a11), math.sqrt(pair.a22)
     x, y = n1 + n2 * math.cos(alpha), n2 * math.sin(alpha)
     n3, beta = math.hypot(x, y), p.h * math.atan2(y, x)
-    return (n3 / n1) * (math.cos(beta) * pair.x + math.sin(beta) * pair.d1)
+    k, c1 = n3 / n1, pair.coefficients[0]
+    return k * math.cos(beta) * pair.x + k * math.sin(beta) * c1 * pair.perp

@@ -223,6 +223,18 @@ def write_rows(z, R: np.ndarray, out: np.ndarray, value) -> None:
         out[np.broadcast_to(z, R.shape[:-1])] = value
 
 
+def diagonal(a: np.ndarray, n: int) -> np.ndarray:
+    """A writable view of the first n diagonal entries of the last two axes
+    of a C-contiguous array a of shape (..., N, N), such as one from np.empty
+    or a product with order="C": adding to it adds c delta_pq to a block of a
+    without building an identity matrix. Any other layout raises ValueError,
+    since its reshape would be a copy and the addition would be lost."""
+    if not a.flags.c_contiguous:
+        raise ValueError("diagonal needs a C-contiguous array")
+    N = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (N * N,))[..., :n * (N + 1):N + 1]
+
+
 def check_finite(x, what: str):
     """x, a float or an array, once it is finite in every entry (ValueError
     otherwise): the check of a caller's scalars (arc lengths, an angle) that
@@ -283,6 +295,14 @@ class Gram(NamedTuple):
     angle accurate near 0 and pi (Kahan 2006). d1 = (a11 y - a12 x) / u and
     d2 = (a22 x - a12 y) / u: (x.d1) = (d2.y) = 0, (d1.y) = (x.d2) = u.
 
+    coefficients holds (c1, c2, c3) = (a11/u, u/a11, a12/u), so that
+    d1 = c1 perp and d2 = c2 x - c3 perp; the d1 and d2 properties build
+    these vectors anew on every read. They are kept for the callers that
+    use the vectors themselves: difference_gradients returns both, and
+    qe_geodesic_initial turns t1 toward d1. The pair constructions of
+    twovector and angle read neither: they take d1 and d2 only through
+    coefficients, as scalars on x, y and perp.
+
     For one pair the scalar fields are Python floats and collinear a bool;
     for stacked pairs they are arrays over the rows, and x, y, perp, d1 and
     d2 have the pairs' shape (..., N)."""
@@ -298,12 +318,17 @@ class Gram(NamedTuple):
     collinear: Union[bool, np.ndarray]
 
     @property
+    def coefficients(self) -> tuple:
+        return self.a11 / self.u, self.u / self.a11, self.a12 / self.u
+
+    @property
     def d1(self) -> np.ndarray:
-        return per_row(self.a11 / self.u) * self.perp
+        return per_row(self.coefficients[0]) * self.perp
 
     @property
     def d2(self) -> np.ndarray:
-        return per_row(self.u / self.a11) * self.x - per_row(self.a12 / self.u) * self.perp
+        _, c2, c3 = self.coefficients
+        return per_row(c2) * self.x - per_row(c3) * self.perp
 
 
 # The Gram fields past x and y of the last one-pair evaluation of Space.gram,

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Param, Space, any_row, axial, g_zero_rows, half_G_angle,
+from .core import (Param, Space, any_row, axial, diagonal, g_zero_rows, half_G_angle,
                    per_row, require_off_axis, scalar_forms, write_rows)
 from .errors import BadFrame, ChartOutOfRange, DegenerateVector
 
@@ -136,6 +136,9 @@ def sigma_jacobian(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
 
 
 def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
+    """The Jacobian at the checked R and its forms f. The spatial block is
+    (J h / B)(B delta_ab - (g Z / (2 q)) rR_a R^b): the rank-one product,
+    then J h added on its diagonal in place."""
     require_off_axis(p, f.q, "sigma Jacobian")
     z, q = g_zero_rows(p, f.q)
     g, h, J, B, A, Z = p.g, p.h, f.J, f.B, f.A, axial(R)
@@ -145,9 +148,9 @@ def _sigma_jacobian(p: Param, sp: Space, R: np.ndarray, f) -> np.ndarray:
     out[..., -1, -1] = (B + 0.5 * g * q * A) * J / B
     out[..., :-1, -1] = per_row(-g * (Z * A - B) / (2 * q) * J / B) * rR
     out[..., -1, :-1] = per_row(0.5 * g * q * J * h / B) * Rs
-    out[..., :-1, :-1] = ((per_row(B, 2) * np.eye(sp.dim - 1)
-                           - (per_row(0.5 * g * Z / q) * rR)[..., :, None] * Rs[..., None, :])
-                          * per_row(J * h / B, 2))
+    out[..., :-1, :-1] = ((per_row(-0.5 * g * Z / q * (J * h / B)) * rR)[..., :, None]
+                          * Rs[..., None, :])
+    diagonal(out, sp.dim - 1)[...] += per_row(J * h)
     if z is not False:  # so that no np.eye is built when no row has g = 0
         write_rows(z, R, out, np.eye(sp.dim))
     return out
@@ -169,10 +172,11 @@ def mu_jacobian(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     out[..., -1, -1] = 1.0 / k - 0.5 * G * m * (tN - 0.5 * G * m) / (k * S2)
     out[..., :-1, -1] = per_row(-0.5 * G * (m + 0.5 * G * tN)) * rt / per_row(k * S2)
     out[..., -1, :-1] = per_row(-0.5 * G * m) * ts / per_row(h * k * S2)
-    out[..., :-1, :-1] = (np.eye(sp.dim - 1) / per_row(h * k, 2)
-                          + per_row(0.5 * G * tN, 2) * (rt[..., :, None] * ts[..., None, :])
+    out[..., :-1, :-1] = (per_row(0.5 * G * tN, 2) * (rt[..., :, None] * ts[..., None, :])
                           / per_row(h * k * m * S2, 2))
-    write_rows(z, t, out, np.eye(sp.dim))
+    diagonal(out, sp.dim - 1)[...] += per_row(1.0 / (h * k))  # delta_ab / (h k)
+    if z is not False:  # so that no np.eye is built when no row has g = 0
+        write_rows(z, t, out, np.eye(sp.dim))
     return out
 
 
@@ -289,12 +293,15 @@ def conformal_check(p: Param, sp: Space, t: np.ndarray) -> np.ndarray:
     """Transport n^rs through the radial rescaling map and return the
     result c^pq, which equals xi^2 r^pq (conformal flatness)."""
     t, S = _radial(sp, t, "conformal transport")[:2]
-    h, half_S2 = per_row(p.h, 2), per_row(0.5 * S * S, 2)
+    h, half_S2 = per_row(p.h), per_row(0.5 * S * S)
     xi = np.power(half_S2, 0.5 * (h - 1.0))
     a_prime = 0.5 * (h - 1.0) * np.power(half_S2, 0.5 * (h - 3.0))
     tlow = sp.lower(t)
-    # k[p, q] = dtilde^p/dt^q pattern
-    k = (xi * np.eye(sp.dim) + a_prime * (t[..., :, None] * tlow[..., None, :])) / h
+    # k[p, q] = dtilde^p/dt^q pattern: (xi delta_pq + a' t^p t_q) / h
+    k = np.multiply(t[..., :, None], tlow[..., None, :], order="C")  # for diagonal
+    k *= per_row(a_prime)
+    diagonal(k, sp.dim)[...] += xi
+    k /= per_row(h)
     return np.einsum("...pr,...qs,...rs->...pq", k, k, n_metric(p, sp, t).up)
 
 
@@ -314,14 +321,14 @@ def sphere_curvature(p: Param, r_radius: float, u: np.ndarray,
         raise ValueError("sphere curvature needs a chart of dimension >= 2")
     if not (0.0 < r_radius < np.inf and np.all(np.isfinite(u))):  # NaN fails too
         raise ValueError("sphere curvature needs a finite radius > 0 and a finite chart point")
-    rs = np.eye(nm) if space is None else space.r_spatial
+    rs = (Space.euclidean(nm + 1) if space is None else space).r_spatial
     ul = rs @ u
     u2 = float(u @ ul)
     if u2 >= r_radius * r_radius:
         raise ChartOutOfRange("chart point outside the sphere patch |u| < r")
     h = p.h
     w2 = r_radius * r_radius - u2
-    uu = np.outer(ul, ul)
+    uu = ul[:, None] * ul
     q = (rs + uu / w2) / h**2
     # Christoffels I_a^e_b = (h^2/r^2) u^e q_ab, differentiated analytically:
     # dq[a, c, b] = d q_ac / d u^b
@@ -329,9 +336,11 @@ def sphere_curvature(p: Param, r_radius: float, u: np.ndarray,
            + (2.0 * ul)[None, None, :] * uu[:, :, None] / w2**2) / h**2)
     pref = h * h / (r_radius * r_radius)
     I = pref * np.einsum("e,ab->aeb", u, q)          # I[a, e, b] = I_a^e_b
-    # dI[a, e, b, c] = d I_a^e_b / d u^c
-    dI = pref * (np.einsum("ec,ab->aebc", np.eye(nm), q)
-                 + np.einsum("e,abc->aebc", u, dq))
+    # dI[a, e, b, c] = d I_a^e_b / d u^c = pref (delta_ec q_ab + u^e dq[a, b, c])
+    dI = np.einsum("e,abc->aebc", u, dq)
+    diag = np.arange(nm)
+    dI[:, diag, :, diag] += q
+    dI *= pref
     # R_e^c_ab = d_b I_e^c_a - d_a I_e^c_b + I_e^d_a I_d^c_b - I_e^d_b I_d^c_a
     R4 = (dI - np.einsum("ecba->ecab", dI)
           + np.einsum("eda,dcb->ecab", I, I) - np.einsum("edb,dca->ecab", I, I))

@@ -40,8 +40,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import (Param, Space, _Memo, axial, g_zero_rows, half_G_angle, per_row,
-                   require_off_axis, require_tensor_range, scalar_forms, write_rows)
+from .core import (Param, Space, _Memo, axial, diagonal, g_zero_rows, half_G_angle,
+                   per_row, require_off_axis, require_tensor_range, scalar_forms,
+                   write_rows)
 
 __all__ = [
     "grad_covector",
@@ -213,7 +214,9 @@ def _cartan_tensors(p: Param, sp: Space, R: np.ndarray,
     g, B, K2, Z = p.g, f.B, f.K * f.K, axial(R)
     u = rho.copy()  # R_p = (K^2 / B) u_p
     u[..., -1] = Z + g * q
-    h_mixed = np.eye(n) - u[..., :, None] * R[..., None, :] / per_row(B, 2)
+    h_mixed = np.multiply(u[..., :, None], R[..., None, :], order="C")  # for diagonal
+    h_mixed /= per_row(-B, 2)
+    diagonal(h_mixed, n)[...] += 1.0  # h_p^q = delta_p^q - u_p R^q / B
     v_low = rho * per_row(-Z / (q * B))
     v_low[..., -1] = q / B
     v_up = np.empty(R.shape)

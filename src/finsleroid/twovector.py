@@ -98,7 +98,10 @@ def n2(p: Param, t1: np.ndarray, t2: np.ndarray,
 
 
 def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
-    """n_pq of the checked pair, evaluated."""
+    """n_pq of the checked pair, evaluated: with n1 n2 = |t1| |t2|,
+    (a11 a22 s / (h n1 n2)) r_pq + (A1 / (n1 n2)) t1_p t2_q
+    - (A2 / (h n1 n2)) d1_p d2_q, with d1_p d2_q = P_p (c1 d2)_q from
+    _c1_d2_low, and X1, X2 and P the three lowerings of t1, t2 and perp."""
     t1, t2 = pair.x, pair.y
     if pair.collinear:
         if pair.a12 < 0.0 and p.g != 0.0:
@@ -109,10 +112,19 @@ def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
     a11, a22, h = pair.a11, pair.a22, p.h
     _, _, s, A1, A2 = _mixing(p, pair)
     n1n2 = math.sqrt(a11) * math.sqrt(a22)
+    X1, X2, P = sp.lower(t1), sp.lower(t2), sp.lower(pair.perp)
     comp = (a11 * a22 / (h * n1n2) * s * sp.r_full
-            + A1 * np.outer(sp.lower(t1), sp.lower(t2)) / n1n2
-            - A2 * np.outer(sp.lower(pair.d1), sp.lower(pair.d2)) / (h * n1n2))
+            + (A1 / n1n2 * X1)[:, None] * X2
+            - (A2 / (h * n1n2) * P)[:, None] * _c1_d2_low(pair, X1, P))
     return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=pair.u)
+
+
+def _c1_d2_low(pair, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """c1 d2 lowered, from the lowerings X of x and P of perp, with
+    (c1, c2, c3) = pair.coefficients: as c1 c2 = 1, c1 d2 = x - c1 c3 perp,
+    and d1_p d2_q = P_p (c1 d2)_q."""
+    c1, _, c3 = pair.coefficients
+    return X - (c1 * c3) * P
 
 
 def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -147,8 +159,10 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
         raise NegativeRadicand("frame radicand negative for this configuration")
     br1 = h * A1 / (z + math.sqrt(rad1))
     br2 = A2 / (z + math.sqrt(rad2))
-    f = (z * base + br1 * np.outer(base @ pair.y, sp.lower(pair.x))
-         - br2 * np.outer(base @ pair.d1, sp.lower(pair.d2)))
+    # (base d1)_R (d2)_q = (base perp)_R (c1 d2)_q, as in _n2
+    X, P = sp.lower(pair.x), sp.lower(pair.perp)
+    f = (z * base + (br1 * (base @ pair.y))[:, None] * X
+         - (br2 * (base @ pair.perp))[:, None] * _c1_d2_low(pair, X, P))
     return f / math.sqrt(h * math.sqrt(a11) * math.sqrt(a22))
 
 
@@ -175,16 +189,18 @@ def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
         raise SingularXi("inversion coefficient vanishes for collinear covectors")
     sa, ca = math.sin(alpha), math.cos(alpha)
     cc = ca * ca + sa * sa / p.h**2
-    t1, t2 = _turn(p, pair, sa, ca)
-    return t1 / cc, t2 / cc
+    return _turn(p, pair, sa / cc, ca / cc)
 
 
 def _turn(p: Param, pair, sa: float, ca: float) -> Tuple[np.ndarray, np.ndarray]:
     """(|y|/|x|) (ca x + sa d1 / h), (|x|/|y|) (ca y + sa d2 / h): the covector
-    pair at (sa, ca) = (sin, cos)(alpha); on (T1, T2), over cc, its inverse."""
+    pair at (sa, ca) = (sin, cos)(alpha); on (T1, T2), at (sa, ca) / cc, its
+    inverse. Formed as scalar coefficients on x, y and perp, with
+    d1 = c1 perp and d2 = c2 x - c3 perp from pair.coefficients."""
+    (c1, c2, c3), x, perp, sh = pair.coefficients, pair.x, pair.perp, sa / p.h
     ratio = math.sqrt(pair.a22) / math.sqrt(pair.a11)
-    return (ratio * (ca * pair.x + (sa / p.h) * pair.d1),
-            (ca * pair.y + (sa / p.h) * pair.d2) / ratio)
+    return (ratio * ca * x + ratio * sh * c1 * perp,
+            ca / ratio * pair.y + sh * c2 / ratio * x - sh * c3 / ratio * perp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Accuracy against 50-digit references near singular loci: h and K as
 |g| -> 2, and the Gram root and n2 near collinear and antipodal pairs; the
-range of the tensor stack as |g| -> 2."""
+range of the tensor stack as |g| -> 2; and the pair constructions (n2, the
+covector pair, the exact sum, the perpendicular companion's turned image)
+on generic pairs, against their definitions through d1 and d2."""
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 import finsleroid as fd  # noqa: E402
-from finsleroid import ConeLimit, Space, fmf, make_param, n2  # noqa: E402
-from conftest import rand_space  # noqa: E402
+from finsleroid import ConeLimit, Space, angle, core, fmf, make_param, n2  # noqa: E402
+from finsleroid.quasieuclid import sigma_over_j  # noqa: E402
+from conftest import rand_space, rand_vec  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -144,15 +147,25 @@ def _mp_pair(r, x, y):
     return R, X, Y, a11, a22, a12, mp.sqrt(a11 * a22 - a12 ** 2)
 
 
+def _mp_d(r, x, y):
+    """_mp_pair and the Gram vectors d1 = (a11 y - a12 x) / u and
+    d2 = (a22 x - a12 y) / u, as Space.gram defines them."""
+    R, X, Y, a11, a22, a12, u = _mp_pair(r, x, y)
+    perp = Y - (a12 / a11) * X
+    return R, X, Y, a11, a22, a12, u, (a11 / u) * perp, (u / a11) * X - (a12 / u) * perp
+
+
+def _mp_h(g):
+    return mp.sqrt(1 - mp.mpf(g) ** 2 / 4)
+
+
 def _mp_n2(g, r, x, y):
     """n_pq(g; x, y) of twovector.n2 in 50 digits at the same float inputs."""
-    R, X, Y, a11, a22, a12, u = _mp_pair(r, x, y)
-    h = mp.sqrt(1 - mp.mpf(g) ** 2 / 4)
+    R, X, Y, a11, a22, a12, u, d1, d2 = _mp_d(r, x, y)
+    h = _mp_h(g)
     alpha = mp.atan2(u, a12) / h
     s = mp.sin(alpha) / u
     A1, A2 = mp.cos(alpha) - a12 * s / h, mp.cos(alpha) / h - a12 * s
-    perp = Y - (a12 / a11) * X
-    d1, d2 = (a11 / u) * perp, (u / a11) * X - (a12 / u) * perp
     n1n2 = mp.sqrt(a11) * mp.sqrt(a22)
     return (a11 * a22 / (h * n1n2) * s * R + A1 * (R * X) * (R * Y).T / n1n2
             - A2 * (R * d1) * (R * d2).T / (h * n1n2))
@@ -191,3 +204,100 @@ def test_gram_root_near_collinear_beyond_the_split_range(rng):
     assert abs(gram.u - u) <= 4 * EPS * u
     stacked = sp.gram(np.stack([x, t1]), np.stack([e, t2]))
     assert stacked.u[1] == gram.u and np.array_equal(stacked.perp[1], gram.perp)
+
+
+def _mp_covector_pair(g, r, x, y):
+    """(T1, T2) = ((|y|/|x|)(cos a x + sin a d1 / h), (|x|/|y|)(cos a y + sin a d2 / h)),
+    a the pair angle, in 50 digits."""
+    R, X, Y, a11, a22, a12, u, d1, d2 = _mp_d(r, x, y)
+    h = _mp_h(g)
+    alpha = mp.atan2(u, a12) / h
+    ratio = mp.sqrt(a22) / mp.sqrt(a11)
+    return (ratio * (mp.cos(alpha) * X + mp.sin(alpha) / h * d1),
+            (mp.cos(alpha) * Y + mp.sin(alpha) / h * d2) / ratio)
+
+
+def _mp_parallelogram_exact(g, r, x, y):
+    """t3 = (n3/n1)(cos b x + sin b d1) with b = h atan2(n2 sin a, n1 + n2 cos a),
+    in 50 digits; None where the pair angle a is pi or more."""
+    R, X, Y, a11, a22, a12, u, d1, d2 = _mp_d(r, x, y)
+    h = _mp_h(g)
+    alpha = mp.atan2(u, a12) / h
+    if alpha >= mp.pi:
+        return None
+    n1, n2_ = mp.sqrt(a11), mp.sqrt(a22)
+    c, s = n1 + n2_ * mp.cos(alpha), n2_ * mp.sin(alpha)
+    beta = h * mp.atan2(s, c)
+    return mp.sqrt(c * c + s * s) / n1 * (mp.cos(beta) * X + mp.sin(beta) * d1)
+
+
+def _eps_of_largest(got, ref) -> float:
+    """max |got - ref| in eps of the largest |ref| entry, ref a sequence of
+    rows and got the float array of the same entries."""
+    got = np.reshape(got, (len(ref), -1))
+    scale = max(abs(v) for m in ref for v in m)
+    err = max(abs(got[i, j] - m[j]) for i, m in enumerate(ref) for j in range(len(m)))
+    return float(err / (EPS * scale))
+
+
+def _generic_pairs(rng, n):
+    """(p, sp, t1, t2) of random pairs at dimension n, with r = I and an SPD r,
+    and g across (-1.9, 1.9)."""
+    for identity in (True, False):
+        for _ in range(6):
+            p = make_param(float(rng.uniform(-1.9, 1.9)))
+            yield p, rand_space(n, rng, identity), rng.normal(size=n), rng.normal(size=n)
+
+
+# Bounds in eps of the largest reference entry, from the worst over this
+# draw at the fixture's seed and at seeds 1-5 (N = 2-6, r = I and SPD r,
+# 6 pairs each): n2 28.7 (an N = 2 pair at pi - 0.008 from antipodal, where
+# n2 grows as 1/u, g = -1.89; 12.3 on every other pair), the covector pair
+# 5.5, the exact sum 16.1 (a pair angle of 2.99, near pi) and the turned
+# image 3.6
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_n2_on_generic_pairs(rng, n):
+    # the d1_p d2_q term folded into P_p (X1 - (a11 a12/u^2) P)_q
+    for p, sp, t1, t2 in _generic_pairs(rng, n):
+        ref = _mp_n2(p.g, sp.r_full, t1, t2)
+        got = n2(p, t1, t2, space=sp).components
+        assert _eps_of_largest(got, ref.tolist()) <= 32, (p.g, t1, t2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_covector_pair_on_generic_pairs(rng, n):
+    for p, sp, t1, t2 in _generic_pairs(rng, n):
+        ref = _mp_covector_pair(p.g, sp.r_full, t1, t2)
+        got = np.stack(fd.covector_pair(p, t1, t2, space=sp))
+        assert _eps_of_largest(got, ref) <= 8, (p.g, t1, t2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_parallelogram_exact_on_generic_pairs(rng, n):
+    done = 0
+    for p, sp, t1, t2 in _generic_pairs(rng, n):
+        ref = _mp_parallelogram_exact(p.g, sp.r_full, t1, t2)
+        if ref is None:  # no parallelogram at a pair angle of pi or more
+            continue
+        done += 1
+        got = fd.parallelogram_exact(p, t1, t2, space=sp)
+        assert _eps_of_largest(got, [ref]) <= 24, (p.g, t1, t2)
+    assert done > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_perpendicular_companion_turns_the_image(rng, monkeypatch, n):
+    # the turned image w = cos(h pi/2) t + sin(h pi/2) d1 that the companion
+    # maps back by mu, with t = sigma(R) and d1 from (t, sigma(seed) / J)
+    turned = []
+    mu = angle.mu
+    monkeypatch.setattr(angle, "mu", lambda p, sp, w: turned.append(w) or mu(p, sp, w))
+    for p, sp, _, seed in _generic_pairs(rng, n):
+        R = rand_vec(p, sp, rng)
+        fd.perpendicular_companion(p, sp, R, seed)
+        t = fd.sigma(p, sp, R)
+        y = sigma_over_j(p, seed, core.scalar_forms(p, sp, seed).A)
+        _, X, *_, d1, _ = _mp_d(sp.r_full, t, y)
+        turn = _mp_h(p.g) * mp.pi / 2
+        ref = mp.cos(turn) * X + mp.sin(turn) * d1
+        assert _eps_of_largest(turned.pop(), [ref]) <= 6, (p.g, R, seed)

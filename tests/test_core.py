@@ -331,6 +331,48 @@ def test_tensor_field_calls_evaluate_the_forms_twice(rng, monkeypatch):
         assert (metric_calls[0], covector_calls[0]) == (1, 1)
 
 
+def test_diagonal_adds_in_place_and_refuses_other_layouts():
+    # the view writes into a C-contiguous stack; on any other layout its
+    # reshape would be a copy, so the addition would be lost: refused
+    a = np.zeros((2, 4, 4))
+    core.diagonal(a, 3)[...] += np.array([[1.0], [2.0]])
+    assert np.array_equal(a, np.diag([1.0, 1.0, 1.0, 0.0]) * np.array([1.0, 2.0])[:, None, None])
+    for b in (np.asfortranarray(a), a.transpose(0, 2, 1), a[:, ::2, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            core.diagonal(b, 3)
+
+
+def test_pair_constructions_read_no_d1_or_d2_vector(rng, monkeypatch):
+    # the one-pair constructions take d1 = (a11/u) perp and
+    # d2 = (u/a11) x - (a12/u) perp only as coefficients on x, y and perp:
+    # g2, n2, covector_pair, parallelogram_exact and perpendicular_companion
+    # read neither Gram vector, which is built anew on every read.
+    # difference_gradients returns both, so it reads each once
+    reads = [0]
+    for name in ("d1", "d2"):
+        fget = getattr(core.Gram, name).fget
+
+        def counted(pair, fget=fget):
+            reads[0] += 1
+            return fget(pair)
+        monkeypatch.setattr(core.Gram, name, property(counted))
+    for n in (2, 3, 5):
+        p, sp = make_param(0.7), rand_space(n, rng)
+        R, S = rand_vec(p, sp, rng), rand_vec(p, sp, rng)
+        t1, t2 = fd.sigma(p, sp, R), fd.sigma(p, sp, S)
+        reads[0] = 0
+        fd.g2(p, sp, R, S)
+        fd.n2(p, t1, t2, space=sp)
+        fd.covector_pair(p, t1, t2, space=sp)
+        fd.invert_covector_pair(p, t1, t2, 0.9, space=sp)
+        fd.n2_frame(p, t1, t2, space=sp)
+        fd.parallelogram_exact(p, t1, t2, space=sp)
+        fd.perpendicular_companion(p, sp, R, S)
+        assert reads[0] == 0
+        fd.difference_gradients(p, t1, t2, space=sp)
+        assert reads[0] == 2
+
+
 def _fields(x) -> list:
     return ([getattr(x, f.name) for f in dataclasses.fields(x)]
             if dataclasses.is_dataclass(x) else list(x))

@@ -56,6 +56,28 @@ def test_per_row_g_matches_one_vector_calls(rng, n, identity):
                     assert a[i].dtype == b.dtype and a[i].tobytes() == b.tobytes(), (name, i)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacks_in_any_memory_layout_match_the_c_ordered_call(rng, n):
+    # a transposed stack, such as np.array([xs, ys, zs]).T, and a strided
+    # view of every other row give the C-ordered stack's values; an einsum
+    # may sum in another order for another layout, so within 1e-14 of the
+    # largest entry
+    sp = rand_space(n, rng, identity=False)
+    g, X = _per_row_stack(rng, n)
+    P = make_param(g)
+    inputs = {"R": X, "co": fd.to_costate(P, sp, X), "t": fd.sigma(P, sp, X)}
+    for name, kind in STACKED.items():
+        fn = getattr(fd, name)
+        want = leaves(fn(P, sp, inputs[kind]))
+        c = inputs[kind]
+        for x in (np.array([c[:, q] for q in range(n)]).T, np.repeat(c, 2, axis=0)[::2]):
+            assert not x.flags.c_contiguous
+            got = leaves(fn(P, sp, x))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+
+
 def _g_zero_layout(rng, layout):
     """(P, X, zero) for a layout of g with g = 0 rows: zero masks those rows
     of X, and one vector counts as a stack of one row."""
