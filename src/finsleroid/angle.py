@@ -6,6 +6,12 @@ images under the norm-preserving map; it is normalized so the classical
 cosine theorem holds verbatim with anisotropic lengths. It ranges over
 [0, pi/h]. The exact sum and the perpendicular companion are Euclidean
 constructions in the image plane of the pair, in closed form.
+
+Every function takes one vector or pair (N,), or vectors and pairs stacked
+along leading axes (..., N), with one g or one g per row, and runs one
+row formula for both: floats for one vector or pair where a scalar is
+returned, arrays over the rows for stacks. A refusal fires when any row
+meets it.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Param, Space, checked_forms, checked_pair, require_tensor_range,
-                   scalar_forms, space_for)
+from .core import (Param, Space, any_row, axial, checked_pair, per_row,
+                   require_tensor_range, scalar_forms, space_for)
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import mu, sigma_over_j
 
@@ -80,22 +86,27 @@ def qe_angle(p: Param, t1: np.ndarray, t2: np.ndarray,
     return sp.gram(t1, t2).angle / p.h
 
 
-def axis_angle(p: Param, sp: Space, R: np.ndarray) -> float:
+def axis_angle(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
     """Angle between R and the positive axial direction:
     (1/h) atan2(h q, A), the angle of the image (h R^a, A) with the axis.
-    Equals fins_angle(R, e_N).alpha."""
-    f = checked_forms(p, sp, R)[1]
-    return math.atan2(p.h * f.q, f.A) / p.h
+    Equals fins_angle(R, e_N).alpha. A float for one vector, an array over
+    the rows for a stack."""
+    f = scalar_forms(p, sp, R)
+    a = np.arctan2(p.h * f.q, f.A) / p.h
+    return float(a) if a.ndim == 0 else a
 
 
-def equator_angle(p: Param, sp: Space, R: np.ndarray) -> float:
+def equator_angle(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:
     """Angle between R and its own equatorial direction: (1/h) atan2(h |Z|, L),
     from the product L and Gram root h |Z| of their images (h R^a, A).
-    Needs q > 0 for the direction to exist."""
-    R, f = checked_forms(p, sp, R)
-    if f.q == 0.0:
+    Needs q > 0 for the direction to exist. A float for one vector, an
+    array over the rows for a stack."""
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
+    if any_row(f.q == 0.0):
         raise DegenerateVector("equatorial direction undefined on the axis")
-    return math.atan2(p.h * abs(float(R[-1])), f.L) / p.h
+    a = np.arctan2(p.h * np.abs(axial(R)), f.L) / p.h
+    return float(a) if a.ndim == 0 else a
 
 
 def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
@@ -110,22 +121,23 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
     t and perp. The result is mu(w): its image angle to t is h pi/2 by
     construction, and K = |w| = |t| = K(R). It lies in the image plane of
     (sigma(R), sigma(seed)), not in the plane span{R, seed}. seed defaults
-    to the unit vector along R's smallest component. A seed whose image is
-    collinear with sigma(R), such as a positive multiple of R, raises
-    CollinearVectors; a seed of -R is accepted when g != 0.
+    to the unit vector along R's smallest component, row by row. A seed
+    whose image is collinear with sigma(R), such as a positive multiple of
+    R, raises CollinearVectors; a seed of -R is accepted when g != 0.
     """
-    R, f = checked_forms(p, sp, R)
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
     if seed is None:
-        seed = np.zeros(sp.dim)
-        seed[int(np.argmin(np.abs(R)))] = 1.0
-    seed, fs = checked_forms(p, sp, seed)
-    t = sigma_over_j(p, R, f.A) * f.J
+        seed = np.eye(sp.dim)[np.abs(R).argmin(-1)]
+    seed = np.asarray(seed, dtype=float)
+    fs = scalar_forms(p, sp, seed)
+    t = sigma_over_j(p, R, f.A) * per_row(f.J)
     pair = sp.gram(t, sigma_over_j(p, seed, fs.A))
-    if pair.collinear:
+    if any_row(pair.collinear):
         raise CollinearVectors("seed's image is parallel to sigma(R)")
-    turn = 0.5 * math.pi * p.h
+    turn = 0.5 * np.pi * p.h
     c1 = pair.coefficients[0]
-    return mu(p, sp, math.cos(turn) * t + math.sin(turn) * c1 * pair.perp)
+    return mu(p, sp, per_row(np.cos(turn)) * t + per_row(np.sin(turn) * c1) * pair.perp)
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +146,21 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
 
 def _first_order(p: Param, t1: np.ndarray, t2: np.ndarray,
                  space: Optional[Space], what: str):
-    """(space, Gram data, k = 1/h - 1) of an independent pair; warns for k > 0.2."""
+    """(space, Gram data, k = 1/h - 1) of independent pairs; warns for k > 0.2."""
     sp, pair = checked_pair(t1, t2, space)
     k = 1.0 / p.h - 1.0
-    if k > 0.2:
-        warnings.warn(f"first-order {what} with large k = 1/h - 1 = {k:.3f}",
+    if any_row(k > 0.2):
+        warnings.warn(f"first-order {what} with large k = 1/h - 1 = {np.max(k):.3f}",
                       stacklevel=3)
-    if pair.collinear:
+    if any_row(pair.collinear):
         raise CollinearVectors("parallelogram needs independent vectors")
     return sp, pair, k
 
 
-def _mix_coeff(sp: Space, x: np.ndarray, y: np.ndarray, a_xy: float,
-               a_yy: float, u: float) -> float:
-    """m(x, y): coefficient of x in the first-order sum correction."""
+def _mix_coeff(sp: Space, x: np.ndarray, y: np.ndarray, a_xy, a_yy, u):
+    """m(x, y): coefficient of x in the first-order sum correction, row by row."""
     s = x + y
-    return (a_xy * sp.gram(x, s).angle - a_yy * sp.gram(y, s).angle) / u
+    return per_row((a_xy * sp.gram(x, s).angle - a_yy * sp.gram(y, s).angle) / u)
 
 
 def parallelogram_sum(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -162,8 +173,8 @@ def parallelogram_sum(p: Param, t1: np.ndarray, t2: np.ndarray,
     sp, pair, k = _first_order(p, t1, t2, space, "sum")
     t1, t2 = pair.x, pair.y
     a12, u = pair.a12, pair.u
-    return t1 + t2 + k * (_mix_coeff(sp, t1, t2, a12, pair.a22, u) * t1
-                          + _mix_coeff(sp, t2, t1, a12, pair.a11, u) * t2)
+    return t1 + t2 + per_row(k) * (_mix_coeff(sp, t1, t2, a12, pair.a22, u) * t1
+                                   + _mix_coeff(sp, t2, t1, a12, pair.a11, u) * t2)
 
 
 def parallelogram_diff(p: Param, t1: np.ndarray, t3: np.ndarray,
@@ -179,9 +190,9 @@ def parallelogram_diff(p: Param, t1: np.ndarray, t3: np.ndarray,
     d_pair = sp.gram(d, t3)
     e1, e2 = pair.angle, d_pair.angle
     d_t1 = sp.dot(d, t1)
-    svec = ((pair.a11 * e1 - d_t1 * e2) * d
-            + (d_pair.a11 * e2 - d_t1 * e1) * t1) / pair.u
-    return d + k * svec
+    svec = (per_row(pair.a11 * e1 - d_t1 * e2) * d
+            + per_row(d_pair.a11 * e2 - d_t1 * e1) * t1) / per_row(pair.u)
+    return d + per_row(k) * svec
 
 
 def parallelogram_residuals(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -190,13 +201,13 @@ def parallelogram_residuals(p: Param, t1: np.ndarray, t2: np.ndarray,
     """Residuals of the two defining cosine-law equations for the sum
     candidate t3, r_i = n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(angle(t_i,
     t3) / h) from the Gram data of (t_i, t3). Both vanish at the exact
-    anisotropic sum."""
+    anisotropic sum. Shape (2,) for one triple, (..., 2) for stacked ones."""
     sp, pair13 = checked_pair(t1, t3, space)
-    pairs = (pair13, checked_pair(t2, t3, sp)[1])
-    n3 = math.sqrt(pairs[0].a22)
-    return np.array([n3 - (other.a11 - pair.a11) / n3
-                     - 2.0 * math.sqrt(pair.a11) * math.cos(pair.angle / p.h)
-                     for pair, other in zip(pairs, pairs[::-1])])
+    pairs = (pair13, sp.gram(t2, t3))
+    n3 = np.sqrt(pairs[0].a22)
+    return np.stack([n3 - (other.a11 - pair.a11) / n3
+                     - 2.0 * np.sqrt(pair.a11) * np.cos(pair.angle / p.h)
+                     for pair, other in zip(pairs, pairs[::-1])], axis=-1)
 
 
 def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -214,13 +225,13 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     alpha >= pi no parallelogram exists, and AntipodalSingular is raised.
     """
     sp, pair = checked_pair(t1, t2, space)
-    if pair.collinear:
+    if any_row(pair.collinear):
         raise CollinearVectors("parallelogram needs independent vectors")
     alpha = pair.angle / p.h
-    if alpha >= math.pi:
-        raise AntipodalSingular(f"pair angle {alpha:.6f} >= pi: no parallelogram")
-    n1, n2 = math.sqrt(pair.a11), math.sqrt(pair.a22)
-    x, y = n1 + n2 * math.cos(alpha), n2 * math.sin(alpha)
-    n3, beta = math.hypot(x, y), p.h * math.atan2(y, x)
+    if any_row(alpha >= np.pi):
+        raise AntipodalSingular(f"pair angle {np.max(alpha):.6f} >= pi: no parallelogram")
+    n1, n2 = np.sqrt(pair.a11), np.sqrt(pair.a22)
+    x, y = n1 + n2 * np.cos(alpha), n2 * np.sin(alpha)
+    n3, beta = np.hypot(x, y), p.h * np.arctan2(y, x)
     k, c1 = n3 / n1, pair.coefficients[0]
-    return k * math.cos(beta) * pair.x + k * math.sin(beta) * c1 * pair.perp
+    return per_row(k * np.cos(beta)) * pair.x + per_row(k * np.sin(beta) * c1) * pair.perp

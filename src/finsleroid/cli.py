@@ -41,7 +41,7 @@ import numpy as np
 
 from . import angle as angle_mod
 from . import cospace, geodesic, identities, quasieuclid, shape, tensors
-from .core import Space, checked_forms, fmf, make_param
+from .core import Space, fmf, make_param, scalar_forms
 from .csvtext import csv_lines, csv_tables, points_text
 from .errors import FinsleroidError, OutOfRange
 
@@ -180,7 +180,7 @@ def cmd_eval(args) -> int:
     p = make_param(args.g)
     vec = _parse_floats(args.vec)
     sp = _build_space(args.dim, args.r, vec)
-    f = checked_forms(p, sp, vec)[1]
+    f = scalar_forms(p, sp, vec)
     record = {
         "K": f.K,
         "H_dual": cospace.fhf(p, sp, cospace.to_costate(p, sp, vec)),

@@ -297,11 +297,10 @@ class Gram(NamedTuple):
 
     coefficients holds (c1, c2, c3) = (a11/u, u/a11, a12/u), so that
     d1 = c1 perp and d2 = c2 x - c3 perp; the d1 and d2 properties build
-    these vectors anew on every read. They are kept for the callers that
-    use the vectors themselves: difference_gradients returns both, and
-    qe_geodesic_initial turns t1 toward d1. The pair constructions of
-    twovector and angle read neither: they take d1 and d2 only through
-    coefficients, as scalars on x, y and perp.
+    these vectors anew on every read. They are kept for difference_gradients,
+    which returns both. The pair constructions of twovector, angle and
+    geodesic read neither: they take d1 and d2 only through coefficients,
+    as scalars on x, y and perp.
 
     For one pair the scalar fields are Python floats and collinear a bool;
     for stacked pairs they are arrays over the rows, and x, y, perp, d1 and
@@ -464,7 +463,7 @@ class Space:
         if any_row((a11 == 0.0) | (a22 == 0.0)):
             raise DegenerateVector("pair geometry needs two nonzero vectors")
         s, c = y, a12 / a11
-        near = 16.0 * a12 * a12 >= 15.0 * a11 * a22
+        near = 16.0 * c * a12 >= 15.0 * a22  # 16 a12^2 >= 15 a11 a22
         if any_row(near):
             # within about 15 degrees of (anti)parallel y - (a12/a11) x
             # cancels. lam x = hi + lo exactly for lam = a12/a11 rounded, and
@@ -480,11 +479,13 @@ class Space:
             s = (y - hi) - lo
             c = np.vecdot(rx, s) / a11
         perp = s - per_row(c) * x
-        # |perp|^2 as a sum of squares in the orthonormal frame: never below 0
+        # |perp|^2 as a sum of squares in the orthonormal frame: never below 0.
+        # u, the branch test above and the collinear test are products that
+        # stay finite while |x| |y| does, not only while |x|^2 |y|^2 does
         w = np.matvec(self.base_frame, perp)
-        u = m.sqrt(a11 * np.vecdot(w, w))
+        u = m.sqrt(a11) * m.sqrt(np.vecdot(w, w))
         pair = Gram(x, y, perp, a11, a22, a12, u, m.atan2(u, a12),
-                    u <= COLLINEAR_TOL * m.sqrt(a11 * a22))
+                    u <= COLLINEAR_TOL * (m.sqrt(a11) * m.sqrt(a22)))
         if key is not None:
             perp.setflags(write=False)  # shared by every hit
             _gram_memo.put(self, None, key, pair[2:])
@@ -535,23 +536,13 @@ def space_for(t: np.ndarray, space: Optional[Space]) -> Space:
     return space if space is not None else Space.euclidean(np.shape(t)[-1])
 
 
-def require_one_vector(*vectors) -> None:
-    """Raise ValueError unless each of vectors is one vector, shape (N,):
-    the check of every function that takes one vector or one point."""
-    for R in vectors:
-        if np.asarray(R).ndim != 1:
-            raise ValueError(f"expected one vector, got shape {np.shape(R)}")
-
-
 def checked_pair(t1: np.ndarray, t2: np.ndarray,
                  space: Optional[Space]) -> Tuple[Space, Gram]:
     """space_for(t1, space) and the Space.gram data of t1, t2, which
-    Space.gram checks, for the functions of one pair: stacked pairs raise
-    ValueError. Gram.x and Gram.y hold the float arrays of t1 and t2."""
+    Space.gram checks: one pair (N,) or stacked pairs (..., N), broadcast
+    as Space.gram takes them. Gram.x and Gram.y hold the float arrays of t1
+    and t2."""
     sp = space_for(t1, space)
-    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-    if t1.ndim != 1 or t2.ndim != 1:
-        raise ValueError(f"expected one pair of vectors, got shapes {t1.shape} and {t2.shape}")
     return sp, sp.gram(t1, t2)
 
 
@@ -627,15 +618,6 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     if key is not None:
         _forms_memo.put(p, sp, key, f)
     return f
-
-
-def checked_forms(p: Param, sp: Space,
-                  R: np.ndarray) -> Tuple[np.ndarray, ScalarForms]:
-    """R as the float array that scalar_forms checks, and its scalar forms,
-    for the functions of one vector: a stack raises ValueError."""
-    R = np.asarray(R, dtype=float)
-    require_one_vector(R)
-    return R, scalar_forms(p, sp, R)
 
 
 def fmf(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray]:

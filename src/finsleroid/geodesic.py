@@ -13,9 +13,10 @@ with d1 the vector t1 turned a right angle toward the other end, |d1| = a.
 This one formula, in _turn, gives the two-point curve and its velocity
 (d1 from the Gram record of t1 and t2) and the initial-value curve (d1
 from t1 and v1). The two-argument arctangent keeps it valid when a^2 + b s
-changes sign along the curve. connect, qe_geodesic_at, qe_velocity and
-endpoint_velocities take one pair or stacked pairs, and run the formula
-row by row for both.
+changes sign along the curve. Every function takes one pair (N,) or
+stacked pairs (..., N), with one g or one g per row, and runs the formula
+row by row for both: a radial row, whose ends lie on one ray, is selected
+row by row.
 
 Validity: the closed two-point form represents the connecting geodesic
 for swept angles alpha < pi. At alpha = pi the curve degenerates through
@@ -32,9 +33,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (Param, Space, any_row, check_finite, checked_pair, per_row,
-                   require_one_vector, space_for)
-from .errors import AntipodalSingular, CollinearVectors, NotUnitSpeed
+from .core import Param, Space, any_row, check_finite, checked_pair, per_row, space_for
+from .errors import AntipodalSingular, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
 from .twovector import covector_pair
 
@@ -214,30 +214,35 @@ def endpoint_velocities(bd: GeodesicBoundary) -> Tuple[np.ndarray, np.ndarray]:
 _UNIT_SPEED_TOL = 1e-8
 
 
-def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: float,
+def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: Union[float, np.ndarray],
                         space: Optional[Space] = None) -> np.ndarray:
     """Initial-value solution t(s): the plane turn of qe_geodesic_at,
 
         t(s) = (S(s)/a) (cos(h nu) t1 + sin(h nu) d1),
 
-    with a = |t1|, b = (t1 . v1), root = u / h, and u and d1 the Gram root
-    and the turned t1 of the pair (t1, v1). Requires unit speed
+    with a = |t1|, b = (t1 . v1), root = u / h, and u and d1 = (a^2/u) perp
+    the Gram root and the turned t1 of the pair (t1, v1). Takes one point
+    and velocity (N,) or stacked ones (..., N), with one g or one g per
+    row, and s a float or one arc length per row. Requires unit speed
     n_pq(t1) v1^p v1^q = 1, under which u = h sqrt(a^2 - b^2), to within
-    _UNIT_SPEED_TOL. Takes one point and one velocity: a stack raises
-    ValueError, and so does a non-finite s.
+    _UNIT_SPEED_TOL on every row. A non-finite s raises ValueError.
+
+    A radial launch, (t1, v1) collinear by the kernel's test, runs along
+    the line t1 + s v1. Its row reads u as infinite and b as 0 in the
+    turn, so that d1 = 0 and S^2 = a^2 + s^2 make no 0/0 and no root of a
+    negative number, and then takes the line.
     """
-    require_one_vector(t1, v1)
-    s = check_finite(float(s), "arc length")
+    s = check_finite(np.asarray(s, dtype=float), "arc length")
     sp = space_for(t1, space)
     t1, v1 = sp.check_vector(t1), sp.check_vector(v1)
-    speed = float(v1 @ n_metric(p, sp, t1).low @ v1)
-    if abs(speed - 1.0) > _UNIT_SPEED_TOL:
+    speed = np.vecdot(np.matvec(n_metric(p, sp, t1).low, v1), v1)
+    if any_row(abs(speed - 1.0) > _UNIT_SPEED_TOL):
         raise NotUnitSpeed(f"n(v1, v1) = {speed}, expected 1")
     pair = sp.gram(t1, v1)
-    if pair.collinear:
-        # radial launch
-        return t1 + s * v1
-    return _turn(math.sqrt(pair.a11), pair.a12, p.h, pair.u / p.h, s, t1, pair.d1)[0]
+    ray = pair.collinear
+    d1 = per_row(pair.a11 / _rows(ray, np.inf, pair.u)) * pair.perp
+    t = _turn(np.sqrt(pair.a11), _rows(ray, 0.0, pair.a12), p.h, pair.u / p.h, s, t1, d1)[0]
+    return _rows(per_row(ray), t1 + per_row(s) * v1, t)
 
 
 def finsleroid_geodesic(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray,
@@ -259,11 +264,11 @@ def difference_gradients(p: Param, t1: np.ndarray, t2: np.ndarray,
     sqrt((t1.t1)(t2.t2) - (t1.t2)^2), and b1 = t1 - T1, b2 = t2 - T2 with
     (T1, T2) = covector_pair(t1, t2).
     Identities: (t1 . d1) = 0, (d1 . d2) = -(t1 . t2), (d1 . t2) = u;
-    at g = 0, b1 = t1 - t2.
+    at g = 0, b1 = t1 - t2. One pair gives a float u, stacked pairs arrays
+    over the rows; a collinear row raises CollinearVectors, as
+    covector_pair does.
     """
     sp, pair = checked_pair(t1, t2, space)
-    if pair.collinear:
-        raise CollinearVectors("difference gradients need independent vectors")
     T1, T2 = covector_pair(p, pair.x, pair.y, space=sp)
     return {"b1": pair.x - T1, "b2": pair.y - T2, "d1": pair.d1, "d2": pair.d2,
             "u": pair.u}

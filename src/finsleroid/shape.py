@@ -21,7 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, checked_forms, half_G_angle
+from .core import Param, Space, any_row, axial, half_G_angle, scalar_forms
 from .errors import BadDirection, VertexSingular
 from .plane import gen_trig
 
@@ -104,7 +104,8 @@ def indicatrix_profile(p: Param, n_samples: int) -> np.ndarray:
     return np.stack([t.sin_g, t.cos_g], axis=-1)
 
 
-def profile_slopes(p: Param, sp: Space, R: np.ndarray) -> Tuple[float, float]:
+def profile_slopes(p: Param, sp: Space,
+                   R: np.ndarray) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]:
     """First and second derivative of the profile Z(q) at a point of
     the unit level set:
 
@@ -113,11 +114,12 @@ def profile_slopes(p: Param, sp: Space, R: np.ndarray) -> Tuple[float, float]:
 
     At the pole (q = 0) the slope is 0; approaching Z = 0 from above the
     slope tends to -1/g. The vertical-tangent locus Z + g q = 0 is
-    rejected.
+    rejected on any row. Floats for one vector, arrays over the rows for
+    a stack.
     """
-    R, f = checked_forms(p, sp, R)
-    q, Z = f.q, float(R[-1])
-    denom = Z + p.g * q
-    if denom == 0.0:
+    R = np.asarray(R, dtype=float)
+    f = scalar_forms(p, sp, R)
+    denom = axial(R) + p.g * f.q
+    if any_row(denom == 0.0):
         raise VertexSingular("vertical tangent: Z + g q = 0")
-    return -q / denom, -f.B / denom**3
+    return -f.q / denom, -f.B / (denom * denom * denom)

@@ -241,15 +241,18 @@ def test_collinear_raises():
 @pytest.mark.parametrize("fn", [parallelogram_sum, parallelogram_diff,
                                 parallelogram_exact, parallelogram_residuals])
 def test_parallelogram_refuses_stacks_and_nonfinite(fn):
-    # the parallelogram functions take one pair (one triple for the
-    # residuals): a stack or a non-finite entry raises ValueError
+    # the name, kept so the test ids stay, is that of the check this
+    # replaced: the parallelogram functions take stacks now
+    # (tests/test_per_row.py). A non-finite entry of any argument, one
+    # vector or a row of a stack, raises ValueError
     p = make_param(0.3)
     t = [np.array([1.0, 0.2, 0.1]), np.array([0.3, 1.0, -0.2]), np.array([1.2, 1.1, 0.0])]
     args = t if fn is parallelogram_residuals else t[:2]
     for k in range(len(args)):
-        for bad in (np.stack([args[k]] * 2), args[k][None], np.array([1.0, np.nan, 0.0])):
-            with pytest.raises(ValueError):
-                fn(p, *args[:k], bad, *args[k + 1:])
+        bad = np.array([1.0, np.nan, 0.0])
+        for stacked in (bad, np.stack([args[k], bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(p, *args[:k], stacked, *args[k + 1:])
 
 
 def test_large_k_warns():

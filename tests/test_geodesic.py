@@ -233,13 +233,38 @@ def test_initial_value_trivial_cases(rng):
                        t1 + 1.3 * w, rtol=1e-12)
 
 
-def test_initial_value_refuses_a_stack():
-    p, sp = make_param(0.5), Space.euclidean(3)
-    t1 = np.array([0.3, -0.5, 1.0])
-    v1 = t1 / sp.norm(t1)
-    for args in ((np.stack([t1, t1]), v1), (t1, np.stack([v1, v1])), (t1[None], v1)):
-        with pytest.raises(ValueError, match=r"expected one vector, got shape \("):
-            qe_geodesic_initial(p, *args, 0.3, space=sp)
+def test_initial_value_refuses_a_stack(rng):
+    # the name, kept so the test ids stay, is that of the check this
+    # replaced: qe_geodesic_initial takes stacked (t1, v1) now, with per-row
+    # g and s a float or one per row. Each row is within 1e-14 of its
+    # one-pair call, and the radial rows (outward, inward, and inward past
+    # the origin) run along t1 + s v1 with no 0/0 (warnings are errors)
+    for n, identity in ((2, True), (3, False), (5, False)):
+        sp = rand_space(n, rng, identity=identity)
+        g = rng.uniform(-1.5, 1.5, size=12)
+        g[4] = g[10] = 0.0
+        T1 = rng.normal(size=(12, n))
+        V1 = np.empty((12, n))
+        for i in range(9):
+            t2 = T1[i] + 0.5 * rng.normal(size=n)
+            V1[i] = endpoint_velocities(connect(make_param(g[i]), T1[i], t2, space=sp))[0]
+        for i, sign in ((9, 1.0), (10, -1.0), (11, -1.0)):
+            V1[i] = sign * T1[i] / sp.norm(T1[i])
+        s = 0.4 * sp.norm(T1)
+        s[11] = 2.5 * sp.norm(T1[11])
+        P = make_param(g)
+        for arc in (s, 0.3):
+            out = qe_geodesic_initial(P, T1, V1, arc, space=sp)
+            assert out.shape == T1.shape
+            for i in range(12):
+                si = float(np.broadcast_to(arc, (12,))[i])
+                want = qe_geodesic_initial(make_param(g[i]), T1[i], V1[i], si, space=sp)
+                assert np.max(np.abs(out[i] - want)) <= 1e-14 * np.max(np.abs(want)), i
+                if i >= 9:
+                    assert np.array_equal(out[i], T1[i] + si * V1[i]), i
+        V1[5] *= 1.01
+        with pytest.raises(NotUnitSpeed):
+            qe_geodesic_initial(P, T1, V1, s, space=sp)
 
 
 def test_radial_velocity_runs_along_the_ray(rng):

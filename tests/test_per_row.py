@@ -2,6 +2,8 @@
 at g[i], through the one implementation of every stacked function."""
 
 import dataclasses
+import importlib
+import inspect
 import warnings
 
 import numpy as np
@@ -58,10 +60,9 @@ def test_per_row_g_matches_one_vector_calls(rng, n, identity):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_stacks_in_any_memory_layout_match_the_c_ordered_call(rng, n):
-    # a transposed stack, such as np.array([xs, ys, zs]).T, and a strided
-    # view of every other row give the C-ordered stack's values; an einsum
-    # may sum in another order for another layout, so within 1e-14 of the
-    # largest entry
+    # a transposed stack, such as np.array([xs, ys, zs]).T, a strided view
+    # of every other row and a Fortran-ordered copy give the C-ordered
+    # stack's values, bit for bit, conformal_check's einsum included
     sp = rand_space(n, rng, identity=False)
     g, X = _per_row_stack(rng, n)
     P = make_param(g)
@@ -70,12 +71,13 @@ def test_stacks_in_any_memory_layout_match_the_c_ordered_call(rng, n):
         fn = getattr(fd, name)
         want = leaves(fn(P, sp, inputs[kind]))
         c = inputs[kind]
-        for x in (np.array([c[:, q] for q in range(n)]).T, np.repeat(c, 2, axis=0)[::2]):
+        for x in (np.array([c[:, q] for q in range(n)]).T, np.repeat(c, 2, axis=0)[::2],
+                  np.asfortranarray(c)):
             assert not x.flags.c_contiguous
             got = leaves(fn(P, sp, x))
             assert len(got) == len(want)
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def _g_zero_layout(rng, layout):
@@ -255,6 +257,101 @@ def test_stacked_pairs_match_one_pair_calls(rng, n, identity):
             _assert_rows_match(angles, fd.qe_angle(p, T1[i], T2[i], space=sp), i)
 
 
+# every pair function on the rows (X, Y) of _pair_rows: the image-space
+# ones on image points t1 = X, t2 = Y, the anisotropic ones on vectors
+# R = X, S = Y
+PAIR_FUNCTIONS = {
+    "n2": lambda p, sp, X, Y: fd.n2(p, X, Y, space=sp),
+    "n2_frame": lambda p, sp, X, Y: fd.n2_frame(p, X, Y, space=sp),
+    "covector_pair": lambda p, sp, X, Y: fd.covector_pair(p, X, Y, space=sp),
+    "invert_covector_pair": lambda p, sp, X, Y: fd.invert_covector_pair(
+        p, X, Y, fd.qe_angle(p, X, Y, space=sp), space=sp),
+    "g2": lambda p, sp, X, Y: fd.g2(p, sp, X, Y),
+    "scalar_grad": lambda p, sp, X, Y: fd.scalar_grad(p, sp, X, Y),
+    "perpendicular_companion": lambda p, sp, X, Y: fd.perpendicular_companion(p, sp, X, Y),
+    "parallelogram_exact": lambda p, sp, X, Y: fd.parallelogram_exact(p, X, Y, space=sp),
+    "parallelogram_residuals": lambda p, sp, X, Y: fd.parallelogram_residuals(
+        p, X, Y, X + Y, space=sp),
+    "parallelogram_sum": lambda p, sp, X, Y: fd.parallelogram_sum(p, X, Y, space=sp),
+    "parallelogram_diff": lambda p, sp, X, Y: fd.parallelogram_diff(p, X, Y, space=sp),
+    "difference_gradients": lambda p, sp, X, Y: fd.difference_gradients(p, X, Y, space=sp),
+}
+# what the collinear row 10, the antiparallel row 11, the coincident row 12
+# and the near-antipodal row 15 get: a value, or the typed refusal of the
+# row, and of every stack that holds it. The images of R and -0.7 R are
+# not collinear at g != 0, so the anisotropic functions answer row 11
+_C, _NAMED_ROWS = fd.CollinearVectors, (10, 11, 12, 15)
+NAMED_ROWS = {
+    "n2": (None, AntipodalSingular, None, None),
+    "n2_frame": (_C, _C, _C, fd.NegativeRadicand),
+    "covector_pair": (_C, _C, _C, None),
+    "invert_covector_pair": (fd.SingularXi, fd.SingularXi, fd.SingularXi, None),
+    "g2": (None, None, None, None),
+    "scalar_grad": (fd.DegenerateW, None, fd.DegenerateW, None),
+    "perpendicular_companion": (_C, None, _C, None),
+    "parallelogram_exact": (_C, _C, _C, AntipodalSingular),
+    "parallelogram_residuals": (None, None, None, None),
+    "parallelogram_sum": (_C, _C, _C, None),
+    "parallelogram_diff": (_C, _C, _C, None),
+    "difference_gradients": (_C, _C, _C, None),
+}
+
+
+def _pair_scales(name, want, sp, x, y):
+    """The scale of each leaf of the one-pair result want on (x, y): its
+    largest entry, but the size of the terms for the leaves that are
+    differences of them and vanish up to their rounding. n2's mixing
+    coefficients A1 = cos(alpha) - a12 s / h and A2 = cos(alpha) / h - a12 s
+    (at g = 0) take 1 + |A|; the residuals
+    n3 - (a_jj - a_ii) / n3 - 2 sqrt(a_ii) cos(...) of t3 = x + y (the
+    Euclidean sum, exact at g = 0) take |x| + |y| + |x + y|."""
+    scales = [np.max(np.abs(b)) for b in leaves(want)]
+    if name == "n2":
+        scales[1:3] = [1.0 + abs(want.A1), 1.0 + abs(want.A2)]
+    if name == "parallelogram_residuals":
+        scales = [sp.norm(x) + sp.norm(y) + sp.norm(x + y)]
+    return scales
+
+
+@pytest.mark.filterwarnings("ignore:first-order")  # parallelogram_sum/diff at k > 0.2
+@pytest.mark.parametrize("name", list(PAIR_FUNCTIONS))
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("identity", [True, False])
+def test_stacked_pair_functions_match_one_pair_calls(rng, name, n, identity):
+    # the pair layer over stacks with per-row g: each row the pair function
+    # answers is within 1e-14 of its one-pair call (Space.gram runs in math
+    # for one pair), n2's collinear rows get the one-vector tensor n_metric
+    # with u = 0, and a row the one-pair call refuses makes every stack
+    # that holds it raise the same typed refusal. Warnings are errors, so
+    # no row makes a 0/0
+    fn, named = PAIR_FUNCTIONS[name], NAMED_ROWS[name]
+    sp = rand_space(n, rng, identity=identity)
+    for _ in range(2):
+        g, X, Y = _pair_rows(rng, n)
+        ones = []
+        for i in range(len(X)):
+            try:
+                ones.append(fn(make_param(float(g[i])), sp, X[i], Y[i]))
+            except fd.FinsleroidError as exc:
+                ones.append(type(exc))
+        for i, want in zip(_NAMED_ROWS, named):
+            assert ones[i] is want if want else not isinstance(ones[i], type), (name, i)
+        rows = np.array([not isinstance(one, type) for one in ones])
+        got = fn(make_param(g[rows]), sp, X[rows], Y[rows])
+        for j, i in enumerate(np.flatnonzero(rows)):
+            _assert_rows_match(got, ones[i], j, _pair_scales(name, ones[i], sp, X[i], Y[i]))
+        for i in np.flatnonzero(~rows):
+            with_i = rows.copy()
+            with_i[i] = True
+            with pytest.raises(ones[i]):
+                fn(make_param(g[with_i]), sp, X[with_i], Y[with_i])
+        if name == "n2":
+            for i in (10, 12):
+                j = np.count_nonzero(rows[:i])  # row i in the stack of answered rows
+                nm = fd.n_metric(make_param(float(g[i])), sp, X[i]).low
+                assert np.array_equal(got.components[j], nm) and got.u[j] == 0.0
+
+
 def _boundary(bd):
     """The array fields of a GeodesicBoundary, and their scales: b is at
     most a in size and cancels near 0, so it is scaled by a."""
@@ -308,6 +405,98 @@ def test_stacked_connect_matches_one_pair_calls(rng, n, identity):
                                   (vel[2], fd.endpoint_velocities(one))):
                     scales = [kappa * np.max(np.abs(v)) for v in leaves(want)]
                     _assert_rows_match(got, want, j, scales)
+
+
+# the public functions that take a vector of their Space but no stack of
+# them: the vector of each is of another kind
+ONE_VECTOR_ONLY = {
+    "sphere_curvature",  # a chart point u of the radius-r sphere, an (N-1)-vector
+    "indicatrix_point",  # a unit spatial direction n, an (N-1)-vector
+}
+# the parameters that take no vector, and the ones left at their default
+NOT_VECTORS = {"p", "sp", "space", "g", "n_samples", "s", "alpha"}
+LEFT_AT_DEFAULT = {"seed", "base_frame"}
+
+
+def _guard_inputs(k):
+    """(g, sp, stacked, row): the inputs of every vector parameter for a
+    stack of k rows with per-row g, by parameter name, and row(i), those of
+    row i. The pair (R, S) is acute, so that n2_frame's radicands are
+    positive."""
+    sp = fd.Space(3, [[1.5, 0.2], [0.2, 0.8]])
+    g = np.array([0.4, -0.9])[:k]
+    P = make_param(g)
+    R = np.array([[0.3, 0.5, 1.0], [0.6, -0.2, 0.9]])[:k]
+    S = np.array([[0.5, 0.4, 0.8], [0.2, -0.6, 1.1]])[:k]
+    t1, t2 = fd.sigma(P, sp, R), fd.sigma(P, sp, S)
+    stacked = {"R": R, "S": S, "R1": R, "R2": S, "Rhat": fd.to_costate(P, sp, R), "t": t1,
+               "t1": t1, "t2": t2, "t3": t1 + t2, "T1": t1, "T2": t2,
+               "v1": fd.endpoint_velocities(fd.connect(P, t1, t2, space=sp))[0],
+               "alpha": np.array([0.7, 0.9])[:k]}
+
+    def row(i):
+        one = {name: v[i] for name, v in stacked.items() if name != "bd"}
+        return {**one, "bd": fd.connect(make_param(float(g[i])), t1[i], t2[i], space=sp)}
+    stacked["bd"] = fd.connect(P, t1, t2, space=sp)
+    return g, sp, stacked, row
+
+
+def _call(fn, p, sp, inputs):
+    """fn on the inputs by parameter name, sp as its space, s = 0.3, and the
+    parameters of LEFT_AT_DEFAULT left out."""
+    args = {"p": p, "sp": sp, "space": sp, "s": 0.3, **inputs}
+    return fn(**{name: args[name] for name in inspect.signature(fn).parameters
+                 if name not in LEFT_AT_DEFAULT})
+
+
+def _vector_functions():
+    """The public functions of the modules that take a vector, by name."""
+    found = {}
+    for module in ("core", "tensors", "cospace", "quasieuclid", "angle", "twovector",
+                   "geodesic", "shape"):
+        mod = importlib.import_module(f"finsleroid.{module}")
+        for name in mod.__all__:
+            fn = getattr(mod, name)
+            if inspect.isfunction(fn) and set(inspect.signature(fn).parameters) - NOT_VECTORS:
+                found[name] = fn
+    return found
+
+
+VECTOR_FUNCTIONS = _vector_functions()
+
+
+def test_the_vector_functions_are_found():
+    # the scan sees every module: a function it missed would be unguarded
+    assert {"fmf", "metric", "co_metric", "sigma", "fins_angle", "n2", "g2", "connect",
+            "qe_geodesic_initial", "profile_slopes"} <= set(VECTOR_FUNCTIONS)
+    assert ONE_VECTOR_ONLY <= set(VECTOR_FUNCTIONS)
+    assert not {"make_param", "shape_report", "indicatrix_profile"} & set(VECTOR_FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(set(VECTOR_FUNCTIONS) - ONE_VECTOR_ONLY))
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_vector_function_takes_a_stack(name, k):
+    # one input contract: every public function that takes a vector of its
+    # Space takes a (k, N) stack with per-row g, and its row i answers as
+    # the call on row i does (within 1e-14 of the leaf's scale, or of 1
+    # where the leaf is smaller; the rows are compared closely by the tests
+    # of each function). A new function limited to one vector fails here,
+    # or must be named in ONE_VECTOR_ONLY; one with a parameter this table
+    # does not know fails in _call
+    fn = VECTOR_FUNCTIONS[name]
+    g, sp, stacked, row = _guard_inputs(k)
+    got = leaves(_call(fn, make_param(g), sp, stacked))
+    for i in range(k):
+        want = leaves(_call(fn, make_param(float(g[i])), sp, row(i)))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if b.dtype == object:  # the Space of a GeodesicBoundary
+                continue
+            assert a.shape == (k,) + b.shape and a.dtype == b.dtype, name
+            if b.dtype == bool:  # the radial flag of a GeodesicBoundary
+                assert a[i] == b
+            else:
+                assert np.max(np.abs(a[i] - b), initial=0.0) <= 1e-14 * max(np.max(np.abs(b)), 1.0)
 
 
 def test_connect_refuses_a_stack_with_an_antipodal_row(rng):
