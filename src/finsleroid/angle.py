@@ -26,7 +26,7 @@ import numpy as np
 from .core import (Param, Space, any_row, axial, checked_pair, per_row,
                    require_tensor_range, scalar_forms, space_for)
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
-from .quasieuclid import mu, sigma_over_j
+from .quasieuclid import _sigma, mu, sigma_over_j
 
 __all__ = [
     "AnglePair",
@@ -58,18 +58,20 @@ def fins_angle(p: Param, sp: Space, R1: np.ndarray, R2: np.ndarray) -> AnglePair
     """Angle, scalar product, and squared two-point length of two vectors,
     one pair (N,) or stacked pairs (..., N) with one g or one g per row.
 
-    alpha is 1/h times the Space.gram angle of the images (h R^a, A), which
-    equals qe_angle of the sigma images. K1^2 + K2^2 - 2 K1 K2 cos(alpha) is
-    formed as (K1 - K2)^2 + 4 K1 K2 sin^2(alpha/2), which does not cancel.
-    Raises ConeLimit where K1^2 or K2^2 would leave the normal doubles, and
+    alpha is qe_angle of the images sigma(R1), sigma(R2): 1/h times their
+    Space.gram angle. The images are the bytes that sigma and g2 form, so
+    for one pair g2 and connect, n2, covector_pair and parallelogram_exact
+    on those images find this Gram record in the memo of Space.gram.
+    K1^2 + K2^2 - 2 K1 K2 cos(alpha) is formed as
+    (K1 - K2)^2 + 4 K1 K2 sin^2(alpha/2), which does not cancel. Raises
+    ConeLimit where K1^2 or K2^2 would leave the normal doubles, and
     DegenerateVector when a row is zero.
     """
     R1, R2 = np.asarray(R1, dtype=float), np.asarray(R2, dtype=float)
     f1, f2 = scalar_forms(p, sp, R1), scalar_forms(p, sp, R2)
     require_tensor_range(p, f1, 2)
     require_tensor_range(p, f2, 2)
-    pair = sp.gram(sigma_over_j(p, R1, f1.A), sigma_over_j(p, R2, f2.A))
-    alpha = pair.angle / p.h
+    alpha = qe_angle(p, _sigma(p, R1, f1), _sigma(p, R2, f2), space=sp)
     m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
     product = f1.K * f2.K * m.cos(alpha)
     half = m.sin(0.5 * alpha)
@@ -131,13 +133,14 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
         seed = np.eye(sp.dim)[np.abs(R).argmin(-1)]
     seed = np.asarray(seed, dtype=float)
     fs = scalar_forms(p, sp, seed)
-    t = sigma_over_j(p, R, f.A) * per_row(f.J)
+    t = _sigma(p, R, f)
     pair = sp.gram(t, sigma_over_j(p, seed, fs.A))
     if any_row(pair.collinear):
         raise CollinearVectors("seed's image is parallel to sigma(R)")
-    turn = 0.5 * np.pi * p.h
+    turn = 0.5 * math.pi * p.h
+    m = np if isinstance(turn, np.ndarray) else math  # floats for one g
     c1 = pair.coefficients[0]
-    return mu(p, sp, per_row(np.cos(turn)) * t + per_row(np.sin(turn) * c1) * pair.perp)
+    return mu(p, sp, per_row(m.cos(turn)) * t + per_row(m.sin(turn) * c1) * pair.perp)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +231,11 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     if any_row(pair.collinear):
         raise CollinearVectors("parallelogram needs independent vectors")
     alpha = pair.angle / p.h
-    if any_row(alpha >= np.pi):
+    if any_row(alpha >= math.pi):
         raise AntipodalSingular(f"pair angle {np.max(alpha):.6f} >= pi: no parallelogram")
-    n1, n2 = np.sqrt(pair.a11), np.sqrt(pair.a22)
-    x, y = n1 + n2 * np.cos(alpha), n2 * np.sin(alpha)
-    n3, beta = np.hypot(x, y), p.h * np.arctan2(y, x)
+    m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
+    n1, n2 = m.sqrt(pair.a11), m.sqrt(pair.a22)
+    x, y = n1 + n2 * m.cos(alpha), n2 * m.sin(alpha)
+    n3, beta = m.hypot(x, y), p.h * m.atan2(y, x)
     k, c1 = n3 / n1, pair.coefficients[0]
-    return per_row(k * np.cos(beta)) * pair.x + per_row(k * np.sin(beta) * c1) * pair.perp
+    return per_row(k * m.cos(beta)) * pair.x + per_row(k * m.sin(beta) * c1) * pair.perp

@@ -244,6 +244,14 @@ def check_finite(x, what: str):
     return x
 
 
+def _rows(mask, x, y):
+    """x on the rows where mask holds and y on the others: a Python
+    conditional for the bool of one pair, np.where for a row mask."""
+    if isinstance(mask, bool):
+        return x if mask else y
+    return np.where(mask, x, y)
+
+
 def per_row(x, k: int = 1):
     """A per-row scalar with k trailing axes, so that it broadcasts over the
     components of each row of a stack; a float stays a float."""
@@ -331,10 +339,11 @@ class Gram(NamedTuple):
 
 
 # The Gram fields past x and y of the last one-pair evaluation of Space.gram,
-# keyed by the Space and the bytes of x and y. One entry: the pair
-# functions called on one pair (connect, n2, covector_pair,
-# parallelogram_exact on the same image pair) come one after another, so a
-# second entry catches no more repeats.
+# keyed by the Space and the bytes of x and y. One entry: fins_angle and g2
+# of R, S take the pair of the images sigma(R), sigma(S), and connect, n2,
+# covector_pair and parallelogram_exact on those images come one after
+# another, so all but the first of them hit, and a second entry catches no
+# more repeats.
 _gram_memo = _Memo(1)
 
 

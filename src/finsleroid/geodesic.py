@@ -33,10 +33,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, any_row, check_finite, checked_pair, per_row, space_for
+from .core import (Param, Space, _rows, any_row, check_finite, checked_pair, per_row,
+                   space_for)
 from .errors import AntipodalSingular, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
-from .twovector import covector_pair
+from .twovector import _covector_pair
 
 __all__ = [
     "ANTIPODAL_TOL",
@@ -88,14 +89,6 @@ class GeodesicBoundary:
     S_end: Union[float, np.ndarray]
     alpha: Union[float, np.ndarray]
     radial: Union[bool, np.ndarray] = False
-
-
-def _rows(mask, x, y):
-    """x on the rows where mask holds and y on the others: a Python
-    conditional for the bool of one pair, np.where for a row mask."""
-    if isinstance(mask, bool):
-        return x if mask else y
-    return np.where(mask, x, y)
 
 
 def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
@@ -262,13 +255,13 @@ def difference_gradients(p: Param, t1: np.ndarray, t2: np.ndarray,
 
     Returns {"b1", "b2", "d1", "d2", "u"} where u is the Gram root
     sqrt((t1.t1)(t2.t2) - (t1.t2)^2), and b1 = t1 - T1, b2 = t2 - T2 with
-    (T1, T2) = covector_pair(t1, t2).
+    (T1, T2) = covector_pair(t1, t2), all from one Space.gram record.
     Identities: (t1 . d1) = 0, (d1 . d2) = -(t1 . t2), (d1 . t2) = u;
     at g = 0, b1 = t1 - t2. One pair gives a float u, stacked pairs arrays
     over the rows; a collinear row raises CollinearVectors, as
     covector_pair does.
     """
-    sp, pair = checked_pair(t1, t2, space)
-    T1, T2 = covector_pair(p, pair.x, pair.y, space=sp)
+    pair = checked_pair(t1, t2, space)[1]
+    T1, T2 = _covector_pair(p, pair)
     return {"b1": pair.x - T1, "b2": pair.y - T2, "d1": pair.d1, "d2": pair.d2,
             "u": pair.u}

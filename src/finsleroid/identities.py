@@ -8,7 +8,7 @@ the two pair identities. No residual assumes N = 3 or r = I. Each residual
 evaluates its identity over the stacked rows, one g per row, and returns
 the worst row. The pair, plane and shape identities run stacked too, with
 per-row g: geodesic_norm_law and angle_laws each solve their pairs in one
-connect call, over the rows whose qe_angle connect accepts.
+connect call, over the rows whose image angle connect accepts.
 
 Each tolerance sits well above the rounding its reason names (over seeds
 0-299 the worst residual is 5e-2 of its tolerance, metric_hessian's, and
@@ -170,21 +170,26 @@ def _metric_pullback(s: Sample) -> float:
 
 
 def _images(s: Sample, ends: np.ndarray):
-    """(P, X, sigma(X), sigma(ends)) of the PAIR_ROWS pair rows."""
+    """(P, X, sigma / J, sigma) of the PAIR_ROWS pair rows: each image array
+    holds those of X and of ends on a first axis of 2, from one scalar_forms
+    call on each, sigma formed from sigma / J = (h R^a, A) as
+    quasieuclid.sigma forms it."""
     P, X = s.head(slice(PAIR_ROWS))
-    return P, X, quasieuclid.sigma(P, s.sp, X), quasieuclid.sigma(P, s.sp, ends)
+    forms = [scalar_forms(P, s.sp, V) for V in (X, ends)]
+    over_j = np.stack([quasieuclid.sigma_over_j(P, V, f.A) for V, f in zip((X, ends), forms)])
+    return P, X, over_j, over_j * np.stack([f.J for f in forms])[..., None]
 
 
 def _connected(P: Param, T1: np.ndarray, T2: np.ndarray, sp: Space, alpha: np.ndarray):
     """(rows, GeodesicBoundary): the mask of the pair rows that connect
-    solves, by their qe_angle alpha (the same Space.gram test connect makes),
-    and one connect call over those rows."""
+    solves, by their image angle alpha (the same Space.gram test connect
+    makes), and one connect call over those rows."""
     rows = alpha < math.pi - geodesic.ANTIPODAL_TOL
     return rows, geodesic.connect(_take(P, rows), T1[rows], T2[rows], space=sp)
 
 
 def _geodesic_norm_law(s: Sample) -> float:
-    P, _, T1, T2 = _images(s, s.geodesic_ends)
+    P, _, _, (T1, T2) = _images(s, s.geodesic_ends)
     _, bd = _connected(P, T1, T2, s.sp, angle.qe_angle(P, T1, T2, space=s.sp))
     sv = np.linspace(0.1, 0.9, 5) * bd.delta_s[:, None]
     t, _ = geodesic.qe_geodesic_at(bd, sv)
@@ -194,10 +199,13 @@ def _geodesic_norm_law(s: Sample) -> float:
 
 
 def _angle_laws(s: Sample) -> float:
-    P, X, T1, T2 = _images(s, s.angle_ends)
+    # fins_angle takes the angle of the sigma images, so it is compared with
+    # that of the images sigma / J = (h R^a, A), an independent rounding of
+    # the same angle, and it picks the rows for connect itself
+    P, X, over_j, images = _images(s, s.angle_ends)
     pair = angle.fins_angle(P, s.sp, X, s.angle_ends)
-    alpha = angle.qe_angle(P, T1, T2, space=s.sp)
-    rows, bd = _connected(P, T1, T2, s.sp, alpha)
+    alpha = angle.qe_angle(P, *over_j, space=s.sp)
+    rows, bd = _connected(P, *images, s.sp, pair.alpha)
     return max(_worst(np.abs(pair.alpha - alpha)),
                _worst(np.abs(pair.ominus_sq[rows] - bd.delta_s**2)))
 
@@ -263,7 +271,8 @@ IDENTITIES: Tuple[Identity, ...] = (
              "S^2 = a^2 + 2 b s + s^2 along the closed-form geodesic, relative",
              _geodesic_norm_law),
     Identity("angle_laws", 1e-9,
-             "alpha against the image angle and ominus^2 against delta_s^2: arccos routes, absolute",
+             "alpha against the angle of the images sigma / J and ominus^2 against delta_s^2: "
+             "arccos routes, absolute",
              _angle_laws),
     Identity("shape_mirror", 1e-10,
              "the generatrix at -g is that at g flipped: O(1) coordinates, absolute",

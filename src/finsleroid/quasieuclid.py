@@ -96,7 +96,12 @@ def sigma(p: Param, sp: Space, R: np.ndarray) -> np.ndarray:
     """Forward map: t^a = R^a h J, t^N = A J. Positively homogeneous,
     and S(sigma(R)) = K(R)."""
     R = np.asarray(R, dtype=float)
-    f = scalar_forms(p, sp, R)
+    return _sigma(p, R, scalar_forms(p, sp, R))
+
+
+def _sigma(p: Param, R: np.ndarray, f) -> np.ndarray:
+    """sigma(R) from the checked R and its forms f: the one place of the
+    image, so that every caller gets the same bytes for the same R."""
     return sigma_over_j(p, R, f.A) * per_row(f.J)
 
 

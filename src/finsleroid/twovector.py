@@ -12,9 +12,14 @@ one-vector tensor to a pair that is parallel by the kernel's test, and
 refuses an antipodal one for g != 0, where the tensor has no limit.
 
 Every function takes one pair (N,) or stacked pairs (..., N), broadcast
-as Space.gram takes them, with one g or one g per row, and runs one numpy
-row formula on the Space.gram scalars for both. A refusal fires when any
-row meets it. One pair gets Python floats where a scalar is returned.
+as Space.gram takes them, with one g or one g per row, and runs one row
+formula on the Space.gram scalars for both. A refusal fires when any row
+meets it. Each public function checks its pair once, through Space.gram,
+and hands that Gram record to its builder (_n2, _covector_pair), which
+g2, scalar_grad and geodesic.difference_gradients call with the record
+they already hold. On one pair at one g the scalars stay Python floats,
+in math, through the builders, and one pair gets Python floats where a
+scalar is returned; stacks and per-row g run the same steps in numpy.
 
 g2 evaluates n2 on the sigma images, and a caller who wants both pictures
 of one pair calls n2 on the same images next, so n2 keeps the result of
@@ -26,16 +31,17 @@ on every call, and keeps no pair that it refuses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (Param, Space, _Memo, any_row, checked_pair, check_finite, per_row,
-                   scalar_forms)
+from .core import (Param, Space, _Memo, _rows, any_row, checked_pair, check_finite,
+                   per_row, scalar_forms)
 from .errors import (AntipodalSingular, CollinearVectors, DegenerateW,
                      NegativeRadicand, SingularXi)
-from .quasieuclid import _sigma_jacobian, checked_base_frame, n_metric, sigma_over_j
+from .quasieuclid import _sigma, _sigma_jacobian, checked_base_frame, n_metric
 
 __all__ = [
     "TwoVectorTensor",
@@ -67,11 +73,13 @@ def _mixing(p: Param, pair):
     row by row. With k = 1/h - 1 and sin(theta)/u = 1/(n1 n2),
     s = cos(k theta)/(n1 n2) + cos(theta) sin(k theta)/u: exact at g = 0,
     and free of sin(theta), whose relative accuracy decays as
-    1/(pi - theta) near the antipodal pair."""
+    1/(pi - theta) near the antipodal pair. Python floats for one pair at
+    one g."""
     theta, h = pair.angle, p.h
     kt = 0.25 * p.g * p.g / ((1.0 + h) * h) * theta  # (1/h - 1) theta, no cancellation
-    n1n2, ca = np.sqrt(pair.a11) * np.sqrt(pair.a22), np.cos(theta / h)
-    s = np.cos(kt) / n1n2 + np.cos(theta) * np.sin(kt) / pair.u
+    m = np if isinstance(kt, np.ndarray) else math  # floats for one pair at one g
+    n1n2, ca = m.sqrt(pair.a11) * m.sqrt(pair.a22), m.cos(theta / h)
+    s = m.cos(kt) / n1n2 + m.cos(theta) * m.sin(kt) / pair.u
     return n1n2, ca, s, ca - pair.a12 * s / h, ca / h - pair.a12 * s
 
 
@@ -119,7 +127,7 @@ def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
         raise AntipodalSingular("two-vector tensor unbounded at an antipodal pair "
                                 "for g != 0")
     if any_row(col):
-        pair = pair._replace(u=np.where(col, np.inf, pair.u))
+        pair = pair._replace(u=_rows(col, math.inf, pair.u))
     n1n2, _, s, A1, A2 = _mixing(p, pair)
     X1, X2, P = sp.lower(pair.x), sp.lower(pair.y), sp.lower(pair.perp)
     comp = (per_row(n1n2 / h * s, 2) * sp.r_full
@@ -127,11 +135,9 @@ def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
             - (per_row(A2 / (h * n1n2)) * P)[..., :, None] * _c1_d2_low(pair, X1, P)[..., None, :])
     u = pair.u
     if any_row(col):
-        comp = np.where(per_row(col, 2), n_metric(p, sp, pair.x).low, comp)
-        A1, A2 = np.where(col, 1.0 - 1.0 / h**2, A1), np.where(col, 0.0, A2)
-        u = np.where(col, 0.0, u)
-    if A1.ndim == 0:  # one pair: Python floats
-        A1, A2, u = float(A1), float(A2), float(u)
+        comp = _rows(per_row(col, 2), n_metric(p, sp, pair.x).low, comp)
+        A1, A2 = _rows(col, 1.0 - 1.0 / h**2, A1), _rows(col, 0.0, A2)
+        u = _rows(col, 0.0, u)
     return TwoVectorTensor(components=comp, A1=A1, A2=A2, u=u)
 
 
@@ -189,11 +195,16 @@ def covector_pair(p: Param, t1: np.ndarray, t2: np.ndarray,
     """Covariant conversion (T1, T2) of the pairs, returned raised to
     vectors: lowering T1 with r gives n_pq(t1, t2) t2^q, and lowering T2
     gives t1^p n_pq(t1, t2). A collinear row raises CollinearVectors."""
-    sp, pair = checked_pair(t1, t2, space)
+    return _covector_pair(p, checked_pair(t1, t2, space)[1])
+
+
+def _covector_pair(p: Param, pair) -> Tuple[np.ndarray, np.ndarray]:
+    """The covector pair of the checked pairs from their Gram record."""
     if any_row(pair.collinear):
         raise CollinearVectors("covector pair needs independent vectors")
     alpha = pair.angle / p.h
-    return _turn(p, pair, np.sin(alpha), np.cos(alpha))
+    m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
+    return _turn(p, pair, m.sin(alpha), m.cos(alpha))
 
 
 def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
@@ -203,10 +214,11 @@ def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
     or one per row, which must be finite (ValueError otherwise). A row of
     collinear covectors raises SingularXi."""
     alpha = check_finite(alpha, "pair angle")
-    sp, pair = checked_pair(T1, T2, space)
+    pair = checked_pair(T1, T2, space)[1]
     if any_row(pair.collinear):
         raise SingularXi("inversion coefficient vanishes for collinear covectors")
-    sa, ca = np.sin(alpha), np.cos(alpha)
+    m = math if isinstance(alpha, float) else np  # floats for one angle
+    sa, ca = m.sin(alpha), m.cos(alpha)
     cc = ca * ca + sa * sa / p.h**2
     return _turn(p, pair, sa / cc, ca / cc)
 
@@ -217,7 +229,8 @@ def _turn(p: Param, pair, sa, ca) -> Tuple[np.ndarray, np.ndarray]:
     inverse. Formed as per-row coefficients on x, y and perp, with
     d1 = c1 perp and d2 = c2 x - c3 perp from pair.coefficients."""
     (c1, c2, c3), x, perp, sh = pair.coefficients, pair.x, pair.perp, sa / p.h
-    ratio = np.sqrt(pair.a22) / np.sqrt(pair.a11)
+    m = np if isinstance(pair.a11, np.ndarray) else math  # floats for one pair
+    ratio = m.sqrt(pair.a22) / m.sqrt(pair.a11)
     return (per_row(ratio * ca) * x + per_row(ratio * sh * c1) * perp,
             per_row(ca / ratio) * pair.y + per_row(sh * c2 / ratio) * x
             - per_row(sh * c3 / ratio) * perp)
@@ -231,7 +244,7 @@ def _image(p: Param, sp: Space, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sigma(R) and sigma'(R) from one evaluation of the scalar forms of R."""
     R = np.asarray(R, dtype=float)
     f = scalar_forms(p, sp, R)
-    return sigma_over_j(p, R, f.A) * per_row(f.J), _sigma_jacobian(p, sp, R, f)
+    return _sigma(p, R, f), _sigma_jacobian(p, sp, R, f)
 
 
 def g2(p: Param, sp: Space, R: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -260,7 +273,7 @@ def scalar_grad(p: Param, sp: Space, R: np.ndarray,
     covector R_p. A row with collinear images raises DegenerateW."""
     (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)
     try:
-        T1, T2 = covector_pair(p, tR, tS, space=sp)
+        T1, T2 = _covector_pair(p, sp.gram(tR, tS))
     except CollinearVectors as exc:
         raise DegenerateW("two-vector root vanished; gradients undefined") from exc
     return np.matvec(jR, sp.lower(T1)), np.matvec(jS, sp.lower(T2))

@@ -918,12 +918,13 @@ def test_stacked_cartan_returns_writable_arrays(rng):
         assert _same(fd.CartanTensors(*(a[i] for a in _fields(ct))), fd.cartan(p, sp, X[i]))
 
 
-def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
-    # the calls of one pair_geometry op: fins_angle evaluates the pair of
-    # sigma(R) / J, g2 the sigma images and perpendicular_companion R with
-    # its seed; connect, n2, covector_pair and parallelogram_exact on the
-    # sigma images are hits, as qe_geodesic_at makes no call. The n2 call
-    # on the sigma images finds the tensor that g2 pulled back
+def test_pair_geometry_sequence_makes_two_gram_evaluations(monkeypatch):
+    # the calls of one pair_geometry op: fins_angle evaluates the pair of the
+    # sigma images and perpendicular_companion R with its seed; g2, connect,
+    # n2, covector_pair and parallelogram_exact on the sigma images are hits,
+    # as qe_geodesic_at makes no call. The n2 call on the sigma images finds
+    # the tensor that g2 pulled back, and the three angles of the images are
+    # one number
     calls, evaluations = count_memo(monkeypatch, "gram")
     n2_calls, n2_evaluations = count_memo(monkeypatch, "n2")
     sp = Space.euclidean(3)
@@ -931,7 +932,7 @@ def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
     for g in (-1.3, 0.0, 0.4, 1.7):
         p = make_param(g)
         calls[0] = evaluations[0] = n2_calls[0] = n2_evaluations[0] = 0
-        fd.fins_angle(p, sp, R, S)
+        ap = fd.fins_angle(p, sp, R, S)
         fd.g2(p, sp, R, S)
         t1, t2 = fd.sigma(p, sp, R), fd.sigma(p, sp, S)
         bd = connect(p, t1, t2)
@@ -940,10 +941,24 @@ def test_pair_geometry_sequence_makes_three_gram_evaluations(monkeypatch):
         fd.covector_pair(p, t1, t2)
         fd.parallelogram_exact(p, t1, t2)
         fd.perpendicular_companion(p, sp, R)
-        # at g = 0, J = 1: sigma(R) / J is sigma(R), and g2's pair is a hit too
-        assert (calls[0], evaluations[0]) == (7, 2 if g == 0.0 else 3)
+        assert (calls[0], evaluations[0]) == (7, 2)
         assert (n2_calls[0], n2_evaluations[0]) == (2, 1)
         assert bd.t1 is t1 and bd.t2 is t2
+        alpha = fd.qe_angle(p, t1, t2)
+        assert type(alpha) is float and ap.alpha == bd.alpha == alpha
+
+
+def test_stacked_difference_gradients_make_one_gram_evaluation(rng, monkeypatch):
+    # stacks bypass the memo, so the covector pair is built on the Gram
+    # record that difference_gradients checked, not on one of its own
+    calls, evaluations = count_memo(monkeypatch, "gram")
+    sp = rand_space(3, rng)
+    P = make_param(rng.uniform(-1.5, 1.5, size=40))
+    T1, T2 = rng.normal(size=(2, 40, 3))
+    out = fd.difference_gradients(P, T1, T2, space=sp)
+    assert (calls[0], evaluations[0]) == (1, 1)
+    want = fd.covector_pair(P, T1, T2, space=sp)
+    assert np.array_equal(out["b1"], T1 - want[0]) and np.array_equal(out["b2"], T2 - want[1])
 
 
 def test_dot_and_norm_over_stacks(rng):

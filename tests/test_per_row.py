@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import finsleroid as fd
-from finsleroid import AntipodalSingular, AxisSingular, DegenerateVector, OutOfRange, make_param
+from finsleroid import (AntipodalSingular, AxisSingular, DegenerateVector, OutOfRange,
+                        make_param, twovector)
 from finsleroid.geodesic import ANTIPODAL_TOL
 from conftest import leaves, rand_space
 
@@ -551,6 +552,11 @@ def test_one_pair_keeps_python_scalars(rng):
         bd = fd.connect(p, x, y, space=sp)
         assert all(type(v) is float for v in (bd.a, bd.b, bd.delta_s, bd.S_end, bd.alpha))
         assert type(bd.radial) is bool and type(fd.qe_geodesic_at(bd, 0.5)[1]) is float
+        # the pair layer keeps one pair's scalar steps in floats, not np.float64
+        tensor = fd.n2(p, x, y, space=sp)
+        assert all(type(v) is float for v in (tensor.A1, tensor.A2, tensor.u))
+        if not pair.collinear:
+            assert all(type(v) is float for v in twovector._mixing(p, pair))
 
 
 def test_plane_and_profile_take_per_row_g():
