@@ -9,7 +9,8 @@ Configuration comes from flags or from a single JSON document
 flags it reads: any other flag, or config key, is a usage error. CSV
 numbers are Python's "%.17g" (17 significant digits, so they round-trip),
 written by one exact vectorised pass over each block of rows of a table,
-and each block's ASCII bytes go to the file as they are;
+and each block's ASCII bytes go to the file as they are, before the next
+block is formatted;
 figures formats the columns its files share once, in one pass over the
 columns of its six body files and one over those of its two curves. The
 SVG coordinates of figures are Python's "%.6f", written by one exact
@@ -35,7 +36,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,9 +88,10 @@ def _build_space(dim: Optional[int], r_text: Optional[str],
     return Space.euclidean(dim)
 
 
-def _write(path, pieces: Sequence[bytes]) -> None:
+def _write(path, pieces: Iterable[bytes]) -> None:
     """Write the pieces one after the other to the file at path, each as it
-    is (the CSV text block by block: no whole-file string is built),
+    comes (the CSV text block by block, each block formatted when the
+    previous one is written: no whole-file string is built),
     overwriting the file in place: no O_TRUNC, whose freeing of the old
     blocks and allocating them again costs more than the write. A regular
     file is then trimmed to the bytes written, also after a failed write, so
@@ -103,6 +105,7 @@ def _write(path, pieces: Sequence[bytes]) -> None:
                 n = os.write(fd, data)
                 done += n
                 data = data[n:]
+            del piece, data  # free the block before the next one is formatted
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -111,9 +114,9 @@ def _write(path, pieces: Sequence[bytes]) -> None:
             os.close(fd)
 
 
-def _emit(path: Optional[str], pieces: Sequence[bytes]) -> None:
+def _emit(path: Optional[str], pieces: Iterable[bytes]) -> None:
     """Write the pieces to the file at path, or else to standard output,
-    one piece at a time."""
+    one piece at a time, each as it comes."""
     if path:
         _write(path, pieces)
     else:
@@ -138,11 +141,12 @@ def _csv_head(header: List[str], comments: Optional[List[str]] = None) -> bytes:
 
 
 def _csv(header: List[str], table: np.ndarray,
-         comments: Optional[List[str]] = None) -> List[bytes]:
+         comments: Optional[List[str]] = None) -> Iterator[bytes]:
     """The pieces of a CSV file: its comment lines and header, then the
-    csv_lines blocks of the 2-D table, each number written as "%.17g" % x,
-    the bytes of _fmt."""
-    return [_csv_head(header, comments), *csv_lines(table)]
+    csv_lines blocks of the 2-D table, each formatted when it is asked for,
+    each number written as "%.17g" % x, the bytes of _fmt."""
+    yield _csv_head(header, comments)
+    yield from csv_lines(table)
 
 
 def _svg(polylines: List[Tuple[str, np.ndarray, str]]) -> str:
@@ -211,11 +215,13 @@ def cmd_geodesic(args) -> int:
     bd = geodesic.connect(p, quasieuclid.sigma(p, sp, R1),
                           quasieuclid.sigma(p, sp, R2), space=sp)
     s = np.linspace(0.0, bd.delta_s, max(2, args.samples))
-    t, _ = geodesic.qe_geodesic_at(bd, s)
-    R = quasieuclid.mu(p, sp, t)
+    R = quasieuclid.mu(p, sp, geodesic.qe_geodesic_at(bd, s)[0])
     # K is evaluated at the written R, not taken from the norm law, so the
-    # law stays a check of the output
+    # law stays a check of the output. The whole curve is computed before
+    # the file is opened, so that a refusal leaves it untouched; only the
+    # table stays alive while its text is formatted and written
     table = np.column_stack([s, R, fmf(p, sp, R)])
+    del s, R
     header = ["s"] + [f"R_{i + 1}" for i in range(sp.dim)] + ["K"]
     comments = [f"a={_fmt(bd.a)}", f"b={_fmt(bd.b)}",
                 f"delta_s={_fmt(bd.delta_s)}", f"alpha={_fmt(bd.alpha)}"]

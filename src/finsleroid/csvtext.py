@@ -9,13 +9,14 @@ into text. Every number outside a kernel's fast range is passed to "%"
 itself. csv_tables formats a table once and writes several CSV tables
 from its columns, so a column they share is formatted once. The CSV text
 stays in the ASCII bytes blocks the kernel makes, one per CHUNK_ROWS
-rows, which the CLI hands to the file as they are: no whole-file string
-is built.
+rows. csv_lines yields them one at a time, each formatted when the next
+is asked for, and the CLI hands each to the file as it comes: neither a
+whole-file string nor a list of every block is built.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,26 +94,35 @@ _FIXED6_HI = 999.0
 _SLOW_MARK = 1  # the byte that stands for a value written by "%.6f"
 
 
-def csv_lines(table: np.ndarray) -> List[bytes]:
-    """The CSV lines of a 2-D float table, as ASCII bytes blocks of
-    CHUNK_ROWS rows each: "%.17g" % x for every number, "," between the
-    numbers of a row and "\\n" after each row."""
-    return csv_tables(table, [slice(None)])[0]
+def csv_lines(table: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines of a 2-D float table, as an iterator of ASCII bytes
+    blocks of CHUNK_ROWS rows each, a block formatted when it is asked for:
+    "%.17g" % x for every number, "," between the numbers of a row and
+    "\\n" after each row."""
+    for lines in _chunks(table, [slice(None)]):
+        yield lines.pop()  # this frame keeps no reference to the block
 
 
 def csv_tables(table: np.ndarray, layouts: Sequence[Union[Sequence[int], slice]]
                ) -> List[List[bytes]]:
     """The CSV lines of several tables made of the columns of one 2-D float
     table, from one pass of the "%.17g" kernel over it: for each layout, a
-    sequence of column indices (or a slice of the columns), the csv_lines
-    blocks of table[:, layout]. A number that several layouts share is
-    formatted once."""
-    table = np.asarray(table, dtype=float)
+    sequence of column indices (or a slice of the columns), the list of the
+    csv_lines blocks of table[:, layout]. A number that several layouts
+    share is formatted once."""
     blocks: List[List[bytes]] = [[] for _ in layouts]
-    for i in range(0, len(table), CHUNK_ROWS):
-        for out, lines in zip(blocks, _block(table[i:i + CHUNK_ROWS], layouts)):
-            out.append(lines)
+    for lines in _chunks(table, layouts):
+        for out, block in zip(blocks, lines):
+            out.append(block)
     return blocks
+
+
+def _chunks(table: np.ndarray, layouts) -> Iterator[List[bytes]]:
+    """The CSV lines of each layout of the table, one block of CHUNK_ROWS
+    rows at a time, each from one _slots pass made when it is asked for."""
+    table = np.asarray(table, dtype=float)
+    for i in range(0, len(table), CHUNK_ROWS):
+        yield _block(table[i:i + CHUNK_ROWS], layouts)
 
 
 def _block(rows: np.ndarray, layouts) -> List[bytes]:

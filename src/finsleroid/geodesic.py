@@ -75,7 +75,9 @@ class GeodesicBoundary:
 
     For one pair the scalar fields are Python floats and radial a bool; for
     stacked pairs they are arrays over the rows, radial is the row mask,
-    and t1, t2, d1 have the pairs' shape (..., N).
+    and t1, t2, d1 have the pairs' shape (..., N). Pairs with one g per row
+    are broadcast to the rows of g: t1, t2, d1, radial and the fields g
+    changes take them, while a and S_end keep the pairs' own shape.
     """
 
     param: Param
@@ -100,14 +102,17 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
     ANTIPODAL_TOL of pi, and DegenerateVector when a row is zero."""
     sp = space_for(t1, space)
     pair = sp.gram(t1, t2)
-    m = np if isinstance(pair.a12, np.ndarray) else math  # floats for one pair
-    a, S_end = m.sqrt(pair.a11), m.sqrt(pair.a22)
     alpha = pair.angle / p.h
+    m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair at one g
     if any_row(alpha >= math.pi - ANTIPODAL_TOL):
         # h <= 1, so this also refuses a Euclidean-antipodal pair
         raise AntipodalSingular(f"swept angle {np.max(alpha):.6f} >= pi: "
                                 "no smooth connecting geodesic")
-    radial = pair.collinear
+    t1, t2, radial = pair.x, pair.y, pair.collinear
+    if m is np and t1.shape[:-1] != alpha.shape:  # rows of g that the pairs lack
+        t1, t2 = (np.broadcast_to(x, alpha.shape + x.shape[-1:]) for x in (t1, t2))
+        radial = np.broadcast_to(radial, alpha.shape)
+    a, S_end = m.sqrt(pair.a11), m.sqrt(pair.a22)
     # a radial row runs along the ray: alpha = 0, delta_s below is
     # hypot(a - S_end, 0) = |S_end - a|, b is +-a (+a when the ends
     # coincide), over a divisor of 1 so that coincident ends make no 0/0,
@@ -120,7 +125,7 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
     delta_s = m.hypot(a - S_end, 2.0 * m.sqrt(a * S_end) * half)
     b = _rows(radial, a * m.copysign(1.0, S_end - a),
               a * ((S_end - a) - 2.0 * S_end * half * half) / _rows(radial, 1.0, delta_s))
-    return GeodesicBoundary(p, sp, pair.x, pair.y, d1, a, b, delta_s, S_end, alpha, radial)
+    return GeodesicBoundary(p, sp, t1, t2, d1, a, b, delta_s, S_end, alpha, radial)
 
 
 def _turn(a, b, h, root, s, t1, d1, velocity=False):
@@ -157,7 +162,7 @@ def _along(bd: GeodesicBoundary, s, velocity=False):
     make no 0/0. The per-row fields broadcast over the axes of s past the
     rows."""
     ray, t1, d1 = bd.radial, bd.t1, bd.d1
-    m = np if isinstance(ray, np.ndarray) else math  # floats for one pair
+    m = np if isinstance(bd.alpha, np.ndarray) else math  # floats for one pair at one g
     root = bd.a * bd.S_end * m.sin(bd.alpha) / _rows(ray, 1.0, bd.delta_s)
     rows = [bd.a, bd.b, bd.param.h, root]
     if m is math and np.ndim(s) == 0:

@@ -528,7 +528,7 @@ def test_csv_chunk_edges(rows, cols):
     from finsleroid.cli import _csv
     table = np.random.default_rng(rows + cols).normal(size=(rows, cols))
     header = [f"c{i}" for i in range(cols)]
-    pieces = _csv(header, table)
+    pieces = list(_csv(header, table))
     # the header, then one block per CHUNK_ROWS rows
     assert [p.count(b"\n") for p in pieces[1:]] == [
         min(CHUNK_ROWS, rows - i) for i in range(0, rows, CHUNK_ROWS)]
@@ -751,3 +751,40 @@ def test_out_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch):
     assert code == 4 and "No space left" in err
     _, out, _ = run(capsys, *GEODESIC)
     assert path.read_bytes() == out.encode()[:100]
+
+
+def test_geodesic_streams_the_csv_one_block_at_a_time(tmp_path, capsys, monkeypatch):
+    # each block of CHUNK_ROWS rows goes to the file before the next one is
+    # formatted: the header goes out before any "%.17g" pass, and the k-th
+    # block when exactly k passes have run
+    from conftest import count_kernel
+    args = (*GEODESIC, "--samples", str(3 * CHUNK_ROWS + 5))
+    _, out, _ = run(capsys, *args)
+    calls = count_kernel(monkeypatch, "_slots")
+    real_write, passes = os.write, []
+
+    def counting_write(fd, data):
+        passes.append(calls[0])
+        return real_write(fd, data)
+
+    monkeypatch.setattr(cli.os, "write", counting_write)
+    path = tmp_path / "g.csv"
+    assert run(capsys, *args, "--out", str(path))[0] == 0
+    monkeypatch.undo()
+    assert passes == [0, 1, 2, 3, 4]
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("refused", [
+    ("--g", "0", "--vec", "1,0,0.2", "--vec2=-1,0,-0.2"),  # antipodal at g = 0
+    ("--g", "1.999999", "--vec", "1,0,0.2", "--vec2", "0,1,0.3"),  # the cone limit
+])
+def test_refused_geodesic_leaves_the_out_file_unchanged(tmp_path, capsys, refused):
+    # the whole curve is computed before the file is opened: a refusal
+    # leaves an existing file byte for byte as it was
+    path = tmp_path / "g.csv"
+    assert run(capsys, *GEODESIC, "--samples", str(CHUNK_ROWS + 5), "--out", str(path))[0] == 0
+    old = path.read_bytes()
+    code, _, err = run(capsys, "geodesic", *refused, "--out", str(path))
+    assert code == 3 and "geometric singularity" in err
+    assert path.read_bytes() == old

@@ -408,6 +408,38 @@ def test_stacked_connect_matches_one_pair_calls(rng, n, identity):
                     _assert_rows_match(got, want, j, scales)
 
 
+def test_one_pair_with_per_row_g_connects_row_by_row(rng):
+    # one pair (N,) with one g per row is broadcast to the rows of g, as n2
+    # and covector_pair broadcast it: each row of the boundary and of the
+    # curve is within 1e-14 of the stacked call on the repeated pair and of
+    # the one-g call, which keeps its Python floats; s of shape (rows,)
+    # gives t of shape (rows, N). The radial and coincident pairs too, with
+    # warnings as errors
+    sp = rand_space(3, rng)
+    g = np.array([0.3, -0.5, 0.0, 1.7])
+    t1 = np.array([0.3, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t2 in (np.array([0.6, -0.2, 0.9]), 2.5 * t1, t1):
+            bd = fd.connect(make_param(g), t1, t2, space=sp)
+            stacked = fd.connect(make_param(g), np.tile(t1, (4, 1)), np.tile(t2, (4, 1)),
+                                 space=sp)
+            fields = _boundary(stacked)[0]
+            got = [np.broadcast_to(a, b.shape) for a, b in zip(_boundary(bd)[0], fields)]
+            s = 0.4 * bd.delta_s
+            path = fd.qe_geodesic_at(bd, s)
+            assert path[0].shape == (4, 3) and path[1].shape == (4,)
+            stacked_path = fd.qe_geodesic_at(stacked, s)
+            for i in range(len(g)):
+                one = fd.connect(make_param(float(g[i])), t1, t2, space=sp)
+                assert type(one.alpha) is float
+                want, scales = _boundary(one)
+                _assert_rows_match(got, [f[i] for f in fields], i, scales)
+                _assert_rows_match(got, want, i, scales)
+                _assert_rows_match(path, [x[i] for x in stacked_path], i)
+                _assert_rows_match(path, fd.qe_geodesic_at(one, float(s[i])), i)
+
+
 # the public functions that take a vector of their Space but no stack of
 # them: the vector of each is of another kind
 ONE_VECTOR_ONLY = {
