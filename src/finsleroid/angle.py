@@ -11,7 +11,7 @@ Every function takes one vector or pair (N,), or vectors and pairs stacked
 along leading axes (..., N), with one g or one g per row, and runs one
 row formula for both: floats for one vector or pair where a scalar is
 returned, arrays over the rows for stacks. A refusal fires when any row
-meets it.
+meets it, and names those rows and their measure (core.refuse).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Param, Space, any_row, axial, checked_pair, per_row,
+from .core import (Param, Space, any_row, axial, checked_pair, per_row, refuse,
                    require_tensor_range, scalar_forms, space_for)
 from .errors import AntipodalSingular, CollinearVectors, DegenerateVector
 from .quasieuclid import _sigma, mu, sigma_over_j
@@ -105,8 +105,7 @@ def equator_angle(p: Param, sp: Space, R: np.ndarray) -> Union[float, np.ndarray
     array over the rows for a stack."""
     R = np.asarray(R, dtype=float)
     f = scalar_forms(p, sp, R)
-    if any_row(f.q == 0.0):
-        raise DegenerateVector("equatorial direction undefined on the axis")
+    refuse(f.q == 0.0, DegenerateVector, "equatorial direction undefined on the axis", f.q)
     a = np.arctan2(p.h * np.abs(axial(R)), f.L) / p.h
     return float(a) if a.ndim == 0 else a
 
@@ -135,8 +134,7 @@ def perpendicular_companion(p: Param, sp: Space, R: np.ndarray,
     fs = scalar_forms(p, sp, seed)
     t = _sigma(p, R, f)
     pair = sp.gram(t, sigma_over_j(p, seed, fs.A))
-    if any_row(pair.collinear):
-        raise CollinearVectors("seed's image is parallel to sigma(R)")
+    refuse(pair.collinear, CollinearVectors, "seed's image is parallel to sigma(R)", pair.u)
     turn = 0.5 * math.pi * p.h
     m = np if isinstance(turn, np.ndarray) else math  # floats for one g
     c1 = pair.coefficients[0]
@@ -155,8 +153,7 @@ def _first_order(p: Param, t1: np.ndarray, t2: np.ndarray,
     if any_row(k > 0.2):
         warnings.warn(f"first-order {what} with large k = 1/h - 1 = {np.max(k):.3f}",
                       stacklevel=3)
-    if any_row(pair.collinear):
-        raise CollinearVectors("parallelogram needs independent vectors")
+    refuse(pair.collinear, CollinearVectors, "parallelogram needs independent vectors", pair.u)
     return sp, pair, k
 
 
@@ -228,11 +225,9 @@ def parallelogram_exact(p: Param, t1: np.ndarray, t2: np.ndarray,
     alpha >= pi no parallelogram exists, and AntipodalSingular is raised.
     """
     sp, pair = checked_pair(t1, t2, space)
-    if any_row(pair.collinear):
-        raise CollinearVectors("parallelogram needs independent vectors")
+    refuse(pair.collinear, CollinearVectors, "parallelogram needs independent vectors", pair.u)
     alpha = pair.angle / p.h
-    if any_row(alpha >= math.pi):
-        raise AntipodalSingular(f"pair angle {np.max(alpha):.6f} >= pi: no parallelogram")
+    refuse(alpha >= math.pi, AntipodalSingular, "pair angle >= pi: no parallelogram", alpha)
     m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
     n1, n2 = m.sqrt(pair.a11), m.sqrt(pair.a22)
     x, y = n1 + n2 * m.cos(alpha), n2 * m.sin(alpha)

@@ -100,8 +100,8 @@ def make_param(g: Union[float, np.ndarray]) -> Param:
     or an array of g for per-row parameters. Every entry must be finite with
     |g| < 2."""
     ga = np.array(g, dtype=float)
-    if np.count_nonzero(~(np.abs(ga) < 2.0)):  # NaN fails the test too
-        raise OutOfRange(f"characteristic parameter must satisfy |g| < 2, got {g}")
+    refuse(~(np.abs(ga) < 2.0), OutOfRange,  # NaN fails the test too
+           "characteristic parameter must satisfy |g| < 2", ga)
     # the product of the two factors: 1 - g^2/4 cancels as |g| -> 2
     h = np.sqrt((1.0 - 0.5 * ga) * (1.0 + 0.5 * ga))
     if ga.ndim == 0:
@@ -122,6 +122,25 @@ def any_row(mask) -> bool:
     float g is a bool, read as it is: np.count_nonzero would first make it
     an array."""
     return mask if isinstance(mask, bool) else bool(np.count_nonzero(mask))
+
+
+def refuse(mask, error: type, message: str, measure=None) -> None:
+    """The one place where a row mask becomes a typed refusal: return when
+    no row holds, else raise error(message) with rows, the flat C-order
+    indices of the rows where mask holds (() for the mask of one vector),
+    and measure, the site's own quantity (a float, or an array that
+    broadcasts to the mask or has its leading axes) on those rows. Nothing
+    is formed unless it raises. The test is any_row's, made inline: refuse
+    runs on every call of its sites (16 times in a pair_geometry op), and a
+    second call frame there costs more than the test."""
+    if not (mask if isinstance(mask, bool) else np.count_nonzero(mask)):
+        return
+    shape = np.shape(mask)
+    rows = tuple(np.flatnonzero(mask).tolist()) if shape else ()
+    if measure is not None:
+        m = np.asarray(measure)
+        measure = (m if m.shape[:len(shape)] == shape else np.broadcast_to(m, shape))[mask]
+    raise error(message, rows=rows, measure=measure)
 
 
 class _Memo:
@@ -166,19 +185,19 @@ _CONE_G = _CONE_EXP_LIMIT / (0.25 * math.pi)
 _TENSOR_CONE_G = 0.5 * _CONE_G
 
 
-def _cone_limit(power: int) -> ConeLimit:
-    return ConeLimit(f"cone limit: |g| is so near 2 that J = exp(G Phi / 2) to the "
-                     f"power {power} leaves the double range")
+_CONE_MESSAGE = ("cone limit: |g| is so near 2 that a power of J = exp(G Phi / 2) "
+                 "leaves the double range")
 
 
 def half_G_angle(p: Param, a, power: int = 1):
     """G a / 2, the exponent of J = exp(G a / 2) at an angle a (a float or
     an array of angles) in [-pi/2, pi/2]. Raises ConeLimit where J^power or
     J^-power would leave the normal doubles; while power |G| <= ~902 that
-    takes one comparison."""
+    takes one comparison. The measure of the refusal is |power G a / 2|."""
     x = 0.5 * p.G * a
-    if power * p.G_max > _CONE_G and any_row(abs(power * x) > _CONE_EXP_LIMIT):
-        raise _cone_limit(power)
+    if power * p.G_max > _CONE_G:
+        e = abs(power * x)
+        refuse(e > _CONE_EXP_LIMIT, ConeLimit, _CONE_MESSAGE, e)
     return x
 
 
@@ -188,17 +207,18 @@ def require_tensor_range(p: Param, f: "ScalarForms", power: int) -> None:
     up to G^2 per power of J (1/B <= 2 / ((1 - |g|/2) |R|^2) ~ G^2 / |R|^2,
     and curvature_S forms J^4 G^8), so the bound is on
     power (|G Phi / 2| + 2 ln |G|). While power |G| <= ~451 that takes one
-    comparison: below it the bound cannot be reached."""
-    if power * p.G_max > _TENSOR_CONE_G and any_row(
-            power * (abs(0.5 * p.G * f.Phi) + 2.0 * math.log(p.G_max)) > _CONE_EXP_LIMIT):
-        raise _cone_limit(power)
+    comparison: below it the bound cannot be reached. The measure of the
+    refusal is that bound."""
+    if power * p.G_max > _TENSOR_CONE_G:
+        e = power * (abs(0.5 * p.G * f.Phi) + 2.0 * math.log(p.G_max))
+        refuse(e > _CONE_EXP_LIMIT, ConeLimit, _CONE_MESSAGE, e)
 
 
 def require_off_axis(p: Param, q, what: str) -> None:
     """Raise AxisSingular when a row with g != 0 lies on the axis: its
-    spatial norm q (q of R, or m of an image point t) is 0."""
-    if any_row((q == 0.0) & (p.g != 0.0)):
-        raise AxisSingular(f"{what} undefined on the axis (q = 0) for g != 0")
+    spatial norm q (q of R, or m of an image point t) is 0, the measure."""
+    refuse((q == 0.0) & (p.g != 0.0), AxisSingular,
+           f"{what} undefined on the axis (q = 0) for g != 0", q)
 
 
 def g_zero_rows(p: Param, q):
@@ -305,10 +325,12 @@ class Gram(NamedTuple):
 
     coefficients holds (c1, c2, c3) = (a11/u, u/a11, a12/u), so that
     d1 = c1 perp and d2 = c2 x - c3 perp; the d1 and d2 properties build
-    these vectors anew on every read. They are kept for difference_gradients,
-    which returns both. The pair constructions of twovector, angle and
-    geodesic read neither: they take d1 and d2 only through coefficients,
-    as scalars on x, y and perp.
+    these vectors anew on every read. d1, x turned a right angle toward y
+    with |d1| = |x|, is the plane turn of the geodesics (connect and
+    qe_geodesic_initial) and reads 0 on collinear rows, where u is taken
+    as infinite; difference_gradients returns d1 and d2. The other pair
+    constructions of twovector and angle read neither: they take d1 and d2
+    only through coefficients, as scalars on x, y and perp.
 
     For one pair the scalar fields are Python floats and collinear a bool;
     for stacked pairs they are arrays over the rows, and x, y, perp, d1 and
@@ -330,7 +352,7 @@ class Gram(NamedTuple):
 
     @property
     def d1(self) -> np.ndarray:
-        return per_row(self.coefficients[0]) * self.perp
+        return per_row(self.a11 / _rows(self.collinear, math.inf, self.u)) * self.perp
 
     @property
     def d2(self) -> np.ndarray:
@@ -469,8 +491,8 @@ class Space:
             m = np
         else:  # one pair: Python floats, and math for its scalar steps
             m, a11, a12, a22 = math, float(a11), float(a12), float(a22)
-        if any_row((a11 == 0.0) | (a22 == 0.0)):
-            raise DegenerateVector("pair geometry needs two nonzero vectors")
+        refuse(a11 == 0.0, DegenerateVector, "pair geometry needs a nonzero first vector", a11)
+        refuse(a22 == 0.0, DegenerateVector, "pair geometry needs a nonzero second vector", a22)
         s, c = y, a12 / a11
         near = 16.0 * c * a12 >= 15.0 * a22  # 16 a12^2 >= 15 a11 a22
         if any_row(near):
@@ -610,8 +632,8 @@ def scalar_forms(p: Param, sp: Space, R: np.ndarray) -> ScalarForms:
     one = R.ndim == 1
     q = sp.spatial_norm(R)  # checks R
     Z = axial(R)
-    if any_row((q == 0.0) & (Z == 0.0)):
-        raise DegenerateVector("scalar forms are undefined at the origin")
+    refuse((q == 0.0) & (Z == 0.0), DegenerateVector,
+           "scalar forms are undefined at the origin", R)
     g = p.g
     B = Z * Z + g * q * Z + q * q
     A = Z + 0.5 * g * q

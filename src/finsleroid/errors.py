@@ -3,11 +3,30 @@
 Every failure mode that corresponds to a geometric degeneracy gets its own
 class so callers can distinguish "bad input" from "the formula genuinely
 does not extend here".
+
+A refusal of one vector, or of vectors stacked along leading axes, comes
+from core.refuse and names what it refused. rows holds the flat C-order
+indices, over the leading axes of the refusal's row mask, of the rows that
+meet it: () for one vector. measure holds the site's own quantity on those
+rows, one entry per row (one entry for one vector), in the order of rows:
+the value that crossed its threshold, such as the swept angle of
+AntipodalSingular, the speed of NotUnitSpeed or the radicand of
+NegativeRadicand, and the refused vectors themselves at the origin. A
+caller can drop those rows and run the rest again. The message stays
+short at any stack size: it names neither. The checks of one input that
+has no rows (a spatial direction, a base frame, a chart point) raise with
+rows () and no measure.
 """
 
 
 class FinsleroidError(Exception):
-    """Base class for all finsleroid errors."""
+    """Base class for all finsleroid errors: the message, the rows of the
+    refusal and its measure (None where it has none)."""
+
+    def __init__(self, message="", rows=(), measure=None):
+        super().__init__(message)
+        self.rows = rows
+        self.measure = measure
 
 
 class OutOfRange(FinsleroidError):

@@ -16,7 +16,9 @@ from t1 and v1). The two-argument arctangent keeps it valid when a^2 + b s
 changes sign along the curve. Every function takes one pair (N,) or
 stacked pairs (..., N), with one g or one g per row, and runs the formula
 row by row for both: a radial row, whose ends lie on one ray, is selected
-row by row.
+row by row. A refusal fires when any row meets it, and names those rows
+and their measure (core.refuse): the swept angles of AntipodalSingular,
+the speeds of NotUnitSpeed.
 
 Validity: the closed two-point form represents the connecting geodesic
 for swept angles alpha < pi. At alpha = pi the curve degenerates through
@@ -33,7 +35,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (Param, Space, _rows, any_row, check_finite, checked_pair, per_row,
+from .core import (Param, Space, _rows, check_finite, checked_pair, per_row, refuse,
                    space_for)
 from .errors import AntipodalSingular, NotUnitSpeed
 from .quasieuclid import mu, n_metric, sigma
@@ -104,21 +106,19 @@ def connect(p: Param, t1: np.ndarray, t2: np.ndarray,
     pair = sp.gram(t1, t2)
     alpha = pair.angle / p.h
     m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair at one g
-    if any_row(alpha >= math.pi - ANTIPODAL_TOL):
-        # h <= 1, so this also refuses a Euclidean-antipodal pair
-        raise AntipodalSingular(f"swept angle {np.max(alpha):.6f} >= pi: "
-                                "no smooth connecting geodesic")
-    t1, t2, radial = pair.x, pair.y, pair.collinear
+    # h <= 1, so this also refuses a Euclidean-antipodal pair
+    refuse(alpha >= math.pi - ANTIPODAL_TOL, AntipodalSingular,
+           "swept angle >= pi: no smooth connecting geodesic", alpha)
+    t1, t2, d1, radial = pair.x, pair.y, pair.d1, pair.collinear
     if m is np and t1.shape[:-1] != alpha.shape:  # rows of g that the pairs lack
-        t1, t2 = (np.broadcast_to(x, alpha.shape + x.shape[-1:]) for x in (t1, t2))
+        t1, t2, d1 = (np.broadcast_to(x, alpha.shape + x.shape[-1:]) for x in (t1, t2, d1))
         radial = np.broadcast_to(radial, alpha.shape)
     a, S_end = m.sqrt(pair.a11), m.sqrt(pair.a22)
     # a radial row runs along the ray: alpha = 0, delta_s below is
     # hypot(a - S_end, 0) = |S_end - a|, b is +-a (+a when the ends
     # coincide), over a divisor of 1 so that coincident ends make no 0/0,
-    # and d1 = (a11 / u) perp is 0, u read as infinite (it may be 0 there)
+    # and d1 is 0 (Gram.d1)
     alpha = _rows(radial, 0.0, alpha)
-    d1 = per_row(pair.a11 / _rows(radial, math.inf, pair.u)) * pair.perp
     # cosine theorem and b = a (S_end cos(alpha) - a) / delta_s, written
     # with 1 - cos(alpha) = 2 sin^2(alpha/2) so neither cancels
     half = m.sin(0.5 * alpha)
@@ -234,12 +234,11 @@ def qe_geodesic_initial(p: Param, t1: np.ndarray, v1: np.ndarray, s: Union[float
     sp = space_for(t1, space)
     t1, v1 = sp.check_vector(t1), sp.check_vector(v1)
     speed = np.vecdot(np.matvec(n_metric(p, sp, t1).low, v1), v1)
-    if any_row(abs(speed - 1.0) > _UNIT_SPEED_TOL):
-        raise NotUnitSpeed(f"n(v1, v1) = {speed}, expected 1")
+    refuse(abs(speed - 1.0) > _UNIT_SPEED_TOL, NotUnitSpeed,
+           "initial velocity not of unit speed: n(v1, v1) != 1", speed)
     pair = sp.gram(t1, v1)
     ray = pair.collinear
-    d1 = per_row(pair.a11 / _rows(ray, np.inf, pair.u)) * pair.perp
-    t = _turn(np.sqrt(pair.a11), _rows(ray, 0.0, pair.a12), p.h, pair.u / p.h, s, t1, d1)[0]
+    t = _turn(np.sqrt(pair.a11), _rows(ray, 0.0, pair.a12), p.h, pair.u / p.h, s, t1, pair.d1)[0]
     return _rows(per_row(ray), t1 + per_row(s) * v1, t)
 
 

@@ -21,8 +21,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Param, Space, any_row, axial, diagonal, g_zero_rows, half_G_angle,
-                   per_row, require_off_axis, scalar_forms, write_rows)
+from .core import (Param, Space, axial, diagonal, g_zero_rows, half_G_angle, per_row,
+                   refuse, require_off_axis, scalar_forms, write_rows)
 from .errors import BadFrame, ChartOutOfRange, DegenerateVector
 
 __all__ = [
@@ -65,8 +65,7 @@ def _radial(sp: Space, t: np.ndarray, what: str):
     raises DegenerateVector."""
     t = np.asarray(t, dtype=float)
     S = snorm(sp, t)
-    if any_row(S == 0.0):
-        raise DegenerateVector(f"{what} undefined at the origin")
+    refuse(S == 0.0, DegenerateVector, f"{what} undefined at the origin", S)
     return t, S, t / per_row(S)
 
 
@@ -111,8 +110,7 @@ def _inverse(p: Param, sp: Space, t: np.ndarray, what: str):
     at the origin raises DegenerateVector."""
     t = np.asarray(t, dtype=float)
     m, tN = sp.spatial_norm(t), axial(t)  # spatial_norm checks t
-    if any_row((m == 0.0) & (tN == 0.0)):
-        raise DegenerateVector(f"{what} undefined at the origin")
+    refuse((m == 0.0) & (tN == 0.0), DegenerateVector, f"{what} undefined at the origin", t)
     return t, m, tN, np.exp(half_G_angle(p, np.arctan2(tN, m)))
 
 

@@ -21,7 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import Param, Space, any_row, axial, half_G_angle, scalar_forms
+from .core import Param, Space, axial, half_G_angle, refuse, scalar_forms
 from .errors import BadDirection, VertexSingular
 from .plane import gen_trig
 
@@ -120,6 +120,5 @@ def profile_slopes(p: Param, sp: Space,
     R = np.asarray(R, dtype=float)
     f = scalar_forms(p, sp, R)
     denom = axial(R) + p.g * f.q
-    if any_row(denom == 0.0):
-        raise VertexSingular("vertical tangent: Z + g q = 0")
+    refuse(denom == 0.0, VertexSingular, "vertical tangent: Z + g q = 0", denom)
     return -f.q / denom, -f.B / (denom * denom * denom)

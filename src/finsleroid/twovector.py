@@ -14,10 +14,11 @@ refuses an antipodal one for g != 0, where the tensor has no limit.
 Every function takes one pair (N,) or stacked pairs (..., N), broadcast
 as Space.gram takes them, with one g or one g per row, and runs one row
 formula on the Space.gram scalars for both. A refusal fires when any row
-meets it. Each public function checks its pair once, through Space.gram,
-and hands that Gram record to its builder (_n2, _covector_pair), which
-g2, scalar_grad and geodesic.difference_gradients call with the record
-they already hold. On one pair at one g the scalars stay Python floats,
+meets it, and names those rows and their measure (core.refuse). Each
+public function checks its pair once, through Space.gram, and hands that
+Gram record to its builder (_n2, _covector_pair), which g2, scalar_grad
+and geodesic.difference_gradients call with the record they already
+hold. On one pair at one g the scalars stay Python floats,
 in math, through the builders, and one pair gets Python floats where a
 scalar is returned; stacks and per-row g run the same steps in numpy.
 
@@ -38,7 +39,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .core import (Param, Space, _Memo, _rows, any_row, checked_pair, check_finite,
-                   per_row, scalar_forms)
+                   per_row, refuse, scalar_forms)
 from .errors import (AntipodalSingular, CollinearVectors, DegenerateW,
                      NegativeRadicand, SingularXi)
 from .quasieuclid import _sigma, _sigma_jacobian, checked_base_frame, n_metric
@@ -123,9 +124,8 @@ def _n2(p: Param, sp: Space, pair) -> TwoVectorTensor:
     The collinear rows read u as infinite, so that the formula makes no
     0/0 there, and then get n_metric(t1), A2 = 0 and u = 0."""
     col, h = pair.collinear, p.h
-    if any_row(col & (pair.a12 < 0.0) & (p.g != 0.0)):
-        raise AntipodalSingular("two-vector tensor unbounded at an antipodal pair "
-                                "for g != 0")
+    refuse(col & (pair.a12 < 0.0) & (p.g != 0.0), AntipodalSingular,
+           "two-vector tensor unbounded at an antipodal pair for g != 0", pair.angle)
     if any_row(col):
         pair = pair._replace(u=_rows(col, math.inf, pair.u))
     n1n2, _, s, A1, A2 = _mixing(p, pair)
@@ -167,18 +167,16 @@ def n2_frame(p: Param, t1: np.ndarray, t2: np.ndarray,
     region of the radicals.
     """
     sp, pair = checked_pair(t1, t2, space)
-    if any_row(pair.collinear):
-        raise CollinearVectors("frame needs independent vectors")
+    refuse(pair.collinear, CollinearVectors, "frame needs independent vectors", pair.u)
     a12, u, h = pair.a12, pair.u, p.h
     base = checked_base_frame(sp, base_frame)
     n1n2, ca, s, A1, A2 = _mixing(p, pair)
-    if any_row(s < 0.0):
-        raise NegativeRadicand("sin(alpha)/u negative")
+    refuse(s < 0.0, NegativeRadicand, "sin(alpha)/u negative", s)
     z, sa = n1n2 * np.sqrt(s), np.sin(pair.angle / h)
     rad1 = h * a12 * ca + u * sa          # = z^2 + a12 h A1
     rad2 = a12 * ca / h + u * sa          # = z^2 + a12 A2
-    if any_row((rad1 < 0.0) | (rad2 < 0.0)):
-        raise NegativeRadicand("frame radicand negative for this configuration")
+    refuse(rad1 < 0.0, NegativeRadicand, "first frame radicand negative", rad1)
+    refuse(rad2 < 0.0, NegativeRadicand, "second frame radicand negative", rad2)
     br1 = h * A1 / (z + np.sqrt(rad1))
     br2 = A2 / (z + np.sqrt(rad2))
     # (base d1)_R (d2)_q = (base perp)_R (c1 d2)_q, as in _n2
@@ -200,8 +198,7 @@ def covector_pair(p: Param, t1: np.ndarray, t2: np.ndarray,
 
 def _covector_pair(p: Param, pair) -> Tuple[np.ndarray, np.ndarray]:
     """The covector pair of the checked pairs from their Gram record."""
-    if any_row(pair.collinear):
-        raise CollinearVectors("covector pair needs independent vectors")
+    refuse(pair.collinear, CollinearVectors, "covector pair needs independent vectors", pair.u)
     alpha = pair.angle / p.h
     m = np if isinstance(alpha, np.ndarray) else math  # floats for one pair
     return _turn(p, pair, m.sin(alpha), m.cos(alpha))
@@ -215,8 +212,8 @@ def invert_covector_pair(p: Param, T1: np.ndarray, T2: np.ndarray,
     collinear covectors raises SingularXi."""
     alpha = check_finite(alpha, "pair angle")
     pair = checked_pair(T1, T2, space)[1]
-    if any_row(pair.collinear):
-        raise SingularXi("inversion coefficient vanishes for collinear covectors")
+    refuse(pair.collinear, SingularXi, "inversion coefficient vanishes for collinear covectors",
+           pair.u)
     m = math if isinstance(alpha, float) else np  # floats for one angle
     sa, ca = m.sin(alpha), m.cos(alpha)
     cc = ca * ca + sa * sa / p.h**2
@@ -272,8 +269,7 @@ def scalar_grad(p: Param, sp: Space, R: np.ndarray,
     back by the sigma Jacobians. As S -> R the R-gradient tends to the
     covector R_p. A row with collinear images raises DegenerateW."""
     (tR, jR), (tS, jS) = _image(p, sp, R), _image(p, sp, S)
-    try:
-        T1, T2 = _covector_pair(p, sp.gram(tR, tS))
-    except CollinearVectors as exc:
-        raise DegenerateW("two-vector root vanished; gradients undefined") from exc
+    pair = sp.gram(tR, tS)
+    refuse(pair.collinear, DegenerateW, "two-vector root vanished; gradients undefined", pair.u)
+    T1, T2 = _covector_pair(p, pair)
     return np.matvec(jR, sp.lower(T1)), np.matvec(jS, sp.lower(T2))

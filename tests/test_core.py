@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import functools
 import importlib
@@ -786,6 +787,38 @@ def test_every_memo_is_the_helper():
                 memos.append(f"{path.stem}.{name}")
     assert sorted(set(memos)) == ["core._forms_memo", "core._gram_memo", "tensors._cartan_memo",
                                   "twovector._n2_memo"]
+
+
+# The raises of a typed refusal outside core.refuse: the checks of one
+# input that has no row mask, a spatial direction, a base frame and a chart
+# point.
+ONE_INPUT_REFUSALS = {"shape.indicatrix_point", "quasieuclid.checked_base_frame",
+                      "quasieuclid.sphere_curvature"}
+
+
+def test_every_refusal_is_the_helper():
+    # a typed refusal is raised in core.refuse, which names the rows of its
+    # mask and their measure, and in the three checks of one input alone:
+    # `if any_row(mask): raise Error(message)` fails here, and so does a
+    # raise of anything but a builtin exception class (an error held in a
+    # variable, a bare re-raise) in any other function
+    root = pathlib.Path(fd.__file__).parent
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if not (isinstance(cls, type) and issubclass(cls, BaseException)):
+                found.add(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), None)
+    assert found == ONE_INPUT_REFUSALS | {"core.refuse"}
 
 
 # The functions outside core.py that multiply a vector by r: the chart

@@ -316,6 +316,36 @@ def test_initial_value_rejects_bad_speed(rng):
         qe_geodesic_initial(p, t1, np.array([2.0, 0.0]), 0.1, space=sp)
 
 
+def test_refusals_of_a_stack_name_their_rows_in_short_messages(rng):
+    # connect names every antipodal row of a stack with its swept angle;
+    # NotUnitSpeed on 10^4 rows keeps its message short and holds the
+    # off-speed rows and their speeds in rows and measure
+    sp = Space.euclidean(3)
+    g = rng.uniform(-1.0, 1.0, size=9)
+    t1 = rng.uniform(0.5, 1.5, size=(9, 3))
+    t2 = t1 + 0.2 * rng.normal(size=(9, 3))
+    g[[2, 6]] = 1.5, -1.2
+    t2[2], t2[6] = -t1[2] + [0.05, 0.0, 0.0], -t1[6]
+    P = make_param(g)
+    with pytest.raises(AntipodalSingular) as exc:
+        connect(P, t1, t2, space=sp)
+    assert exc.value.rows == (2, 6)
+    assert np.array_equal(exc.value.measure, qe_angle(P, t1, t2, space=sp)[[2, 6]])
+    assert all(exc.value.measure >= math.pi - 1e-7)
+    p = make_param(0.5)
+    t = np.tile([0.3, -0.5, 1.0], (10_000, 1))
+    v = rng.normal(size=(10_000, 3))
+    speed = np.vecdot(np.matvec(n_metric(p, sp, t).low, v), v)
+    v /= np.sqrt(speed)[:, None]
+    off = np.sort(rng.choice(10_000, size=2_000, replace=False))
+    v[off] *= 1.5
+    with pytest.raises(NotUnitSpeed) as exc:
+        qe_geodesic_initial(p, t, v, 0.3, space=sp)
+    assert len(str(exc.value)) < 80
+    assert exc.value.rows == tuple(off)
+    assert np.allclose(exc.value.measure, 2.25, rtol=1e-12)
+
+
 def test_angle_additivity(rng):
     # alpha(t1, t3) = alpha(t1, t2) + alpha(t2, t3) for planar triples
     from finsleroid import qe_angle

@@ -4,6 +4,7 @@ at g[i], through the one implementation of every stacked function."""
 import dataclasses
 import importlib
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import finsleroid as fd
 from finsleroid import (AntipodalSingular, AxisSingular, DegenerateVector, OutOfRange,
-                        make_param, twovector)
+                        Space, core, make_param, twovector)
 from finsleroid.geodesic import ANTIPODAL_TOL
 from conftest import leaves, rand_space
 
@@ -612,3 +613,148 @@ def test_plane_and_profile_take_per_row_g():
         for i, p in enumerate(ones):
             one = fd.indicatrix_profile(p, 64)
             assert np.max(np.abs(prof[i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+# ---------------------------------------------------------------------------
+# row-addressed refusals
+# ---------------------------------------------------------------------------
+
+_SP3 = Space.euclidean(3)
+
+
+def _plane_pair(theta):
+    """A unit pair at the Euclidean angle theta in the first two axes."""
+    return np.array([1.0, 0.0, 0.0]), np.array([math.cos(theta), math.sin(theta), 0.0])
+
+
+def _cone_tensor_row(g, X, Y, i):
+    # G = 1000 and Phi = 1 at q = 1: |G Phi / 2| = 500 passes the exponent
+    # check of the forms, 2 (500 + 2 ln 1000) fails the tensor bound
+    g[i] = 1.0 / math.sqrt(0.25 + 1e-6)
+    h = make_param(g[i]).h
+    X[i] = Y[i] = [1.0, 0.0, h * math.tan(1.0) - 0.5 * g[i]]
+
+
+def _antipodal_row(g, X, Y, i):
+    # alpha = 2.5 / h = 3.78 at g = 1.5: past pi
+    g[i] = 1.5
+    X[i], Y[i] = _plane_pair(2.5)
+
+
+def _frame_row(theta):
+    """Spoil row i into a pair at g = -1.95 whose frame radicands at the
+    Euclidean angle theta are: rad2 < 0 alone at 0.5, rad1 < 0 (and rad2)
+    at 0.67, sin(alpha)/u < 0 at 0.9."""
+    def spoil(g, X, Y, i):
+        g[i] = -1.95
+        X[i], Y[i] = _plane_pair(theta)
+    return spoil
+
+
+def _collinear_row(g, X, Y, i):
+    Y[i] = 2.0 * X[i]
+
+
+def _pair_call(fn):
+    return lambda g, X, Y: fn(make_param(g), X, Y, space=_SP3)
+
+
+def _collinear(m):
+    return m <= core.COLLINEAR_TOL
+
+
+# every row-masked typed refusal: (error, call on per-row g and stacks X, Y,
+# spoil of row i, whether a measure entry crosses the refusal's threshold)
+REFUSALS = {
+    "make_param": (OutOfRange, lambda g, X, Y: make_param(g),
+                   lambda g, X, Y, i: g.__setitem__(i, 2.0), lambda m: not abs(m) < 2.0),
+    "half_G_angle": (fd.ConeLimit, lambda g, X, Y: fd.fmf(make_param(g), _SP3, X),
+                     lambda g, X, Y, i: (g.__setitem__(i, 2.0 - 1e-12),
+                                         X.__setitem__(i, [0.3, 0.5, 1.0])),
+                     lambda m: m > core._CONE_EXP_LIMIT),
+    "require_tensor_range": (fd.ConeLimit,
+                             lambda g, X, Y: fd.fins_angle(make_param(g), _SP3, X, Y),
+                             _cone_tensor_row, lambda m: m > core._CONE_EXP_LIMIT),
+    "require_off_axis": (AxisSingular,
+                         lambda g, X, Y: fd.sigma_jacobian(make_param(g), _SP3, X),
+                         lambda g, X, Y, i: X[i, :-1].fill(0.0), lambda m: m == 0.0),
+    "gram, first vector": (DegenerateVector, _pair_call(fd.qe_angle),
+                           lambda g, X, Y, i: X[i].fill(0.0), lambda m: m == 0.0),
+    "gram, second vector": (DegenerateVector, _pair_call(fd.qe_angle),
+                            lambda g, X, Y, i: Y[i].fill(0.0), lambda m: m == 0.0),
+    "scalar_forms": (DegenerateVector, lambda g, X, Y: fd.fmf(make_param(g), _SP3, X),
+                     lambda g, X, Y, i: X[i].fill(0.0), lambda m: not m.any()),
+    "_radial": (DegenerateVector, lambda g, X, Y: fd.unit_l(_SP3, X),
+                lambda g, X, Y, i: X[i].fill(0.0), lambda m: m == 0.0),
+    "_inverse": (DegenerateVector, lambda g, X, Y: fd.mu(make_param(g), _SP3, X),
+                 lambda g, X, Y, i: X[i].fill(0.0), lambda m: not m.any()),
+    "profile_slopes": (fd.VertexSingular,
+                       lambda g, X, Y: fd.profile_slopes(make_param(g), _SP3, X),
+                       lambda g, X, Y, i: X.__setitem__(i, [1.0, 0.0, -g[i]]),
+                       lambda m: m == 0.0),
+    "equator_angle": (DegenerateVector,
+                      lambda g, X, Y: fd.equator_angle(make_param(g), _SP3, X),
+                      lambda g, X, Y, i: X[i, :-1].fill(0.0), lambda m: m == 0.0),
+    "perpendicular_companion": (fd.CollinearVectors, lambda g, X, Y: fd.perpendicular_companion(
+        make_param(g), _SP3, X, Y), _collinear_row, _collinear),
+    "_first_order": (fd.CollinearVectors, _pair_call(fd.parallelogram_sum), _collinear_row,
+                     _collinear),
+    "parallelogram_exact, collinear": (fd.CollinearVectors, _pair_call(fd.parallelogram_exact),
+                                       _collinear_row, _collinear),
+    "parallelogram_exact, antipodal": (AntipodalSingular, _pair_call(fd.parallelogram_exact),
+                                       _antipodal_row, lambda m: m >= math.pi),
+    "connect": (AntipodalSingular, _pair_call(fd.connect), _antipodal_row,
+                lambda m: m >= math.pi - ANTIPODAL_TOL),
+    "qe_geodesic_initial": (fd.NotUnitSpeed, lambda g, X, Y: fd.qe_geodesic_initial(
+        make_param(g), X, Y, 0.5, space=_SP3), lambda g, X, Y, i: Y[i].__imul__(1.1),
+        lambda m: abs(m - 1.0) > 1e-8),
+    "_n2": (AntipodalSingular, _pair_call(fd.n2), lambda g, X, Y, i: Y.__setitem__(i, -X[i]),
+            lambda m: m >= math.pi - 1e-7),
+    "n2_frame, collinear": (fd.CollinearVectors, _pair_call(fd.n2_frame), _collinear_row,
+                            _collinear),
+    "n2_frame, sin(alpha)/u": (fd.NegativeRadicand, _pair_call(fd.n2_frame), _frame_row(0.9),
+                               lambda m: m < 0.0),
+    "n2_frame, first radicand": (fd.NegativeRadicand, _pair_call(fd.n2_frame),
+                                 _frame_row(0.67), lambda m: m < 0.0),
+    "n2_frame, second radicand": (fd.NegativeRadicand, _pair_call(fd.n2_frame),
+                                  _frame_row(0.5), lambda m: m < 0.0),
+    "_covector_pair": (fd.CollinearVectors, _pair_call(fd.covector_pair), _collinear_row,
+                       _collinear),
+    "invert_covector_pair": (fd.SingularXi, lambda g, X, Y: fd.invert_covector_pair(
+        make_param(g), X, Y, 0.5, space=_SP3), _collinear_row, _collinear),
+    "scalar_grad": (fd.DegenerateW, lambda g, X, Y: fd.scalar_grad(make_param(g), _SP3, X, Y),
+                    _collinear_row, _collinear),
+}
+
+
+def _good_rows(rng, rows):
+    """Per-row g in (-1, 1), vectors X at least 0.7 off the axis and Y
+    within about 30 degrees of X, scaled to unit speed for n at X: rows
+    that every function of REFUSALS answers."""
+    g = rng.uniform(-1.0, 1.0, size=rows)
+    X = rng.uniform(0.5, 1.5, size=(rows, 3)) * rng.choice([-1.0, 1.0], size=(rows, 3))
+    Y = X + 0.3 * rng.normal(size=(rows, 3))
+    speed = np.vecdot(np.matvec(fd.n_metric(make_param(g), _SP3, X).low, Y), Y)
+    return g, X, Y / np.sqrt(speed)[:, None]
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_refusal_names_its_row_and_measure(rng, name):
+    # one bad row at a random index i of a stack of good rows: the refusal
+    # names row i alone, and its measure has one entry, past the threshold.
+    # The good rows alone are answered, and the bad row as one vector is
+    # refused with rows () and one measure entry
+    error, call, spoil, crosses = REFUSALS[name]
+    for rows in (1, 7, 12):
+        g, X, Y = _good_rows(rng, rows)
+        call(g, X, Y)
+        i = int(rng.integers(rows))
+        spoil(g, X, Y, i)
+        with pytest.raises(error) as exc:
+            call(g, X, Y)
+        assert exc.value.rows == (i,), name
+        assert len(exc.value.measure) == 1 and crosses(exc.value.measure[0]), name
+        with pytest.raises(error) as exc:
+            call(float(g[i]), X[i], Y[i])
+        assert exc.value.rows == (), name
+        assert len(exc.value.measure) == 1 and crosses(exc.value.measure[0]), name
